@@ -7,7 +7,7 @@ traffic. Seeded runs are exactly reproducible; see the README for the CLI.
 
 from .config import ConfigError, SimConfig, load_config, parse_config, serialize_config, validate_config
 from .metrics import MetricsLog
-from .simulation import InvariantViolation, run_dsdv, run_mleach, run_simulation
+from .simulation import InvariantViolation, run_simulation
 
 __version__ = "0.1.0"
 
@@ -19,8 +19,6 @@ __all__ = [
     "__version__",
     "load_config",
     "parse_config",
-    "run_dsdv",
-    "run_mleach",
     "run_simulation",
     "serialize_config",
     "validate_config",

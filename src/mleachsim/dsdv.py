@@ -40,10 +40,13 @@ class DsdvProtocol:
         stream = world.streams.get("dsdv")
         for t_us in range(0, world.cfg.sim_us, US):
             world.queue.schedule(t_us, EventKind.BS_ROUTE_DUMP, None)
-        # first advertisement lands at a per-node jitter within the interval
+        # first advertisement lands at a per-node jitter within the interval;
+        # every node draws its jitter even when it falls past the horizon, so
+        # the order of draws on the dsdv stream does not depend on the horizon
         for i in range(world.cfg.node_count):
             jitter = int(stream.random() * self.interval_us)
-            world.queue.schedule(jitter, EventKind.ROUTE_DUMP, (i, 0))
+            if jitter < world.cfg.sim_us:
+                world.queue.schedule(jitter, EventKind.ROUTE_DUMP, (i, 0))
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
         stream = self.world.streams.get("dsdv")

@@ -114,14 +114,6 @@ def shortest_route(graph: ChGraph, src: int, bs_id: int) -> list[int] | None:
     return None
 
 
-def path_cost(graph: ChGraph, path: list[int]) -> float:
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        w = next(w for n, w in graph.adj[u] if n == v)
-        total += w
-    return total
-
-
 @dataclass
 class RoundContext:
     r: int

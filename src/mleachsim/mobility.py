@@ -13,12 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def distance(a: tuple[float, float], b: tuple[float, float]) -> float:
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return math.sqrt(dx * dx + dy * dy)
-
-
 @dataclass(slots=True)
 class WaypointState:
     target: tuple[float, float]

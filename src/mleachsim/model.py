@@ -1,19 +1,16 @@
-"""Shared domain types: node state, packets, the cluster-head graph, placement.
+"""Shared domain types: node state, the cluster-head graph, placement.
 
 Node ids are 0..node_count-1. The base station is not a node: it is addressed
 by the sentinel id ``node_count`` (one past the last node) so that position
-arrays can carry it as their final row. Broadcast destinations use -1.
+arrays can carry it as their final row.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-
-BROADCAST = -1
 
 
 class Role(IntEnum):
@@ -24,33 +21,6 @@ class Role(IntEnum):
     CLUSTER_MEMBER = 2
     ORPHAN_DIRECT = 3  # no head in reach; sends straight to the sink when it can
     DEAD = 4
-
-
-class PacketKind(IntEnum):
-    DATA = 0
-    HELLO = 1
-    SCHEDULE = 2
-    HEARTBEAT = 3
-    ROUTE_UPDATE = 4
-
-
-@dataclass(slots=True)
-class Packet:
-    """A single frame. Data packets carry the reading and its origin node."""
-
-    kind: PacketKind
-    src: int
-    dst: int
-    size_bits: int
-    created_at_s: float
-    reading: float = 0.0
-    origin: int = -1
-
-    def __post_init__(self) -> None:
-        if self.size_bits <= 0:
-            raise ValueError("size_bits must be positive")
-        if self.kind == PacketKind.DATA and not math.isfinite(self.reading):
-            raise ValueError("data packet reading must be finite")
 
 
 @dataclass(slots=True)
@@ -108,30 +78,10 @@ class ChGraph:
 
 
 def place_nodes(
-    n: int,
-    width: float,
-    height: float,
-    stream: np.random.Generator,
-    mode: str = "uniform",
+    n: int, width: float, height: float, stream: np.random.Generator
 ) -> np.ndarray:
-    """Draw initial node positions inside the field.
-
-    ``uniform`` scatters independently. ``clustered`` approximates debris
-    carried into pools: a handful of sites, Gaussian spread around each,
-    clipped to the field.
-    """
-    if mode == "uniform":
-        pos = stream.random((n, 2))
-        pos[:, 0] *= width
-        pos[:, 1] *= height
-        return pos
-    if mode == "clustered":
-        k = max(2, n // 100)
-        sites = stream.random((k, 2)) * (width, height)
-        spread = min(width, height) / 20.0
-        offsets = stream.normal(0.0, spread, size=(n, 2))
-        pos = sites[np.arange(n) % k] + offsets
-        np.clip(pos[:, 0], 0.0, width, out=pos[:, 0])
-        np.clip(pos[:, 1], 0.0, height, out=pos[:, 1])
-        return pos
-    raise ValueError(f"unknown placement mode: {mode!r}")
+    """Draw initial node positions uniformly and independently inside the field."""
+    pos = stream.random((n, 2))
+    pos[:, 0] *= width
+    pos[:, 1] *= height
+    return pos

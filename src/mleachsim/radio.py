@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .mobility import distance
 
 
 @dataclass(frozen=True)
@@ -35,13 +34,6 @@ class RadioModel:
         if k < 0:
             raise ValueError("bit count must not be negative")
         return self.e_elec_j_per_bit * k
-
-
-def in_range(a: tuple[float, float], b: tuple[float, float], r: float) -> bool:
-    """Inclusive range check: boundary distance still counts as reachable."""
-    if r <= 0:
-        raise ValueError("range must be positive")
-    return distance(a, b) <= r
 
 
 class EnergyLedger:

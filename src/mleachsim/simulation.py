@@ -72,7 +72,6 @@ class World:
         cfg: SimConfig,
         log: MetricsLog,
         strict: bool = False,
-        placement: str = "uniform",
     ) -> None:
         cfg = validate_config(cfg)
         self.cfg = cfg
@@ -86,7 +85,7 @@ class World:
         self.nodes = [NodeState(i) for i in range(n)]
 
         sensor_pos = place_nodes(
-            n, cfg.field_width_m, cfg.field_height_m, self.streams.get("placement"), placement
+            n, cfg.field_width_m, cfg.field_height_m, self.streams.get("placement")
         )
         self.positions = np.vstack([sensor_pos, np.asarray([cfg.bs_position])])
         self.mobility = MobilityField(
@@ -242,16 +241,14 @@ class World:
                 )
 
 
-def run_simulation(
-    cfg: SimConfig, protocol: str, strict: bool = False, placement: str = "uniform"
-) -> MetricsLog:
+def run_simulation(cfg: SimConfig, protocol: str, strict: bool = False) -> MetricsLog:
     """Run one protocol over one scenario and return its metrics."""
     from .dsdv import DsdvProtocol
     from .mleach import MleachProtocol
 
     cfg = validate_config(cfg)
     log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
-    world = World(cfg, log, strict=strict, placement=placement)
+    world = World(cfg, log, strict=strict)
     if protocol == "mleach":
         proto = MleachProtocol(world)
     elif protocol == "dsdv":
@@ -260,11 +257,3 @@ def run_simulation(
         raise ValueError(f"unknown protocol {protocol!r}")
     world.run(proto)
     return log
-
-
-def run_mleach(cfg: SimConfig, strict: bool = False) -> MetricsLog:
-    return run_simulation(cfg, "mleach", strict=strict)
-
-
-def run_dsdv(cfg: SimConfig, strict: bool = False) -> MetricsLog:
-    return run_simulation(cfg, "dsdv", strict=strict)

@@ -5,7 +5,7 @@ import numpy as np
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import EventKind
 from mleachsim.kernels import NO_ROUTE
-from mleachsim.simulation import run_dsdv
+from mleachsim.simulation import run_simulation
 
 from conftest import small_config
 
@@ -188,7 +188,7 @@ def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):
 
 
 def test_small_run_is_loop_free_and_conserves_packets():
-    log = run_dsdv(small_config(), strict=True)
+    log = run_simulation(small_config(), "dsdv", strict=True)
     assert log.generated > 0
     assert log.delivered > 0
     assert log.conservation_residual() == 0
@@ -207,3 +207,10 @@ def test_node_dump_reschedules_until_horizon(world_factory):
     last = world.cfg.sim_duration_s - 1
     proto._node_dump(last * proto.interval_us, 0, last)
     assert len(world.queue) == 0
+
+
+def test_update_interval_past_horizon_leaves_no_events():
+    # a first dump drawn past the end of the run is never scheduled
+    cfg = small_config(sim_duration_s=2, dsdv_update_interval_s=2.5)
+    log = run_simulation(cfg, "dsdv", strict=True)
+    assert log.conservation_residual() == 0

@@ -9,7 +9,6 @@ from mleachsim.mleach import (
     RoundContext,
     build_ch_graph,
     ch_threshold,
-    path_cost,
     run_election,
     shortest_route,
 )
@@ -144,14 +143,12 @@ def test_route_prefers_cheap_relay_over_long_direct():
     g = graph_from_edges([2, 4, 9], [(4, 2, 1.0), (2, 9, 1.5), (4, 9, 4.5)])
     path = shortest_route(g, 4, 9)
     assert path == [4, 2, 9]
-    assert path_cost(g, path) == 2.5
 
 
 def test_route_two_hop_beats_direct():
     g = graph_from_edges([0, 1, 5], [(0, 1, 1.0), (1, 5, 1.0), (0, 5, 3.0)])
     path = shortest_route(g, 0, 5)
     assert path == [0, 1, 5]
-    assert path_cost(g, path) == 2.0
 
 
 def test_route_equal_cost_prefers_fewer_hops():

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from mleachsim.engine import RandomStreams
-from mleachsim.mobility import MobilityField, WaypointState, distance, step_waypoint
+from mleachsim.mobility import MobilityField, WaypointState, step_waypoint
 
 
 def fixed_stream():
     return np.random.default_rng(11)
-
-
-def test_distance_three_four_five():
-    assert distance((0.0, 0.0), (3.0, 4.0)) == 5.0
-    assert distance((1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
 def test_step_moves_along_segment():
@@ -122,4 +117,4 @@ def test_zero_pause_redraw_keeps_walking():
     assert p == (1.0, 0.0)
     assert wp.pause_remaining_s == 0.0
     p2 = step_waypoint(p, wp, 1.0, stream, 50, 50, 2, 2, 0.0)
-    assert 0.0 < distance(p, p2) <= 2.0 + 1e-12
+    assert 0.0 < math.dist(p, p2) <= 2.0 + 1e-12

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mleachsim.radio import EnergyLedger, RadioModel, in_range
+from mleachsim.radio import EnergyLedger, RadioModel
 
 RADIO = RadioModel()
 
@@ -60,14 +60,6 @@ def test_two_short_hops_beat_one_long_hop():
     # amplifier term is quadratic in distance, so relaying at the midpoint wins
     k, d = 4096, 2000.0
     assert 2 * RADIO.tx_energy(k, d / 2) < RADIO.tx_energy(k, d)
-
-
-def test_in_range_boundary_inclusive():
-    assert in_range((0.0, 0.0), (0.0, 1500.0), 1500.0)
-    assert not in_range((0.0, 0.0), (0.0, 1501.0), 1500.0)
-    assert in_range((0.0, 0.0), (0.0, 0.0), 0.5)
-    with pytest.raises(ValueError):
-        in_range((0.0, 0.0), (1.0, 1.0), 0.0)
 
 
 # -- ledger ----------------------------------------------------------------

@@ -10,8 +10,6 @@ from mleachsim.simulation import (
     BsChannel,
     InvariantViolation,
     World,
-    run_dsdv,
-    run_mleach,
     run_simulation,
 )
 
@@ -20,8 +18,8 @@ from conftest import make_world, small_config
 
 def test_offered_load_is_protocol_independent():
     cfg = small_config()
-    a = run_mleach(cfg)
-    b = run_dsdv(cfg)
+    a = run_simulation(cfg, "mleach")
+    b = run_simulation(cfg, "dsdv")
     assert a.generated == b.generated > 0
 
 
@@ -40,7 +38,7 @@ def test_packet_conservation_across_seeds(protocol, seed):
 
 
 def test_energy_series_monotone_and_samples_before_work():
-    log = run_mleach(small_config())
+    log = run_simulation(small_config(), "mleach")
     assert len(log.energy_series) == log.duration_s + 1
     assert log.energy_series[0] == (0, 0.0, 0.0)
     totals = [tot for _, tot, _ in log.energy_series]
@@ -61,15 +59,15 @@ def test_starved_network_still_balances_the_books():
 
 def test_choked_sink_counts_congestion_drops():
     cfg = small_config(bs_mac_capacity_bps=500.0)
-    log = run_mleach(cfg, strict=True)
+    log = run_simulation(cfg, "mleach", strict=True)
     assert log.dropped_congested > 0
     assert log.conservation_residual() == 0
 
 
 def test_rerun_reproduces_every_metric():
     cfg = small_config(rng_seed=11)
-    a = run_mleach(cfg)
-    b = run_mleach(cfg)
+    a = run_simulation(cfg, "mleach")
+    b = run_simulation(cfg, "mleach")
     assert a.summary_row() == b.summary_row()
     assert a.energy_series == b.energy_series
     assert np.array_equal(a.bs_buckets, b.bs_buckets)
@@ -85,13 +83,6 @@ def test_unknown_protocol_rejected():
 def test_world_validates_config():
     with pytest.raises(ConfigError):
         World(small_config(node_count=0), MetricsLog("x", 12, 0))
-
-
-def test_clustered_placement_is_supported():
-    log = run_simulation(small_config(), "mleach", placement="clustered")
-    assert log.generated > 0
-    with pytest.raises(ValueError):
-        run_simulation(small_config(), "mleach", placement="ring")
 
 
 def test_mobility_reshapes_distances_between_seconds():

@@ -72,13 +72,7 @@ class DsdvProtocol:
         world = self.world
         cfg = self.cfg
         self.bs_seq += 2
-        receivers = world.alive_in_range(world.bs_id, cfg.radio_range_rr_m)
-        if len(receivers) == 0:
-            return
-        ok = world.ledger.charge_many(
-            receivers, world.radio.rx_energy(cfg.dsdv_entry_bits), t_us
-        )
-        survivors = receivers[ok].astype(np.int64)
+        survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if len(survivors) == 0:
             return
         dests = cfg.node_count + 1
@@ -104,20 +98,14 @@ class DsdvProtocol:
         self.seq[i, i] = self.own_seq[i]
         adv_mask = (self.seq[i] % 2 == 0) & (self.seq[i] >= 0) & (self.metric[i] < NO_ROUTE)
         entries = int(np.count_nonzero(adv_mask))
-        bits = entries * cfg.dsdv_entry_bits
-        if not world.ledger.consume(i, world.radio.tx_energy(bits, cfg.radio_range_rr_m), t_us):
+        survivors = world.broadcast(i, entries * cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
+        if survivors is None:
             return
-        receivers = world.alive_in_range(i, cfg.radio_range_rr_m)
-        if len(receivers):
-            ok = world.ledger.charge_many(
-                receivers, world.radio.rx_energy(bits), t_us
+        if len(survivors):
+            dsdv_merge(
+                self.metric, self.seq, self.next_hop,
+                survivors, i, self.metric[i], self.seq[i], adv_mask,
             )
-            survivors = receivers[ok].astype(np.int64)
-            if len(survivors):
-                dsdv_merge(
-                    self.metric, self.seq, self.next_hop,
-                    survivors, i, self.metric[i], self.seq[i], adv_mask,
-                )
         stream = world.streams.get("dsdv")
         jitter = int(stream.random() * self.interval_us)
         next_t = (interval + 1) * self.interval_us + jitter
@@ -157,14 +145,10 @@ class DsdvProtocol:
                 self.metric[cur, bs] = NO_ROUTE
                 world.log.dropped_unreachable += 1
                 return
-            tx = world.radio.tx_energy(cfg.packet_size_bits, float(world.dist[cur, nh]))
-            if not world.ledger.consume(cur, tx, t_us):
+            if not world.unicast(cur, nh, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += 1
                 return
             if nh == bs:
                 world.deliver_data(t_us, i, reading, None)
-                return
-            if not world.ledger.consume(nh, world.radio.rx_energy(cfg.packet_size_bits), t_us):
-                world.log.dropped_dead += 1
                 return
             cur = nh

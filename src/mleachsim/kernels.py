@@ -21,7 +21,11 @@ def pairwise_distances(pos: np.ndarray) -> np.ndarray:
     """Full symmetric Euclidean distance matrix for (M, 2) positions."""
     dx = pos[:, 0:1] - pos[:, 0]
     dy = pos[:, 1:2] - pos[:, 1]
-    return np.sqrt(dx * dx + dy * dy)
+    # in place: the same operations per element, two (M, M) temporaries not five
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def charge_uniform(

@@ -163,7 +163,6 @@ class MleachProtocol:
         world = self.world
         cfg = self.cfg
         ledger = world.ledger
-        radio = world.radio
         self.ctx = ctx = RoundContext(r)
 
         alive = np.nonzero(ledger.alive)[0]
@@ -187,14 +186,11 @@ class MleachProtocol:
             node.cluster_of = None
 
         # formation hellos; a head that cannot pay the broadcast is silent
-        hello_tx = radio.tx_energy(cfg.hello_bits, cfg.cluster_radius_rc_m)
-        hello_rx = radio.rx_energy(cfg.hello_bits)
-        heard_from: list[int] = []
-        for ch in sorted(elected):
-            if not ledger.consume(ch, hello_tx, t_us):
-                continue
-            world.ledger.charge_many(world.alive_in_range(ch, cfg.cluster_radius_rc_m), hello_rx, t_us)
-            heard_from.append(ch)
+        heard_from = [
+            ch
+            for ch in sorted(elected)
+            if world.broadcast(ch, cfg.hello_bits, cfg.cluster_radius_rc_m, t_us) is not None
+        ]
         chs = [ch for ch in heard_from if ledger.alive[ch]]
         ctx.cluster_heads = chs
 
@@ -256,18 +252,13 @@ class MleachProtocol:
             if m == 0:
                 continue
             bits = cfg.schedule_bits_per_cm * m
-            if not world.ledger.consume(ch, world.radio.tx_energy(bits, cfg.cluster_radius_rc_m), t_us):
+            if world.broadcast(ch, bits, cfg.cluster_radius_rc_m, t_us) is None:
                 ctx.clusters[ch] = []
                 for i in members:
                     world.nodes[i].role = Role.ORPHAN_DIRECT
                     world.nodes[i].cluster_of = None
                     stranded.append(i)
                 continue
-            world.ledger.charge_many(
-                world.alive_in_range(ch, cfg.cluster_radius_rc_m),
-                world.radio.rx_energy(bits),
-                t_us,
-            )
             slot_us = cfg.round_us // m
             for slot, i in enumerate(members):
                 if not world.ledger.alive[i]:
@@ -281,18 +272,11 @@ class MleachProtocol:
     def _build_graph_and_routes(self, ctx: RoundContext, t_us: int) -> None:
         world = self.world
         cfg = self.cfg
-        hello_tx = world.radio.tx_energy(cfg.hello_bits, cfg.radio_range_rr_m)
-        hello_rx = world.radio.rx_energy(cfg.hello_bits)
-        verts = []
-        for ch in ctx.cluster_heads:
-            if not world.ledger.alive[ch]:
-                continue
-            if not world.ledger.consume(ch, hello_tx, t_us):
-                continue
-            world.ledger.charge_many(
-                world.alive_in_range(ch, cfg.radio_range_rr_m), hello_rx, t_us
-            )
-            verts.append(ch)
+        verts = [
+            ch
+            for ch in ctx.cluster_heads
+            if world.broadcast(ch, cfg.hello_bits, cfg.radio_range_rr_m, t_us) is not None
+        ]
         verts = [ch for ch in verts if world.ledger.alive[ch]]
         ctx.ch_graph = build_ch_graph(world.dist, verts, world.bs_id, cfg.radio_range_rr_m)
         for ch in verts:
@@ -306,24 +290,20 @@ class MleachProtocol:
         node = world.nodes[cm]
         if not world.ledger.alive[cm] or node.cluster_of != ch:
             return
-        d = float(world.dist[cm, ch])
         if not node.pending:
-            if world.ledger.consume(cm, world.radio.tx_energy(cfg.heartbeat_bits, d), t_us):
-                if world.ledger.alive[ch]:
-                    world.ledger.consume(ch, world.radio.rx_energy(cfg.heartbeat_bits), t_us)
+            world.unicast(cm, ch, cfg.heartbeat_bits, t_us)
             return
         todo = node.pending
         node.pending = []
-        tx = world.radio.tx_energy(cfg.packet_size_bits, d)
-        rx = world.radio.rx_energy(cfg.packet_size_bits)
         for idx, reading in enumerate(todo):
-            if not world.ledger.consume(cm, tx, t_us):
+            if world.unicast(cm, ch, cfg.packet_size_bits, t_us):
+                self._head_accept(t_us, ch, cm, reading)
+            elif not world.ledger.alive[cm]:
+                # a dead member loses the rest; a failed head loses this one
                 world.log.dropped_dead += len(todo) - idx
                 return
-            if not world.ledger.alive[ch] or not world.ledger.consume(ch, rx, t_us):
+            else:
                 world.log.dropped_dead += 1
-                continue
-            self._head_accept(t_us, ch, cm, reading)
 
     def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
         """Change filter: forward only readings that moved beyond the threshold."""
@@ -343,18 +323,11 @@ class MleachProtocol:
             world.log.dropped_unreachable += 1
             return
         for u, v in zip(path, path[1:]):
-            if not world.ledger.alive[u]:
-                world.log.dropped_dead += 1
-                return
-            tx = world.radio.tx_energy(cfg.packet_size_bits, float(world.dist[u, v]))
-            if not world.ledger.consume(u, tx, t_us):
+            if not world.unicast(u, v, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += 1
                 return
             if v == world.bs_id:
                 world.deliver_data(t_us, origin, reading, delta)
-                return
-            if not world.ledger.consume(v, world.radio.rx_energy(cfg.packet_size_bits), t_us):
-                world.log.dropped_dead += 1
                 return
 
     def _orphan_flush(self, t_us: int, i: int) -> None:
@@ -365,18 +338,16 @@ class MleachProtocol:
             return
         todo = node.pending
         node.pending = []
-        d = float(world.dist[i, world.bs_id])
-        if d > cfg.radio_range_rr_m:
+        if world.dist[i, world.bs_id] > cfg.radio_range_rr_m:
             world.log.dropped_unreachable += len(todo)
             return
-        tx = world.radio.tx_energy(cfg.packet_size_bits, d)
         for idx, reading in enumerate(todo):
             delta = abs(reading - node.last_forwarded_reading)
             if delta <= cfg.filter_threshold:
                 world.log.dropped_filtered += 1
                 continue
             node.last_forwarded_reading = reading
-            if not world.ledger.consume(i, tx, t_us):
+            if not world.unicast(i, world.bs_id, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += len(todo) - idx
                 return
             world.deliver_data(t_us, i, reading, delta)

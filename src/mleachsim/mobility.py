@@ -37,7 +37,6 @@ def draw_leg(
 def step_waypoint(
     pos: tuple[float, float],
     wp: WaypointState,
-    dt: float,
     stream: np.random.Generator,
     width: float,
     height: float,
@@ -45,25 +44,24 @@ def step_waypoint(
     speed_max: float,
     pause_s: float,
 ) -> tuple[float, float]:
-    """Advance one node by dt seconds, mutating wp. Returns the new position.
+    """Advance one node by one second, mutating wp. Returns the new position.
 
     Arrival during a step clamps to the target (no leftover motion), starts
     the pause, and immediately draws the next leg so stream consumption
     stays in a fixed order.
     """
     if wp.pause_remaining_s > 0.0:
-        wp.pause_remaining_s = max(0.0, wp.pause_remaining_s - dt)
+        wp.pause_remaining_s = max(0.0, wp.pause_remaining_s - 1.0)
         return pos
     dx = wp.target[0] - pos[0]
     dy = wp.target[1] - pos[1]
     remaining = math.sqrt(dx * dx + dy * dy)
-    step = wp.speed * dt
-    if step >= remaining:
+    if wp.speed >= remaining:
         arrived = wp.target
         wp.pause_remaining_s = pause_s
         wp.target, wp.speed = draw_leg(stream, width, height, speed_min, speed_max)
         return arrived
-    scale = step / remaining
+    scale = wp.speed / remaining
     return (pos[0] + dx * scale, pos[1] + dy * scale)
 
 
@@ -92,7 +90,7 @@ class MobilityField:
             target, speed = draw_leg(stream, width, height, speed_min, speed_max)
             self.waypoints.append(WaypointState(target, speed))
 
-    def step(self, alive: np.ndarray, dt: float = 1.0) -> None:
+    def step(self, alive: np.ndarray) -> None:
         for i in range(len(self.waypoints)):
             if not alive[i]:
                 continue
@@ -100,7 +98,6 @@ class MobilityField:
             new = step_waypoint(
                 pos,
                 self.waypoints[i],
-                dt,
                 self.stream,
                 self.width,
                 self.height,

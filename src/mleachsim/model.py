@@ -36,7 +36,6 @@ class NodeState:
     role: Role = Role.IDLE
     cluster_of: int | None = None
     exclusion_remaining: int = 0
-    reading: float = 0.0
     last_forwarded_reading: float = float("-inf")
     pending: list[float] = field(default_factory=list)
 

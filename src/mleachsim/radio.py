@@ -1,7 +1,8 @@
 """First-order radio energy model and the energy ledger.
 
 Transmitting k bits over distance d costs E_elec*k + eps_amp*k*d^2; receiving
-costs E_elec*k. Every charge in either protocol goes through EnergyLedger so
+costs E_elec*k. Both protocols pay for frames through World.broadcast and
+World.unicast, which price them with RadioModel and charge EnergyLedger, so
 totals, clamping, and death bookkeeping live in one place. The base station
 is infrastructure: it is never charged.
 """

@@ -3,8 +3,10 @@
 A run owns: node positions (base station as the final row), the energy
 ledger, random-waypoint mobility, On-Off traffic, a per-second pairwise
 distance matrix, and the event queue. Protocol objects plug into the loop
-through start/on_readings/handle/finish. Strict mode layers invariant
-checks over a run and raises InvariantViolation on the first breach.
+through start/on_readings/handle/finish, and pay for every frame through
+World.broadcast and World.unicast, which apply the first-order radio model
+and its liveness rules in one place. Strict mode layers invariant checks
+over a run and raises InvariantViolation on the first breach.
 """
 
 from __future__ import annotations
@@ -120,6 +122,39 @@ class World:
         if center < n:
             mask[center] = False
         return np.nonzero(mask)[0]
+
+    # -- charging primitives: the only way a frame is paid for ---------------
+
+    def broadcast(self, src: int, bits: int, radius: float, t_us: int) -> np.ndarray | None:
+        """src sends bits to everything within radius; every listener pays rx.
+
+        A sensor sender that is dead or cannot pay the transmission stays
+        silent and gets None; the sink sends for free. Returns the ids of
+        the listeners that paid in full, ascending.
+        """
+        ledger = self.ledger
+        if src != self.bs_id and not (
+            ledger.alive[src] and ledger.consume(src, self.radio.tx_energy(bits, radius), t_us)
+        ):
+            return None
+        listeners = self.alive_in_range(src, radius)
+        ok = ledger.charge_many(listeners, self.radio.rx_energy(bits), t_us)
+        return listeners[ok]
+
+    def unicast(self, u: int, v: int, bits: int, t_us: int) -> bool:
+        """u sends bits to v. True iff v got the frame; the sink receives free.
+
+        A dead node neither sends nor receives, and pays nothing.
+        """
+        ledger = self.ledger
+        if not (
+            ledger.alive[u]
+            and ledger.consume(u, self.radio.tx_energy(bits, float(self.dist[u, v])), t_us)
+        ):
+            return False
+        if v == self.bs_id:
+            return True
+        return bool(ledger.alive[v]) and ledger.consume(v, self.radio.rx_energy(bits), t_us)
 
     def deliver_data(self, t_us: int, origin: int, reading: float, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say."""

@@ -48,11 +48,11 @@ class OnOffTraffic:
     def is_on(self, i: int, t_s: float) -> bool:
         return (t_s + self.phase_offset[i]) % self.cycle_s < self.on_s
 
-    def generate(self, i: int, t_s: float, dt: float = 1.0) -> list[float]:
-        """Readings node i emits over [t_s, t_s + dt). Phase judged at t_s."""
+    def generate(self, i: int, t_s: float) -> list[float]:
+        """Readings node i emits over [t_s, t_s + 1). Phase judged at t_s."""
         if not self.is_on(i, t_s):
             return []
-        self.acc[i] += self.rate_pps * dt
+        self.acc[i] += self.rate_pps
         n = math.floor(self.acc[i])
         self.acc[i] -= n
         gen = self._gen[i]

@@ -13,14 +13,14 @@ def fixed_stream():
 
 def test_step_moves_along_segment():
     wp = WaypointState(target=(10.0, 0.0), speed=4.0)
-    new = step_waypoint((0.0, 0.0), wp, 1.0, fixed_stream(), 100, 100, 1, 5, 0.0)
+    new = step_waypoint((0.0, 0.0), wp, fixed_stream(), 100, 100, 1, 5, 0.0)
     assert new == (4.0, 0.0)
     assert wp.target == (10.0, 0.0)  # leg not finished, target untouched
 
 
 def test_overshoot_clamps_to_target_and_redraws():
     wp = WaypointState(target=(3.0, 4.0), speed=50.0)
-    new = step_waypoint((0.0, 0.0), wp, 1.0, fixed_stream(), 100, 100, 1, 5, 2.0)
+    new = step_waypoint((0.0, 0.0), wp, fixed_stream(), 100, 100, 1, 5, 2.0)
     assert new == (3.0, 4.0)
     assert wp.pause_remaining_s == 2.0
     assert wp.target != (3.0, 4.0)
@@ -30,13 +30,13 @@ def test_overshoot_clamps_to_target_and_redraws():
 def test_pause_holds_position_then_resumes():
     wp = WaypointState(target=(10.0, 0.0), speed=2.0, pause_remaining_s=1.5)
     stream = fixed_stream()
-    p1 = step_waypoint((5.0, 5.0), wp, 1.0, stream, 100, 100, 1, 5, 0.0)
+    p1 = step_waypoint((5.0, 5.0), wp, stream, 100, 100, 1, 5, 0.0)
     assert p1 == (5.0, 5.0)
     assert wp.pause_remaining_s == 0.5
-    p2 = step_waypoint(p1, wp, 1.0, stream, 100, 100, 1, 5, 0.0)
+    p2 = step_waypoint(p1, wp, stream, 100, 100, 1, 5, 0.0)
     assert p2 == (5.0, 5.0)
     assert wp.pause_remaining_s == 0.0
-    p3 = step_waypoint(p2, wp, 1.0, stream, 100, 100, 1, 5, 0.0)
+    p3 = step_waypoint(p2, wp, stream, 100, 100, 1, 5, 0.0)
     assert p3 != (5.0, 5.0)
 
 
@@ -113,8 +113,8 @@ def test_long_run_mean_displacement_reasonable():
 def test_zero_pause_redraw_keeps_walking():
     wp = WaypointState(target=(1.0, 0.0), speed=5.0)
     stream = fixed_stream()
-    p = step_waypoint((0.0, 0.0), wp, 1.0, stream, 50, 50, 2, 2, 0.0)
+    p = step_waypoint((0.0, 0.0), wp, stream, 50, 50, 2, 2, 0.0)
     assert p == (1.0, 0.0)
     assert wp.pause_remaining_s == 0.0
-    p2 = step_waypoint(p, wp, 1.0, stream, 50, 50, 2, 2, 0.0)
+    p2 = step_waypoint(p, wp, stream, 50, 50, 2, 2, 0.0)
     assert 0.0 < math.dist(p, p2) <= 2.0 + 1e-12

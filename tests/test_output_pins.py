@@ -1,4 +1,8 @@
-"""Pinned output of the small scenario: any change to a run's bytes shows here.
+"""Pinned output of small scenarios: any change to a run's bytes shows here.
+
+The drained scenario gives every sensor 0.5 J and turns the sink channel on,
+so nodes die mid-run and frames are dropped both at dead nodes and at the
+sink; the plain scenario has none of that.
 
 A change that alters output on purpose updates the pins and says why in
 CHANGES.md.
@@ -27,13 +31,38 @@ PINS = {
     },
 }
 
+DRAINED_PINS = {
+    "mleach": {
+        "energy.csv": "6a2a1ed3d9dabaa2a7f2ac502c789611839147e33c0722578a0e149116b4f395",
+        "throughput.csv": "2ccb7cd3511835d3c8e9a7f17d435a3bf98002b885658328cf9f6479fad13839",
+        "summary": "mleach,0.35653605553486495,0.5,0.5833333333333334,"
+        "np.float64(0.818181),176,7,14,8,38,109",
+    },
+    "dsdv": {
+        "energy.csv": "9b1dc1be7f24403ea8b71385f0d2c59b14495fd1897c9451aede9e794089d4ad",
+        "throughput.csv": "e9eab5156d3b352cf2b3f041ce6c238cc1bc0563c1b6ac0763c3c4a9c83b3435",
+        "summary": "dsdv,0.5000000000000002,0.5000000000000004,2.0833333333333335,"
+        "np.float64(0.777621),58,25,0,0,12,21",
+    },
+}
+
+
+def assert_pinned(cfg, protocol, strict, pins, out):
+    run_simulation(cfg, protocol, strict=strict).export_csv(str(out))
+    for name in ("energy.csv", "throughput.csv"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == pins[name], name
+    assert (out / "summary.csv").read_text().splitlines()[1] == pins["summary"]
+
 
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
 def test_small_config_output_is_pinned(protocol, strict, tmp_path):
-    run_simulation(small_config(), protocol, strict=strict).export_csv(str(tmp_path))
-    pins = PINS[protocol]
-    for name in ("energy.csv", "throughput.csv"):
-        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-        assert digest == pins[name], name
-    assert (tmp_path / "summary.csv").read_text().splitlines()[1] == pins["summary"]
+    assert_pinned(small_config(), protocol, strict, PINS[protocol], tmp_path)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
+def test_drained_config_with_sink_channel_is_pinned(protocol, strict, tmp_path):
+    cfg = small_config(initial_energy_j=0.5, bs_mac_capacity_bps=8000.0)
+    assert_pinned(cfg, protocol, strict, DRAINED_PINS[protocol], tmp_path)

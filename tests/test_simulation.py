@@ -112,6 +112,68 @@ def test_alive_in_range_from_the_sink():
     assert world.alive_in_range(world.bs_id, 150.0).tolist() == [0]
 
 
+# -- charging primitives ------------------------------------------------------
+
+BITS = 2000
+
+
+def test_sink_sends_and_receives_for_free():
+    world = make_world([(600.0, 700.0), (0.0, 0.0), (600.0, 500.0), (500.0, 600.0)])
+    rx = world.radio.rx_energy(BITS)
+    heard = world.broadcast(world.bs_id, BITS, 150.0, 0)
+    assert heard.tolist() == [0, 2, 3]
+    assert world.ledger.consumed.tolist() == [rx, 0.0, rx, rx]
+    assert world.ledger.total_consumed() == 3 * rx
+    before = world.ledger.total_consumed()
+    assert world.unicast(1, world.bs_id, BITS, 0)
+    tx = world.radio.tx_energy(BITS, float(world.dist[1, world.bs_id]))
+    assert world.ledger.consumed[1] == tx
+    assert world.ledger.total_consumed() == before + tx
+
+
+def test_dead_sender_is_silent_and_pays_nothing():
+    world = make_world([(0.0, 0.0), (100.0, 0.0)])
+    world.ledger.consume(0, world.cfg.initial_energy_j, 0)
+    consumed = world.ledger.consumed.copy()
+    total = world.ledger.total_consumed()
+    assert world.broadcast(0, BITS, 250.0, 0) is None
+    assert world.unicast(0, 1, BITS, 0) is False
+    assert world.unicast(0, world.bs_id, BITS, 0) is False
+    assert np.array_equal(world.ledger.consumed, consumed)
+    assert world.ledger.total_consumed() == total
+
+
+def test_sender_that_cannot_pay_dies_silent():
+    world = make_world([(0.0, 0.0), (100.0, 0.0)])
+    world.ledger.energy[0] = world.radio.tx_energy(BITS, 250.0) / 2
+    assert world.broadcast(0, BITS, 250.0, 0) is None
+    assert not world.ledger.alive[0]
+    assert world.ledger.consumed[1] == 0.0
+
+
+def test_dead_receiver_is_not_charged():
+    world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+    world.ledger.consume(1, world.cfg.initial_energy_j, 0)
+    spent_1 = world.ledger.consumed[1]
+    assert world.unicast(0, 1, BITS, 0) is False
+    assert world.ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)
+    assert world.broadcast(0, BITS, 250.0, 0).tolist() == [2]
+    assert world.ledger.consumed[1] == spent_1
+
+
+def test_listener_that_cannot_pay_dies_and_is_left_out():
+    world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0), (150.0, 0.0)])
+    rx = world.radio.rx_energy(BITS)
+    world.ledger.energy[1] = rx / 2
+    world.ledger.energy[2] = rx  # pays in full, then dies
+    heard = world.broadcast(0, BITS, 250.0, 0)
+    assert heard.tolist() == [2, 3]
+    assert world.ledger.alive.tolist() == [True, False, False, True]
+    world.ledger.energy[3] = rx / 2
+    assert world.unicast(0, 3, BITS, 0) is False
+    assert not world.ledger.alive[3]
+
+
 # -- sink channel ------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ key maps 1:1 onto a ``SimConfig`` field; omitted keys keep their defaults.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -87,19 +87,6 @@ class SimConfig:
         return self.node_count
 
 
-_INT_FIELDS = {
-    "node_count",
-    "packet_size_bits",
-    "sim_duration_s",
-    "ch_exclusion_rounds",
-    "hello_bits",
-    "schedule_bits_per_cm",
-    "heartbeat_bits",
-    "dsdv_entry_bits",
-    "rng_seed",
-}
-
-
 def _parse_bs_position(text: str) -> str | tuple[float, float]:
     if text == "random":
         return "random"
@@ -112,6 +99,8 @@ def _parse_bs_position(text: str) -> str | tuple[float, float]:
 def parse_config(text: str) -> SimConfig:
     """Parse config text into an unvalidated SimConfig."""
     known = {f.name for f in fields(SimConfig)}
+    # annotations are strings here (from __future__ import annotations)
+    ints = {f.name for f in fields(SimConfig) if f.type == "int"}
     values: dict[str, object] = {}
     errors: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -133,7 +122,7 @@ def parse_config(text: str) -> SimConfig:
         try:
             if key == "bs_position":
                 values[key] = _parse_bs_position(value)
-            elif key in _INT_FIELDS:
+            elif key in ints:
                 values[key] = int(value)
             else:
                 values[key] = float(value)
@@ -236,9 +225,7 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             float(stream.random() * cfg.field_width_m),
             float(stream.random() * cfg.field_height_m),
         )
-        resolved = SimConfig(**{f.name: getattr(cfg, f.name) for f in fields(SimConfig)})
-        resolved.bs_position = point
-        return resolved
+        return replace(cfg, bs_position=point)
     return cfg
 
 

@@ -44,10 +44,6 @@ class MetricsLog:
         self.bs_buckets[bucket] += 1
         self.delivered += 1
 
-    def note_death(self, t_s: float) -> None:
-        if self.first_death_s < 0:
-            self.first_death_s = t_s
-
     # -- statistics ----------------------------------------------------------
 
     def steady_state_throughput(self, t_start_s: int) -> float:

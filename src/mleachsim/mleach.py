@@ -7,6 +7,10 @@ of heads plus the base station. Members transmit all queued readings in
 their slot; heads flush their own readings when the round closes. Orphans
 (no head within the cluster radius) send straight to the base station when
 it is in radio range.
+
+The protocol owns its per-node state (election exclusion, the change
+filter's last forwarded reading, queued readings). Who heads, joins or is
+orphaned lasts one round and is recorded only in that round's context.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EventKind
-from .model import ChGraph, Role
+from .model import ChGraph, NodeState
+from .simulation import InvariantViolation
 
 
 def ch_threshold(p: float, r: int, in_g: bool) -> float:
@@ -124,10 +129,28 @@ class RoundContext:
     routes: dict[int, list[int] | None] = field(default_factory=dict)
 
 
+def check_round(ctx: RoundContext, rr: float) -> None:
+    """Per-round structure: disjoint clusters, one unique slot per member."""
+    seen: set[int] = set()
+    for ch, members in ctx.clusters.items():
+        slots = [ctx.tdma[i] for i in members if i in ctx.tdma]
+        if len(set(slots)) != len(slots):
+            raise InvariantViolation(f"duplicate TDMA slot in cluster of head {ch}")
+        for i in members:
+            if i in seen:
+                raise InvariantViolation(f"node {i} assigned to two clusters")
+            seen.add(i)
+    if ctx.ch_graph is not None:
+        for u, v, w in ctx.ch_graph.edges():
+            if w > rr:
+                raise InvariantViolation(f"head graph edge {u}-{v} exceeds radio range")
+
+
 class MleachProtocol:
     def __init__(self, world) -> None:
         self.world = world
         self.cfg = world.cfg
+        self.nodes = [NodeState(i) for i in range(self.cfg.node_count)]
         self.ctx: RoundContext | None = None
 
     # -- scheduling ----------------------------------------------------------
@@ -138,7 +161,7 @@ class MleachProtocol:
             self.world.queue.schedule(r * cfg.round_us, EventKind.ROUND_START, r)
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
-        self.world.nodes[i].pending.extend(readings)
+        self.nodes[i].pending.extend(readings)
 
     def handle(self, kind: EventKind, t_us: int, payload) -> None:
         if kind == EventKind.ROUND_START:
@@ -151,11 +174,16 @@ class MleachProtocol:
             self._round_finish(t_us)
 
     def finish(self, t_us: int) -> None:
-        # readings still queued when the run ends never found a path out
-        for node in self.world.nodes:
-            if node.pending:
-                self.world.log.dropped_unreachable += len(node.pending)
-                node.pending.clear()
+        # readings still queued when the run ends: a dead node's died with it,
+        # a live node's never found a path out
+        log = self.world.log
+        alive = self.world.ledger.alive
+        for node in self.nodes:
+            if alive[node.id]:
+                log.dropped_unreachable += len(node.pending)
+            else:
+                log.dropped_dead += len(node.pending)
+            node.pending.clear()
 
     # -- round phases ----------------------------------------------------------
 
@@ -172,7 +200,7 @@ class MleachProtocol:
             return
 
         elected = run_election(
-            world.nodes,
+            self.nodes,
             alive,
             r,
             cfg.p_ch_fraction,
@@ -180,10 +208,6 @@ class MleachProtocol:
             cfg.epoch_rounds,
             world.streams.get("election"),
         )
-        for i in alive:
-            node = world.nodes[i]
-            node.role = Role.CLUSTER_HEAD if int(i) in elected else Role.IDLE
-            node.cluster_of = None
 
         # formation hellos; a head that cannot pay the broadcast is silent
         heard_from = [
@@ -194,46 +218,47 @@ class MleachProtocol:
         chs = [ch for ch in heard_from if ledger.alive[ch]]
         ctx.cluster_heads = chs
 
-        self._assign_members(ctx, chs)
-        orphans = self._build_tdma(ctx, t_us)
-        orphans.extend(
-            i for i in np.nonzero(ledger.alive)[0] if world.nodes[i].role == Role.ORPHAN_DIRECT
-        )
+        orphans = self._assign_members(ctx, chs)
+        stranded = self._build_tdma(ctx, t_us)
+        # The flush spacing counts every stranded member still alive here
+        # twice. Counting each once would move mleach output in every run
+        # where a head dies announcing its schedule, so the double count stays.
+        double_counted = sum(1 for i in stranded if ledger.alive[i])
         self._build_graph_and_routes(ctx, t_us)
 
         round_start_us = r * cfg.round_us
-        for rank, i in enumerate(sorted(set(orphans))):
-            offset = (rank + 1) * cfg.round_us // (len(orphans) + 1)
-            world.queue.schedule(round_start_us + offset, EventKind.ORPHAN_FLUSH, int(i))
+        flush = sorted(set(orphans) | set(stranded))
+        for rank, i in enumerate(flush):
+            offset = (rank + 1) * cfg.round_us // (len(flush) + double_counted + 1)
+            world.queue.schedule(round_start_us + offset, EventKind.ORPHAN_FLUSH, i)
         world.queue.schedule(round_start_us + cfg.round_us - 1, EventKind.ROUND_FINISH, r)
 
         world.log.alive_series.append((r, int(np.count_nonzero(ledger.alive))))
         world.log.ch_count_series.append((r, len(ctx.cluster_heads)))
 
-    def _assign_members(self, ctx: RoundContext, chs: list[int]) -> None:
+    def _assign_members(self, ctx: RoundContext, chs: list[int]) -> list[int]:
+        """Join every alive non-head to its nearest head within the cluster radius.
+
+        Returns the orphans, ascending: alive non-heads with no head in reach.
+        """
         world = self.world
-        ledger = world.ledger
         rc = self.cfg.cluster_radius_rc_m
         ctx.clusters = {ch: [] for ch in chs}
-        free = np.array(
-            [i for i in np.nonzero(ledger.alive)[0] if world.nodes[i].role == Role.IDLE],
-            dtype=np.int64,
-        )
-        if len(free) == 0:
-            return
-        if chs:
-            sub = world.dist[np.ix_(free, np.array(chs, dtype=np.int64))]
-            nearest = np.argmin(sub, axis=1)  # first minimum: smallest head id wins ties
-            near_d = sub[np.arange(len(free)), nearest]
-        for k, i in enumerate(free):
-            node = world.nodes[i]
-            if chs and near_d[k] <= rc:
-                ch = chs[nearest[k]]
-                node.role = Role.CLUSTER_MEMBER
-                node.cluster_of = ch
-                ctx.clusters[ch].append(int(i))
+        alive = world.ledger.alive.copy()
+        alive[chs] = False
+        free = np.nonzero(alive)[0]
+        if not chs:
+            return free.tolist()
+        sub = world.dist[np.ix_(free, np.array(chs, dtype=np.int64))]
+        nearest = np.argmin(sub, axis=1)  # first minimum: smallest head id wins ties
+        near_d = sub[np.arange(len(free)), nearest]
+        orphans = []
+        for k, i in enumerate(free.tolist()):
+            if near_d[k] <= rc:
+                ctx.clusters[chs[nearest[k]]].append(i)
             else:
-                node.role = Role.ORPHAN_DIRECT
+                orphans.append(i)
+        return orphans
 
     def _build_tdma(self, ctx: RoundContext, t_us: int) -> list[int]:
         """Assign id-ordered slots and broadcast each cluster's schedule.
@@ -254,10 +279,7 @@ class MleachProtocol:
             bits = cfg.schedule_bits_per_cm * m
             if world.broadcast(ch, bits, cfg.cluster_radius_rc_m, t_us) is None:
                 ctx.clusters[ch] = []
-                for i in members:
-                    world.nodes[i].role = Role.ORPHAN_DIRECT
-                    world.nodes[i].cluster_of = None
-                    stranded.append(i)
+                stranded.extend(members)
                 continue
             slot_us = cfg.round_us // m
             for slot, i in enumerate(members):
@@ -287,8 +309,8 @@ class MleachProtocol:
     def _slot(self, t_us: int, cm: int, ch: int) -> None:
         world = self.world
         cfg = self.cfg
-        node = world.nodes[cm]
-        if not world.ledger.alive[cm] or node.cluster_of != ch:
+        node = self.nodes[cm]
+        if not world.ledger.alive[cm]:
             return
         if not node.pending:
             world.unicast(cm, ch, cfg.heartbeat_bits, t_us)
@@ -307,7 +329,7 @@ class MleachProtocol:
 
     def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
         """Change filter: forward only readings that moved beyond the threshold."""
-        node = self.world.nodes[origin]
+        node = self.nodes[origin]
         delta = abs(reading - node.last_forwarded_reading)
         if delta > self.cfg.filter_threshold:
             node.last_forwarded_reading = reading
@@ -333,8 +355,8 @@ class MleachProtocol:
     def _orphan_flush(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
-        node = world.nodes[i]
-        if not world.ledger.alive[i] or node.role != Role.ORPHAN_DIRECT or not node.pending:
+        node = self.nodes[i]
+        if not world.ledger.alive[i] or not node.pending:
             return
         todo = node.pending
         node.pending = []
@@ -358,7 +380,7 @@ class MleachProtocol:
             return
         world = self.world
         for ch in ctx.routes:
-            node = world.nodes[ch]
+            node = self.nodes[ch]
             if not world.ledger.alive[ch] or not node.pending:
                 continue
             todo = node.pending
@@ -366,4 +388,4 @@ class MleachProtocol:
             for reading in todo:
                 self._head_accept(t_us, ch, ch, reading)
         if world.strict:
-            world.check_round(ctx)
+            check_round(ctx, self.cfg.radio_range_rr_m)

@@ -1,4 +1,4 @@
-"""Shared domain types: node state, the cluster-head graph, placement.
+"""Domain types: mleach node state, the cluster-head graph, placement.
 
 Node ids are 0..node_count-1. The base station is not a node: it is addressed
 by the sentinel id ``node_count`` (one past the last node) so that position
@@ -8,33 +8,21 @@ arrays can carry it as their final row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import IntEnum
 
 import numpy as np
 
 
-class Role(IntEnum):
-    """What a node is currently doing for the active protocol."""
-
-    IDLE = 0  # not yet assigned this round (or protocol has no roles)
-    CLUSTER_HEAD = 1
-    CLUSTER_MEMBER = 2
-    ORPHAN_DIRECT = 3  # no head in reach; sends straight to the sink when it can
-    DEAD = 4
-
-
 @dataclass(slots=True)
 class NodeState:
-    """Per-node protocol state.
+    """Per-node state of the clustering protocol, kept across rounds.
 
-    Positions and residual energies live in arrays owned by the world/ledger;
-    this object keeps the protocol-facing scalars. ``last_forwarded_reading``
-    starts at -inf so a node's first reading always clears the change filter.
+    Positions and residual energies live in arrays owned by the world and
+    the ledger, and who heads or joins which cluster lasts one round, so
+    it lives in that round's context. ``last_forwarded_reading`` starts
+    at -inf so a node's first reading always clears the change filter.
     """
 
     id: int
-    role: Role = Role.IDLE
-    cluster_of: int | None = None
     exclusion_remaining: int = 0
     last_forwarded_reading: float = float("-inf")
     pending: list[float] = field(default_factory=list)

@@ -42,8 +42,8 @@ class EnergyLedger:
 
     A node whose residual cannot cover a charge burns what remains, hits
     zero, and the action fails; a node that pays exactly its residual
-    succeeds and then dies. Death callbacks fire once per node, in the
-    order deaths occur.
+    succeeds and then dies. A node's death time is written once, when it
+    dies; readers take deaths from ``alive`` and ``death_time_us``.
 
     Totals are compensated: the grand total is a Kahan-summed scalar fed by
     every charge, and per-node subtotals carry Neumaier correction terms,
@@ -59,7 +59,6 @@ class EnergyLedger:
         self.consumed_comp = np.zeros(node_count)
         self.alive = np.ones(node_count, dtype=bool)
         self.death_time_us = np.full(node_count, -1, dtype=np.int64)
-        self.on_death = None  # callable(node_id) or None
         self._total = 0.0
         self._total_comp = 0.0
 
@@ -83,8 +82,6 @@ class EnergyLedger:
             return
         self.alive[i] = False
         self.death_time_us[i] = now_us
-        if self.on_death is not None:
-            self.on_death(i)
 
     def consume(self, i: int, j: float, now_us: int) -> bool:
         """Charge node i. Returns True iff the paid-for action succeeds."""

@@ -3,10 +3,12 @@
 A run owns: node positions (base station as the final row), the energy
 ledger, random-waypoint mobility, On-Off traffic, a per-second pairwise
 distance matrix, and the event queue. Protocol objects plug into the loop
-through start/on_readings/handle/finish, and pay for every frame through
-World.broadcast and World.unicast, which apply the first-order radio model
-and its liveness rules in one place. Strict mode layers invariant checks
-over a run and raises InvariantViolation on the first breach.
+through start/on_readings/handle/finish, keep their own per-node state, and
+pay for every frame through World.broadcast and World.unicast, which apply
+the first-order radio model and its liveness rules in one place. Deaths are
+read from the ledger; the world learns of none as they happen. Strict mode
+layers invariant checks over a run and raises InvariantViolation on the
+first breach.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .config import SimConfig, validate_config
 from .engine import US, EventKind, EventQueue, RandomStreams
 from .metrics import MetricsLog
 from .mobility import MobilityField
-from .model import NodeState, Role, place_nodes
+from .model import place_nodes
 from .radio import EnergyLedger, RadioModel
 from .traffic import OnOffTraffic
 
@@ -84,7 +86,6 @@ class World:
         self.streams = RandomStreams(cfg.rng_seed)
         self.queue = EventQueue()
         self.radio = RadioModel(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
-        self.nodes = [NodeState(i) for i in range(n)]
 
         sensor_pos = place_nodes(
             n, cfg.field_width_m, cfg.field_height_m, self.streams.get("placement")
@@ -102,7 +103,6 @@ class World:
         self.dist = kernels.pairwise_distances(self.positions)
 
         self.ledger = EnergyLedger(n, cfg.initial_energy_j)
-        self.ledger.on_death = self._on_death
         self.traffic = OnOffTraffic(
             n, cfg.traffic_on_s, cfg.traffic_off_s, cfg.traffic_rate_pps, cfg.rng_seed
         )
@@ -165,15 +165,6 @@ class World:
         else:
             self.log.dropped_congested += 1
 
-    def _on_death(self, i: int) -> None:
-        node = self.nodes[i]
-        node.role = Role.DEAD
-        node.cluster_of = None
-        if node.pending:
-            self.log.dropped_dead += len(node.pending)
-            node.pending.clear()
-        self.log.note_death(self.ledger.death_time_us[i] / US)
-
     # -- event loop ------------------------------------------------------------
 
     def run(self, protocol) -> None:
@@ -204,7 +195,12 @@ class World:
                         protocol.on_readings(int(i), readings, t_us)
             elif kind == EventKind.SIM_END:
                 protocol.finish(t_us)
-                self.log.per_node_consumed = self.ledger.node_consumed()
+                ledger = self.ledger
+                self.log.per_node_consumed = ledger.node_consumed()
+                died = ledger.death_time_us[~ledger.alive]
+                if len(died):
+                    # a numpy scalar; summary.csv writes its repr, as the pins expect
+                    self.log.first_death_s = died.min() / US
                 if self.strict:
                     self._check_final()
                 break
@@ -212,25 +208,6 @@ class World:
                 protocol.handle(kind, t_us, payload)
 
     # -- strict-mode invariants ------------------------------------------------
-
-    def check_round(self, ctx) -> None:
-        """Per-round structure: disjoint clusters, one unique slot per member."""
-        seen: set[int] = set()
-        for ch, members in ctx.clusters.items():
-            slots = [ctx.tdma[i] for i in members if i in ctx.tdma]
-            if len(set(slots)) != len(slots):
-                raise InvariantViolation(f"duplicate TDMA slot in cluster of head {ch}")
-            for i in members:
-                if i in seen:
-                    raise InvariantViolation(f"node {i} assigned to two clusters")
-                seen.add(i)
-                node = self.nodes[i]
-                if node.cluster_of != ch and node.role == Role.CLUSTER_MEMBER:
-                    raise InvariantViolation(f"node {i} membership mismatch")
-        if ctx.ch_graph is not None:
-            for u, v, w in ctx.ch_graph.edges():
-                if w > self.cfg.radio_range_rr_m:
-                    raise InvariantViolation(f"head graph edge {u}-{v} exceeds radio range")
 
     def check_routes(self, proto) -> None:
         """DSDV loop-freedom: every valid route walks to the sink, no revisits."""

@@ -9,10 +9,12 @@ from mleachsim.mleach import (
     RoundContext,
     build_ch_graph,
     ch_threshold,
+    check_round,
     run_election,
     shortest_route,
 )
-from mleachsim.model import ChGraph, NodeState, Role
+from mleachsim.model import ChGraph, NodeState
+from mleachsim.simulation import InvariantViolation
 
 
 class ConstStream:
@@ -204,28 +206,31 @@ def formation_world(world_factory):
 
 def test_members_join_nearest_head_smaller_id_on_tie(world_factory):
     world = formation_world(world_factory)
-    world.nodes[4].role = Role.CLUSTER_HEAD
-    world.nodes[9].role = Role.CLUSTER_HEAD
     proto = MleachProtocol(world)
     ctx = RoundContext(0)
-    proto._assign_members(ctx, [4, 9])
-    # node 0 is exactly 100 m from both heads; the smaller id wins
-    assert world.nodes[0].cluster_of == 4
+    orphans = proto._assign_members(ctx, [4, 9])
+    # node 0 is exactly 100 m from both heads; the smaller id wins, and
     # node 3 sits exactly at the cluster radius: the boundary is inclusive
-    assert world.nodes[3].cluster_of == 4
-    assert ctx.clusters[4] == [0, 3]
-    assert ctx.clusters[9] == [1]
-    for i in (2, 5, 6, 7, 8):
-        assert world.nodes[i].role == Role.ORPHAN_DIRECT
-        assert world.nodes[i].cluster_of is None
+    assert ctx.clusters == {4: [0, 3], 9: [1]}
+    assert orphans == [2, 5, 6, 7, 8]
+
+
+def test_dead_nodes_neither_join_nor_orphan(world_factory):
+    world = formation_world(world_factory)
+    for i in (0, 5):
+        world.ledger.consume(i, world.cfg.initial_energy_j, 0)
+    ctx = RoundContext(0)
+    orphans = MleachProtocol(world)._assign_members(ctx, [4, 9])
+    assert ctx.clusters == {4: [3], 9: [1]}
+    assert orphans == [2, 6, 7, 8]
 
 
 def test_no_heads_means_everyone_is_orphaned(world_factory):
     world = world_factory([(0.0, 0.0), (50.0, 0.0)])
     proto = MleachProtocol(world)
     ctx = RoundContext(0)
-    proto._assign_members(ctx, [])
-    assert all(n.role == Role.ORPHAN_DIRECT for n in world.nodes)
+    assert proto._assign_members(ctx, []) == [0, 1]
+    assert ctx.clusters == {}
 
 
 def test_tdma_slots_are_id_ordered(world_factory):
@@ -271,16 +276,12 @@ def test_schedule_death_strands_members(world_factory):
     ctx = RoundContext(0)
     ctx.cluster_heads = [0]
     ctx.clusters = {0: [1, 2]}
-    for i in (1, 2):
-        world.nodes[i].role = Role.CLUSTER_MEMBER
-        world.nodes[i].cluster_of = 0
     stranded = proto._build_tdma(ctx, 0)
     assert stranded == [1, 2]
     assert not world.ledger.alive[0]
     assert ctx.clusters[0] == []
-    for i in (1, 2):
-        assert world.nodes[i].role == Role.ORPHAN_DIRECT
-        assert world.nodes[i].cluster_of is None
+    assert ctx.tdma == {}
+    assert len(world.queue) == 0
 
 
 # -- data plane -------------------------------------------------------------
@@ -289,9 +290,6 @@ def test_schedule_death_strands_members(world_factory):
 def relay_world(world_factory, **overrides):
     """Head 0 within sink range, member 1 close to the head."""
     world = world_factory([(500.0, 600.0), (450.0, 600.0)], **overrides)
-    world.nodes[0].role = Role.CLUSTER_HEAD
-    world.nodes[1].role = Role.CLUSTER_MEMBER
-    world.nodes[1].cluster_of = 0
     proto = MleachProtocol(world)
     proto.ctx = ctx = RoundContext(0)
     ctx.cluster_heads = [0]
@@ -301,9 +299,9 @@ def relay_world(world_factory, **overrides):
 
 def test_slot_drains_all_pending_readings(world_factory):
     world, proto = relay_world(world_factory)
-    world.nodes[1].pending = [1.0, 2.0, 3.0]
+    proto.nodes[1].pending = [1.0, 2.0, 3.0]
     proto._slot(0, 1, 0)
-    assert world.nodes[1].pending == []
+    assert proto.nodes[1].pending == []
     assert world.log.delivered == 3
     assert world.log.bs_buckets[0] == 3
     tx = world.radio.tx_energy(4096, 50.0)
@@ -324,7 +322,7 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     world, proto = relay_world(world_factory)
     tx = world.radio.tx_energy(4096, 50.0)
     world.ledger.energy[1] = 1.5 * tx
-    world.nodes[1].pending = [1.0, 2.0, 3.0]
+    proto.nodes[1].pending = [1.0, 2.0, 3.0]
     proto._slot(0, 1, 0)
     assert world.log.delivered == 1
     assert world.log.dropped_dead == 2
@@ -332,32 +330,37 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     assert world.ledger.energy[1] == 0.0
 
 
-def test_slot_ignores_stale_assignment(world_factory):
+def test_dead_member_slot_sends_nothing(world_factory):
     world, proto = relay_world(world_factory)
-    world.nodes[1].cluster_of = None
-    world.nodes[1].pending = [1.0]
+    world.ledger.consume(1, world.cfg.initial_energy_j, 0)
+    proto.nodes[1].pending = [1.0]
+    spent = world.ledger.consumed.copy()
     proto._slot(0, 1, 0)
-    assert world.nodes[1].pending == [1.0]
-    assert world.ledger.consumed.sum() == 0.0
+    assert np.array_equal(world.ledger.consumed, spent)
+    assert world.log.delivered == world.log.dropped_dead == 0
+    # the queue is left for finish, which counts it as lost with the node
+    assert proto.nodes[1].pending == [1.0]
+    proto.finish(world.cfg.sim_us)
+    assert world.log.dropped_dead == 1
 
 
 def test_filter_drops_small_changes(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    world.nodes[1].last_forwarded_reading = 10.0
+    proto.nodes[1].last_forwarded_reading = 10.0
     proto._head_accept(0, 0, 1, 10.0)
     assert world.log.dropped_filtered == 1
     assert world.log.delivered == 0
     proto._head_accept(0, 0, 1, 10.5)  # change equal to the threshold: dropped
     assert world.log.dropped_filtered == 2
-    assert world.nodes[1].last_forwarded_reading == 10.0
+    assert proto.nodes[1].last_forwarded_reading == 10.0
 
 
 def test_filter_forwards_big_changes_and_advances(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    world.nodes[1].last_forwarded_reading = 10.0
+    proto.nodes[1].last_forwarded_reading = 10.0
     proto._head_accept(0, 0, 1, 11.0)
     assert world.log.delivered == 1
-    assert world.nodes[1].last_forwarded_reading == 11.0
+    assert proto.nodes[1].last_forwarded_reading == 11.0
 
 
 def test_filter_always_forwards_first_reading(world_factory):
@@ -388,8 +391,6 @@ def test_routeless_head_drops_as_unreachable(world_factory):
 
 def test_multi_hop_route_charges_every_relay(world_factory):
     world = world_factory([(500.0, 600.0), (100.0, 600.0)])
-    for i in (0, 1):
-        world.nodes[i].role = Role.CLUSTER_HEAD
     proto = MleachProtocol(world)
     proto.ctx = ctx = RoundContext(0)
     ctx.routes = {1: [1, 0, world.bs_id]}
@@ -402,13 +403,12 @@ def test_multi_hop_route_charges_every_relay(world_factory):
 
 def test_orphan_flush_filters_then_sends(world_factory):
     world = world_factory([(500.0, 600.0)], filter_threshold=0.1)
-    world.nodes[0].role = Role.ORPHAN_DIRECT
-    world.nodes[0].pending = [5.0, 5.05, 6.0]
     proto = MleachProtocol(world)
+    proto.nodes[0].pending = [5.0, 5.05, 6.0]
     proto._orphan_flush(0, 0)
     assert world.log.delivered == 2
     assert world.log.dropped_filtered == 1
-    assert world.nodes[0].pending == []
+    assert proto.nodes[0].pending == []
     assert math.isclose(
         world.ledger.consumed[0], 2 * world.radio.tx_energy(4096, 100.0), rel_tol=1e-12
     )
@@ -416,27 +416,39 @@ def test_orphan_flush_filters_then_sends(world_factory):
 
 def test_orphan_out_of_sink_range_drops_unreachable(world_factory):
     world = world_factory([(0.0, 600.0)], radio_range_rr_m=500.0)
-    world.nodes[0].role = Role.ORPHAN_DIRECT
-    world.nodes[0].pending = [1.0, 2.0]
-    MleachProtocol(world)._orphan_flush(0, 0)
+    proto = MleachProtocol(world)
+    proto.nodes[0].pending = [1.0, 2.0]
+    proto._orphan_flush(0, 0)
     assert world.log.dropped_unreachable == 2
     assert world.ledger.consumed[0] == 0.0
 
 
-def test_orphan_flush_requires_orphan_role(world_factory):
+def test_dead_orphan_flush_sends_nothing(world_factory):
     world = world_factory([(500.0, 600.0)])
-    world.nodes[0].role = Role.CLUSTER_MEMBER
-    world.nodes[0].pending = [1.0]
-    MleachProtocol(world)._orphan_flush(0, 0)
-    assert world.nodes[0].pending == [1.0]
-    assert world.log.delivered == 0
+    world.ledger.consume(0, world.cfg.initial_energy_j, 0)
+    proto = MleachProtocol(world)
+    proto.nodes[0].pending = [1.0]
+    spent = world.ledger.total_consumed()
+    proto._orphan_flush(0, 0)
+    assert world.ledger.total_consumed() == spent
+    assert proto.nodes[0].pending == [1.0]
+    assert world.log.delivered == world.log.dropped_dead == 0
+
+
+def test_check_round_rejects_a_node_in_two_clusters():
+    ctx = RoundContext(0)
+    ctx.clusters = {0: [2, 3], 1: [3]}
+    with pytest.raises(InvariantViolation, match="two clusters"):
+        check_round(ctx, 500.0)
+    ctx.clusters = {0: [2, 3], 1: [4]}
+    check_round(ctx, 500.0)
 
 
 def test_round_finish_flushes_head_backlog(world_factory):
     world, proto = relay_world(world_factory)
-    world.nodes[0].pending = [3.0, 3.05]
+    proto.nodes[0].pending = [3.0, 3.05]
     proto._round_finish(100)
-    assert world.nodes[0].pending == []
+    assert proto.nodes[0].pending == []
     assert world.log.delivered == 1  # second reading fails the change filter
     assert world.log.dropped_filtered == 1
 
@@ -445,8 +457,8 @@ def test_full_round_single_member_delivers_one_packet(world_factory):
     # one head, one member, one queued reading: exactly one frame reaches the sink
     world = world_factory([(500.0, 600.0), (450.0, 600.0)], p_ch_fraction=0.5)
     proto = MleachProtocol(world)
-    world.nodes[0].pending = [7.0]
-    world.nodes[1].pending = [8.0]
+    proto.nodes[0].pending = [7.0]
+    proto.nodes[1].pending = [8.0]
     proto._round_start(0, 0)
     assert len(proto.ctx.cluster_heads) >= 1
     while len(world.queue):

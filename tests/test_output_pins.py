@@ -2,7 +2,10 @@
 
 The drained scenario gives every sensor 0.5 J and turns the sink channel on,
 so nodes die mid-run and frames are dropped both at dead nodes and at the
-sink; the plain scenario has none of that.
+sink; the plain scenario has none of that. The stranding scenario drains
+mleach fast enough that a head dies announcing its TDMA schedule, so its
+members fall back to sending straight to the sink; neither of the other two
+reaches that path.
 
 A change that alters output on purpose updates the pins and says why in
 CHANGES.md.
@@ -46,6 +49,13 @@ DRAINED_PINS = {
     },
 }
 
+STRANDING_PINS = {
+    "energy.csv": "5d3fe7c763c8cb35928effd8e106b15df5f4cacdc4410b42c58fb599f0a5cb10",
+    "throughput.csv": "8b944981b502edb7a5658eab444b3180be5f2ab8e71b8524ff4405d20b2ed229",
+    "summary": "mleach,0.1798285339792644,0.20000000000000018,6.916666666666667,"
+    "np.float64(0.0),176,83,16,8,69,0",
+}
+
 
 def assert_pinned(cfg, protocol, strict, pins, out):
     run_simulation(cfg, protocol, strict=strict).export_csv(str(out))
@@ -66,3 +76,9 @@ def test_small_config_output_is_pinned(protocol, strict, tmp_path):
 def test_drained_config_with_sink_channel_is_pinned(protocol, strict, tmp_path):
     cfg = small_config(initial_energy_j=0.5, bs_mac_capacity_bps=8000.0)
     assert_pinned(cfg, protocol, strict, DRAINED_PINS[protocol], tmp_path)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_stranded_members_output_is_pinned(strict, tmp_path):
+    cfg = small_config(node_count=32, initial_energy_j=0.2, rng_seed=23)
+    assert_pinned(cfg, "mleach", strict, STRANDING_PINS, tmp_path)

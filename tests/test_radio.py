@@ -94,14 +94,17 @@ def test_consume_full_battery_example():
     assert math.isclose(led.energy[0], 172799.164)
 
 
-def test_death_callback_fires_once_in_order():
+def test_death_time_written_once():
     led = EnergyLedger(3, 1.0)
-    seen = []
-    led.on_death = seen.append
-    led.charge_many(np.array([0, 1, 2]), 1.0, now_us=1)  # exact residual: all die
-    assert seen == [0, 1, 2]
-    led.consume(1, 0.0, now_us=2)
-    assert seen == [0, 1, 2]
+    led.consume(2, 0.25, now_us=1)
+    led.charge_many(np.array([0, 1]), 1.0, now_us=1)  # exact residual: both die
+    assert led.death_time_us.tolist() == [1, 1, -1]
+    # charges to the dead, free or not, leave their death time alone
+    assert led.consume(1, 0.0, now_us=2)
+    assert not led.consume(0, 0.5, now_us=2)
+    assert not led.consume(2, 1.0, now_us=3)
+    assert led.death_time_us.tolist() == [1, 1, 3]
+    assert not led.alive.any()
 
 
 def test_charge_many_matches_consume_loop():

@@ -210,12 +210,17 @@ def test_channel_below_capacity_is_mostly_clean():
 # -- strict-mode guards ---------------------------------------------------------
 
 
-def test_death_drains_pending_into_dropped_dead():
+def test_finish_counts_queued_readings_by_liveness():
     world = make_world([(0.0, 0.0), (100.0, 0.0)])
-    world.nodes[0].pending = [1.0, 2.0, 3.0]
+    proto = MleachProtocol(world)
+    proto.nodes[0].pending = [1.0, 2.0, 3.0]
+    proto.nodes[1].pending = [4.0]
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
+    assert world.log.dropped_dead == 0  # a death alone counts nothing
+    proto.finish(world.cfg.sim_us)
     assert world.log.dropped_dead == 3
-    assert world.nodes[0].pending == []
+    assert world.log.dropped_unreachable == 1
+    assert all(not node.pending for node in proto.nodes)
 
 
 def test_strict_trace_catches_filter_leaks():

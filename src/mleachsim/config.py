@@ -202,6 +202,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
             e.append("round_duration_s too small to represent in microseconds")
         elif cfg.sim_duration_s > 0 and (cfg.sim_duration_s * 1_000_000) % round_us != 0:
             e.append("sim_duration_s must be an integer multiple of round_duration_s")
+    if cfg.dsdv_update_interval_s > 0 and round(cfg.dsdv_update_interval_s * 1_000_000) <= 0:
+        e.append("dsdv_update_interval_s too small to represent in microseconds")
     if not 0 <= cfg.rng_seed < 2**64:
         e.append("rng_seed must fit in 64 bits")
 

@@ -6,6 +6,12 @@ carry destination-issued sequence numbers: a received entry wins if its
 sequence is newer, or equal with a strictly shorter path. Broken next hops
 are marked locally with an odd sequence and the packet in flight is
 dropped. Data is forwarded hop by hop along next-hop pointers.
+
+A table cell stores its (sequence, metric) pair as one packed int64 key,
+``kernels.route_key``: seq * 2**31 + (2**31 - 1 - metric). Keys order as
+(seq, -metric) pairs, so the adoption rule is one compare, adv_key > key,
+and a route is usable iff ``key & ROUTE_BITS == LIVE``. Sequences never
+fall below -1 (no route yet), which that bit test relies on.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import US, EventKind
-from .kernels import NO_ROUTE, dsdv_merge
+from .kernels import LIVE, NO_ROUTE, NOT_ADVERTISED, ROUTE_BITS, dsdv_merge, route_key
 
 
 class DsdvProtocol:
@@ -22,13 +28,13 @@ class DsdvProtocol:
         self.cfg = world.cfg
         n = world.cfg.node_count
         dests = n + 1
-        self.metric = np.full((n, dests), NO_ROUTE, dtype=np.int32)
-        self.seq = np.full((n, dests), -1, dtype=np.int64)
+        self.key = np.full((n, dests), route_key(-1, NO_ROUTE), dtype=np.int64)
         self.next_hop = np.full((n, dests), -1, dtype=np.int32)
-        for i in range(n):
-            self.metric[i, i] = 0
-            self.seq[i, i] = 0
-            self.next_hop[i, i] = i
+        np.fill_diagonal(self.key, route_key(0, 0))
+        np.fill_diagonal(self.next_hop, np.arange(n))
+        # the data plane only reads routes to the sink
+        self.sink_key = self.key[:, world.bs_id]
+        self.sink_hop = self.next_hop[:, world.bs_id]
         self.own_seq = np.zeros(n, dtype=np.int64)
         self.bs_seq = 0
         self.interval_us = int(round(world.cfg.dsdv_update_interval_s * US))
@@ -75,17 +81,9 @@ class DsdvProtocol:
         survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if len(survivors) == 0:
             return
-        dests = cfg.node_count + 1
-        adv_metric = np.full(dests, NO_ROUTE, dtype=np.int32)
-        adv_seq = np.full(dests, -1, dtype=np.int64)
-        adv_mask = np.zeros(dests, dtype=bool)
-        adv_metric[world.bs_id] = 0
-        adv_seq[world.bs_id] = self.bs_seq
-        adv_mask[world.bs_id] = True
-        dsdv_merge(
-            self.metric, self.seq, self.next_hop,
-            survivors, world.bs_id, adv_metric, adv_seq, adv_mask,
-        )
+        adv_key = np.full(cfg.node_count + 1, NOT_ADVERTISED, dtype=np.int64)
+        adv_key[world.bs_id] = route_key(self.bs_seq, 1)
+        dsdv_merge(self.key, self.next_hop, adv_key, survivors, world.bs_id)
         if world.strict:
             world.check_routes(self)
 
@@ -95,17 +93,17 @@ class DsdvProtocol:
         if not world.ledger.alive[i]:
             return
         self.own_seq[i] += 2
-        self.seq[i, i] = self.own_seq[i]
-        adv_mask = (self.seq[i] % 2 == 0) & (self.seq[i] >= 0) & (self.metric[i] < NO_ROUTE)
+        row = self.key[i]
+        row[i] = route_key(self.own_seq[i], 0)
+        adv_mask = (row & ROUTE_BITS) == LIVE
         entries = int(np.count_nonzero(adv_mask))
         survivors = world.broadcast(i, entries * cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if survivors is None:
             return
         if len(survivors):
-            dsdv_merge(
-                self.metric, self.seq, self.next_hop,
-                survivors, i, self.metric[i], self.seq[i], adv_mask,
-            )
+            # one hop further via i, as the receivers would store it
+            adv_key = np.where(adv_mask, row - 1, NOT_ADVERTISED)
+            dsdv_merge(self.key, self.next_hop, adv_key, survivors, i)
         stream = world.streams.get("dsdv")
         jitter = int(stream.random() * self.interval_us)
         next_t = (interval + 1) * self.interval_us + jitter
@@ -118,31 +116,28 @@ class DsdvProtocol:
         world = self.world
         cfg = self.cfg
         bs = world.bs_id
-        if not world.ledger.alive[i]:
+        alive = world.ledger.alive
+        if not alive.item(i):
             world.log.dropped_dead += 1
             return
+        sink_key = self.sink_key
+        sink_hop = self.sink_hop
+        dist = world.dist
         cur = i
         hops = 0
         while True:
-            if (
-                self.seq[cur, bs] < 0
-                or self.seq[cur, bs] % 2 == 1
-                or self.metric[cur, bs] >= NO_ROUTE
-            ):
+            key = sink_key.item(cur)
+            if key & ROUTE_BITS != LIVE:
                 world.log.dropped_unreachable += 1
                 return
-            nh = int(self.next_hop[cur, bs])
+            nh = sink_hop.item(cur)
             hops += 1
             if nh < 0 or hops > cfg.node_count + 1:
                 world.log.dropped_unreachable += 1
                 return
-            broken = float(world.dist[cur, nh]) > cfg.radio_range_rr_m or (
-                nh != bs and not world.ledger.alive[nh]
-            )
-            if broken:
-                # stale route: invalidate locally, packet is lost
-                self.seq[cur, bs] += 1
-                self.metric[cur, bs] = NO_ROUTE
+            if dist.item(cur, nh) > cfg.radio_range_rr_m or (nh != bs and not alive.item(nh)):
+                # stale route: invalidate locally with the next odd sequence, packet is lost
+                sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
                 world.log.dropped_unreachable += 1
                 return
             if not world.unicast(cur, nh, cfg.packet_size_bits, t_us):

@@ -1,4 +1,4 @@
-"""The numpy hot kernels: pairwise distances, batched charging, table merges.
+"""The numpy hot kernels: pairwise distances, batched charging, route merges.
 
 Vectorization does not change outcomes: every floating-point operation maps
 to the same IEEE-754 operation per element as a scalar loop would (multiply,
@@ -13,8 +13,16 @@ import numpy as np
 # benchmark run records carry this name; numpy is the only implementation
 IMPLEMENTATION = "python"
 
-# metric value meaning "no route known"; small enough that +1 never overflows
+# metric value meaning "no route known"
 NO_ROUTE = np.int32(2**30)
+# A route is usable iff its sequence is even and non-negative and its metric
+# below NO_ROUTE. For sequences >= -1 that is key & ROUTE_BITS == LIVE: bit 31
+# of a route_key is the sequence's parity (set for -1), bit 30 is set iff
+# metric < NO_ROUTE.
+ROUTE_BITS = 3 << 30
+LIVE = 1 << 30
+# advertised-table entry meaning "not advertised": below every real key
+NOT_ADVERTISED = np.iinfo(np.int64).min
 
 
 def pairwise_distances(pos: np.ndarray) -> np.ndarray:
@@ -66,34 +74,46 @@ def charge_uniform(
     return ok, died
 
 
+def route_key(seq, metric):
+    """Pack a (sequence, metric) route into one int64 key, elementwise.
+
+    key = seq * 2**31 + (2**31 - 1 - metric). With metric in [0, NO_ROUTE]
+    the low part lies in [2**30 - 1, 2**31 - 1], so keys order exactly as
+    (seq, -metric) pairs: a newer sequence always wins, and at equal
+    sequence the shorter route has the larger key. Built with addition
+    rather than shifts so that the "no route yet" sequence -1 still orders
+    below every real one. The key fits int64 for sequences below 2**32; a
+    node's own sequence grows by 2 per dump.
+    """
+    return seq * np.int64(2**31) + (np.int64(2**31 - 1) - metric)
+
+
 def dsdv_merge(
-    metric: np.ndarray,
-    seq: np.ndarray,
+    key: np.ndarray,
     next_hop: np.ndarray,
+    adv_key: np.ndarray,
     receivers: np.ndarray,
     sender: int,
-    adv_metric: np.ndarray,
-    adv_seq: np.ndarray,
-    adv_mask: np.ndarray,
 ) -> None:
     """Fold one advertised table into every receiver's table, in place.
 
-    Adoption rule per destination: take the advertised route (metric + 1,
-    via the sender) iff its sequence number is strictly newer, or equal
-    with a strictly shorter resulting metric. A receiver never adopts a
-    route to itself.
+    adv_key holds the routes as the receivers would take them (metric + 1,
+    via the sender), NOT_ADVERTISED where the sender advertises nothing.
+    Adoption rule per destination: take the advertised route iff its
+    sequence number is strictly newer, or equal with a strictly shorter
+    metric; on packed keys that is adv_key > key. A receiver never adopts
+    a route to itself. Only the adopted cells (a few percent) are written,
+    through flat indices, so key and next_hop must be C-contiguous.
     """
     if len(receivers) == 0:
         return
-    sub_metric = metric[receivers]
-    sub_seq = seq[receivers]
-    cand = adv_metric + np.int32(1)
-    adopt = adv_mask[None, :] & (
-        (adv_seq[None, :] > sub_seq)
-        | ((adv_seq[None, :] == sub_seq) & (cand[None, :] < sub_metric))
-    )
+    dests = key.shape[1]
+    adopt = adv_key > key[receivers]
     adopt[np.arange(len(receivers)), receivers] = False
-    sub_nh = next_hop[receivers]
-    metric[receivers] = np.where(adopt, cand[None, :], sub_metric)
-    seq[receivers] = np.where(adopt, adv_seq[None, :], sub_seq)
-    next_hop[receivers] = np.where(adopt, np.int32(sender), sub_nh)
+    cells = np.flatnonzero(adopt)
+    if len(cells) == 0:
+        return
+    rows, cols = np.divmod(cells, dests)
+    flat = receivers[rows] * dests + cols
+    key.reshape(-1)[flat] = adv_key[cols]
+    next_hop.reshape(-1)[flat] = sender

@@ -68,15 +68,6 @@ class EnergyLedger:
         self._total_comp = (t - self._total) - y
         self._total = t
 
-    def _node_add(self, i: int, x: float) -> None:
-        s = self.consumed[i]
-        t = s + x
-        if s >= x:
-            self.consumed_comp[i] += (s - t) + x
-        else:
-            self.consumed_comp[i] += (x - t) + s
-        self.consumed[i] = t
-
     def _mark_dead(self, i: int, now_us: int) -> None:
         if not self.alive[i]:
             return
@@ -87,19 +78,31 @@ class EnergyLedger:
         """Charge node i. Returns True iff the paid-for action succeeds."""
         if j < 0:
             raise ValueError("charge must not be negative")
-        e = self.energy[i]
-        if e >= j:
-            self.energy[i] = e - j
-            self._node_add(i, j)
-            self._total_add(j)
-            if self.energy[i] == 0.0:
-                self._mark_dead(i, now_us)
-            return True
-        self.energy[i] = 0.0
-        self._node_add(i, float(e))
-        self._total_add(float(e))
-        self._mark_dead(i, now_us)
-        return False
+        return self.charge(i, j, now_us)
+
+    def charge(self, i: int, j: float, now_us: int) -> bool:
+        """consume without the sign check, for charges priced from checked constants.
+
+        Works on Python floats: the clamp, then the node's Neumaier step,
+        then the total's Kahan step, each the same IEEE operations as on
+        numpy scalars, so the results are identical bit for bit.
+        """
+        energy = self.energy
+        e = energy.item(i)
+        ok = e >= j
+        x = j if ok else e
+        e = e - j if ok else 0.0
+        energy[i] = e
+        consumed = self.consumed
+        s = consumed.item(i)
+        t = s + x
+        comp = self.consumed_comp
+        comp[i] = comp.item(i) + ((s - t) + x if s >= x else (x - t) + s)
+        consumed[i] = t
+        self._total_add(x)
+        if e == 0.0:
+            self._mark_dead(i, now_us)
+        return ok
 
     def charge_many(self, ids: np.ndarray, amount: float, now_us: int) -> np.ndarray:
         """Charge every node in ids (sorted, alive). Returns success mask."""

@@ -147,14 +147,19 @@ class World:
         A dead node neither sends nor receives, and pays nothing.
         """
         ledger = self.ledger
-        if not (
-            ledger.alive[u]
-            and ledger.consume(u, self.radio.tx_energy(bits, float(self.dist[u, v])), t_us)
-        ):
+        alive = ledger.alive
+        if not alive.item(u):
+            return False
+        # RadioModel's tx and rx formulas, in the same operation order; the
+        # constants were validated positive, so the argument checks are skipped
+        radio = self.radio
+        d = self.dist.item(u, v)
+        tx = radio.e_elec_j_per_bit * bits + radio.eps_amp_j_per_bit_m2 * bits * (d * d)
+        if not ledger.charge(u, tx, t_us):
             return False
         if v == self.bs_id:
             return True
-        return bool(ledger.alive[v]) and ledger.consume(v, self.radio.rx_energy(bits), t_us)
+        return alive.item(v) and ledger.charge(v, radio.e_elec_j_per_bit * bits, t_us)
 
     def deliver_data(self, t_us: int, origin: int, reading: float, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say."""
@@ -212,18 +217,16 @@ class World:
     def check_routes(self, proto) -> None:
         """DSDV loop-freedom: every valid route walks to the sink, no revisits."""
         bs = self.bs_id
-        for i in np.nonzero(self.ledger.alive)[0]:
-            cur = int(i)
+        sink_key = proto.sink_key
+        sink_hop = proto.sink_hop
+        for i in np.flatnonzero(self.ledger.alive).tolist():
+            cur = i
             visited = {cur}
             while True:
-                if proto.seq[cur, bs] < 0 or proto.seq[cur, bs] % 2 == 1:
+                if sink_key.item(cur) & kernels.ROUTE_BITS != kernels.LIVE:
                     break
-                if proto.metric[cur, bs] >= kernels.NO_ROUTE:
-                    break
-                nh = int(proto.next_hop[cur, bs])
-                if nh < 0:
-                    break
-                if nh == bs:
+                nh = sink_hop.item(cur)
+                if nh < 0 or nh == bs:
                     break
                 if nh in visited:
                     raise InvariantViolation(f"routing loop at node {cur} via {nh}")

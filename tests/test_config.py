@@ -11,6 +11,8 @@ from mleachsim.config import (
     validate_config,
 )
 
+from conftest import small_config
+
 
 def test_defaults_validate_clean():
     cfg = validate_config(SimConfig())
@@ -99,6 +101,17 @@ def test_validate_requires_whole_rounds():
     with pytest.raises(ConfigError) as exc:
         validate_config(SimConfig(sim_duration_s=121, round_duration_s=2.0))
     assert "multiple" in str(exc.value)
+
+
+def test_validate_rejects_dsdv_interval_below_one_microsecond():
+    # rounds to 0 us: every sensor would re-dump at t=0 until it died
+    with pytest.raises(ConfigError) as exc:
+        validate_config(small_config(dsdv_update_interval_s=1e-7, sim_duration_s=2))
+    assert "dsdv_update_interval_s too small to represent in microseconds" in str(exc.value)
+    # 0.5 us rounds half to even, to 0; 0.6 us rounds to 1 us and runs
+    with pytest.raises(ConfigError):
+        validate_config(small_config(dsdv_update_interval_s=5e-7))
+    validate_config(small_config(dsdv_update_interval_s=6e-7))
 
 
 def test_validate_seed_bounds():

@@ -4,7 +4,7 @@ import numpy as np
 
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import EventKind
-from mleachsim.kernels import NO_ROUTE
+from mleachsim.kernels import NO_ROUTE, route_key
 from mleachsim.simulation import run_simulation
 
 from conftest import small_config
@@ -20,12 +20,14 @@ def relay_pair(world_factory):
 def test_fresh_tables_know_only_self(world_factory):
     proto = DsdvProtocol(world_factory([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]))
     for i in range(3):
-        assert proto.metric[i, i] == 0
-        assert proto.seq[i, i] == 0
+        assert proto.key[i, i] == route_key(0, 0)
         assert proto.next_hop[i, i] == i
-        assert proto.metric[i, 3] == NO_ROUTE
-        assert proto.seq[i, 3] == -1
-        assert proto.next_hop[i, 3] == -1
+        for d in {0, 1, 2, 3} - {i}:
+            assert proto.key[i, d] == route_key(-1, NO_ROUTE)
+            assert proto.next_hop[i, d] == -1
+    # the data plane's sink-column views alias the tables
+    assert np.shares_memory(proto.sink_key, proto.key)
+    assert np.shares_memory(proto.sink_hop, proto.next_hop)
 
 
 def test_bs_dump_installs_one_hop_routes(world_factory):
@@ -37,11 +39,10 @@ def test_bs_dump_installs_one_hop_routes(world_factory):
     proto._bs_dump(0)
     bs = world.bs_id
     for i in (0, 1):
-        assert proto.metric[i, bs] == 1
-        assert proto.seq[i, bs] == 2
+        assert proto.key[i, bs] == route_key(2, 1)
         assert proto.next_hop[i, bs] == bs
         assert world.ledger.consumed[i] == world.radio.rx_energy(64)
-    assert proto.metric[2, bs] == NO_ROUTE
+    assert proto.key[2, bs] == route_key(-1, NO_ROUTE)
     assert world.ledger.consumed[2] == 0.0
 
 
@@ -51,7 +52,7 @@ def test_bs_dump_sequence_marches_by_two(world_factory):
     for want in (2, 4, 6):
         proto._bs_dump(0)
         assert proto.bs_seq == want
-        assert proto.seq[0, world.bs_id] == want
+        assert proto.key[0, world.bs_id] == route_key(want, 1)
 
 
 def test_node_dump_advertises_only_valid_entries(world_factory):
@@ -62,7 +63,7 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
     bits = world.cfg.dsdv_entry_bits
     assert world.ledger.consumed[0] == world.radio.tx_energy(bits, 900.0)
     assert proto.own_seq[0] == 2
-    assert proto.seq[0, 0] == 2
+    assert proto.key[0, 0] == route_key(2, 0)
 
 
 def test_node_dump_spreads_routes_one_hop(world_factory):
@@ -70,14 +71,14 @@ def test_node_dump_spreads_routes_one_hop(world_factory):
     proto = DsdvProtocol(world)
     bs = world.bs_id
     proto._bs_dump(0)  # node 1 hears the sink (d=100); node 0 is too far (d=500)
-    assert proto.metric[1, bs] == 1
-    assert proto.metric[0, bs] == NO_ROUTE
+    assert proto.key[1, bs] == route_key(2, 1)
+    assert proto.key[0, bs] == route_key(-1, NO_ROUTE)
     proto._node_dump(1, 1, 0)
-    assert proto.metric[0, bs] == 2
+    # node 1's sequence for the sink, one hop longer
+    assert proto.key[0, bs] == route_key(2, 2)
     assert proto.next_hop[0, bs] == 1
-    assert proto.seq[0, bs] == proto.seq[1, bs]
-    # node 0 also learned a route to node 1 itself
-    assert proto.metric[0, 1] == 1
+    # node 0 also learned a route to node 1 itself, at node 1's fresh sequence
+    assert proto.key[0, 1] == route_key(2, 1)
     assert proto.next_hop[0, 1] == 1
 
 
@@ -120,13 +121,13 @@ def test_broken_next_hop_invalidates_route(world_factory):
     proto._bs_dump(0)
     proto._node_dump(1, 1, 0)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)  # relay dies
-    seq_before = proto.seq[0, bs]
+    assert proto.key[0, bs] == route_key(2, 2)
     proto._send(0, 0, 2.0)
     assert world.log.dropped_unreachable == 1
     assert world.log.delivered == 0
-    assert proto.metric[0, bs] == NO_ROUTE
-    assert proto.seq[0, bs] == seq_before + 1
-    assert proto.seq[0, bs] % 2 == 1
+    # the next (odd) sequence with no metric; the next hop is left as it was
+    assert proto.key[0, bs] == route_key(3, NO_ROUTE)
+    assert proto.next_hop[0, bs] == 1
     # an odd (invalidated) sequence refuses further sends without new info
     proto._send(0, 0, 2.5)
     assert world.log.dropped_unreachable == 2
@@ -145,7 +146,7 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     world.dist = kernels.pairwise_distances(world.positions)
     proto._send(0, 0, 2.0)
     assert world.log.dropped_unreachable == 1
-    assert proto.metric[0, bs] == NO_ROUTE
+    assert proto.key[0, bs] == route_key(3, NO_ROUTE)
 
 
 def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
@@ -153,11 +154,9 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     proto = DsdvProtocol(world)
     bs = world.bs_id
     proto._bs_dump(0)
-    proto.seq[0, bs] += 1  # locally invalidated
-    proto.metric[0, bs] = NO_ROUTE
+    proto.key[0, bs] = route_key(3, NO_ROUTE)  # locally invalidated
     proto._bs_dump(0)  # newer even sequence wins over the odd local mark
-    assert proto.seq[0, bs] == 4
-    assert proto.metric[0, bs] == 1
+    assert proto.key[0, bs] == route_key(4, 1)
     proto._send(0, 0, 9.0)
     assert world.log.delivered == 1
 

@@ -3,8 +3,19 @@
 import math
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mleachsim.kernels import NO_ROUTE, charge_uniform, dsdv_merge, pairwise_distances
+from mleachsim.kernels import (
+    LIVE,
+    NO_ROUTE,
+    NOT_ADVERTISED,
+    ROUTE_BITS,
+    charge_uniform,
+    dsdv_merge,
+    pairwise_distances,
+    route_key,
+)
 
 # -- scalar references: one element at a time, in id order ---------------------
 
@@ -45,7 +56,8 @@ def scalar_charge(energy, consumed, comp, ids, amount):
     return ok, np.asarray(died, dtype=np.int64)
 
 
-def scalar_merge(metric, seq, next_hop, receivers, sender, adv_metric, adv_seq, adv_mask):
+def scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric, adv_mask):
+    """The adoption rule on (seq, metric) pairs, one cell at a time."""
     for r in receivers:
         for d in range(len(adv_metric)):
             if not adv_mask[d] or d == r:
@@ -131,76 +143,91 @@ def test_charge_uniform_empty_ids():
     assert energy[0] == 1.0
 
 
-# -- dsdv_merge ------------------------------------------------------------------
+# -- route keys and dsdv_merge ----------------------------------------------------
+
+# metrics drawn for tables: short routes and the values around NO_ROUTE
+METRICS = np.array([0, 1, 2, 3, 5, 8, NO_ROUTE - 1, NO_ROUTE], dtype=np.int64)
 
 
-def dsdv_state(rng, n):
-    metric = rng.integers(1, 10, size=(n, n)).astype(np.int32)
-    metric[rng.random((n, n)) < 0.3] = NO_ROUTE
-    np.fill_diagonal(metric, 0)
-    seq = rng.integers(0, 20, size=(n, n)).astype(np.int64) * 2
-    next_hop = rng.integers(-1, n, size=(n, n)).astype(np.int32)
-    return metric, seq, next_hop
+def route_pairs(rng, shape):
+    """(seq, metric) tables: seq -1, even and odd sequences; metrics near NO_ROUTE."""
+    seq = rng.integers(-1, 12, size=shape).astype(np.int64)
+    metric = rng.choice(METRICS, size=shape)
+    return seq, metric
 
 
 def test_dsdv_merge_bit_identical_to_scalar_loop():
     assert NO_ROUTE == 2**30
     rng = np.random.default_rng(47)
-    for _ in range(100):
-        n = int(rng.integers(2, 30))
-        metric, seq, next_hop = dsdv_state(rng, n)
-        sender = int(rng.integers(n))
-        receivers = np.nonzero(rng.random(n) < 0.5)[0]
-        adv_metric = rng.integers(0, 8, size=n).astype(np.int32)
-        adv_seq = rng.integers(0, 25, size=n).astype(np.int64) * 2
-        adv_mask = rng.random(n) < 0.7
-        state_a = (metric.copy(), seq.copy(), next_hop.copy())
-        state_b = (metric.copy(), seq.copy(), next_hop.copy())
-        dsdv_merge(*state_a, receivers, sender, adv_metric, adv_seq, adv_mask)
-        scalar_merge(*state_b, receivers, sender, adv_metric, adv_seq, adv_mask)
-        for x, y in zip(state_a, state_b):
-            assert x.dtype == y.dtype
-            assert np.array_equal(x, y)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        dests = n + 1
+        seq, metric = route_pairs(rng, (n, dests))
+        next_hop = rng.integers(-1, dests, size=(n, dests)).astype(np.int32)
+        sender = int(rng.integers(dests))
+        receivers = np.flatnonzero((rng.random(n) < 0.5) & (np.arange(n) != sender))
+        adv_seq, adv_metric = route_pairs(rng, dests)
+        adv_mask = rng.random(dests) < 0.7
+        key = route_key(seq, metric)
+        hops = next_hop.copy()
+        adv_key = np.where(adv_mask, route_key(adv_seq, adv_metric + 1), NOT_ADVERTISED)
+        dsdv_merge(key, hops, adv_key, receivers, sender)
+        scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric, adv_mask)
+        assert key.dtype == np.int64 and hops.dtype == np.int32
+        assert np.array_equal(key, route_key(seq, metric))
+        assert np.array_equal(hops, next_hop)
+
+
+@settings(derandomize=True, database=None, max_examples=500)
+@given(
+    a=st.tuples(st.integers(-1, 2**32 - 1), st.integers(0, int(NO_ROUTE))),
+    b=st.tuples(st.integers(-1, 2**32 - 1), st.integers(0, int(NO_ROUTE))),
+)
+def test_route_key_orders_as_seq_then_shorter_metric(a, b):
+    (seq_a, metric_a), (seq_b, metric_b) = a, b
+    key_a, key_b = int(route_key(seq_a, metric_a)), int(route_key(seq_b, metric_b))
+    assert (key_a > key_b) == ((seq_a, -metric_a) > (seq_b, -metric_b))
+    assert (key_a == key_b) == (a == b)
+    # the data plane's one-test validity check
+    usable = seq_a >= 0 and seq_a % 2 == 0 and metric_a < NO_ROUTE
+    assert (key_a & ROUTE_BITS == LIVE) == usable
 
 
 def test_dsdv_merge_adoption_rules():
     n = 3
-    metric = np.full((n, n), NO_ROUTE, dtype=np.int32)
-    seq = np.full((n, n), -1, dtype=np.int64)
+    key = np.full((n, n), route_key(-1, NO_ROUTE), dtype=np.int64)
     next_hop = np.full((n, n), -1, dtype=np.int32)
-    metric[1, 0] = 4
-    seq[1, 0] = 2
+    key[1, 0] = route_key(2, 4)
     next_hop[1, 0] = 2
-    # sender 0 advertises itself at seq 2 metric 0 and dest 2 at seq 4
-    adv_metric = np.array([0, 0, 3], dtype=np.int32)
-    adv_seq = np.array([2, -1, 4], dtype=np.int64)
-    adv_mask = np.array([True, False, True])
-    dsdv_merge(metric, seq, next_hop, np.array([1, 2]), 0, adv_metric, adv_seq, adv_mask)
+    # sender 0 advertises itself at seq 2 metric 0 and dest 2 at seq 4 metric 3
+    adv_key = np.array([route_key(2, 1), NOT_ADVERTISED, route_key(4, 4)], dtype=np.int64)
+    dsdv_merge(key, next_hop, adv_key, np.array([1, 2]), 0)
     # equal seq, shorter metric: adopted
-    assert metric[1, 0] == 1 and next_hop[1, 0] == 0 and seq[1, 0] == 2
-    # masked-out entry ignored
-    assert metric[1, 1] == NO_ROUTE
+    assert key[1, 0] == route_key(2, 1) and next_hop[1, 0] == 0
+    # entry not advertised: ignored
+    assert key[1, 1] == route_key(-1, NO_ROUTE) and next_hop[1, 1] == -1
     # newer seq: adopted
-    assert metric[1, 2] == 4 and seq[1, 2] == 4 and next_hop[1, 2] == 0
+    assert key[1, 2] == route_key(4, 4) and next_hop[1, 2] == 0
     # receiver 2 never adopts a route to itself
-    assert metric[2, 2] == NO_ROUTE and next_hop[2, 2] == -1
+    assert key[2, 2] == route_key(-1, NO_ROUTE) and next_hop[2, 2] == -1
 
 
 def test_dsdv_merge_keeps_stale_and_equal_longer():
-    metric = np.array([[0, 2], [3, 0]], dtype=np.int32)
-    seq = np.array([[0, 6], [6, 0]], dtype=np.int64)
+    key = np.array([[route_key(0, 0), route_key(6, 2)], [route_key(6, 3), route_key(0, 0)]])
     next_hop = np.zeros((2, 2), dtype=np.int32)
-    adv_metric = np.array([5, 5], dtype=np.int32)
-    adv_seq = np.array([4, 6], dtype=np.int64)  # stale, equal-but-longer
-    dsdv_merge(
-        metric,
-        seq,
-        next_hop,
-        np.array([0]),
-        1,
-        adv_metric,
-        adv_seq,
-        np.array([True, True]),
-    )
-    assert metric[0, 0] == 0 and seq[0, 0] == 0
-    assert metric[0, 1] == 2 and seq[0, 1] == 6
+    before = key.copy()
+    for adv in ([route_key(4, 1), route_key(4, 1)],  # stale
+                [route_key(0, 0), route_key(6, 2)],  # equal: a tie keeps the old next hop
+                [route_key(0, 6), route_key(6, 6)]):  # equal seq, longer
+        dsdv_merge(key, next_hop, np.array(adv, dtype=np.int64), np.array([0]), 1)
+        assert np.array_equal(key, before)
+        assert not next_hop.any()
+
+
+def test_dsdv_merge_beats_an_odd_invalidated_entry_only_with_a_newer_even_one():
+    key = np.array([[route_key(0, 0), route_key(5, NO_ROUTE)]])
+    next_hop = np.array([[0, 7]], dtype=np.int32)
+    dsdv_merge(key, next_hop, np.array([NOT_ADVERTISED, route_key(4, 1)]), np.array([0]), 1)
+    assert key[0, 1] == route_key(5, NO_ROUTE) and next_hop[0, 1] == 7
+    dsdv_merge(key, next_hop, np.array([NOT_ADVERTISED, route_key(6, 9)]), np.array([0]), 1)
+    assert key[0, 1] == route_key(6, 9) and next_hop[0, 1] == 1

@@ -31,7 +31,7 @@ def small_configs(draw):
     return SimConfig(
         field_width_m=width,
         field_height_m=height,
-        node_count=draw(st.integers(8, 16)),
+        node_count=draw(st.integers(1, 16)),
         bs_position=bs,
         initial_energy_j=draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0, 500.0])),
         sim_duration_s=horizon,

@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Digest both protocols' output over many seeded random valid configs.
+
+Run mode draws N configs from a seed (8-64 nodes, budgets from 1e-4 J to
+1 J, the sink channel off or on, the sink at random or placed, fast
+mobility, short and long DSDV update intervals) and runs each with both
+protocols, plain and strict. Per run it writes one sha256 over the three
+CSVs and the ledger's ``consumed``, ``consumed_comp``, ``energy`` and
+``death_time_us`` arrays and its total; a run that raises is digested by
+its exception. Compare mode diffs two digest files, so that a change meant
+to keep output bytes can be checked against its parent on every draw:
+
+    PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out before.json
+    PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out after.json
+    PYTHONPATH=src python3 tools/digest_sweep.py --compare before.json after.json
+
+Compare mode exits with status 1 when any digest differs or is missing.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+from mleachsim.config import SimConfig, validate_config
+from mleachsim.dsdv import DsdvProtocol
+from mleachsim.metrics import MetricsLog
+from mleachsim.mleach import MleachProtocol
+from mleachsim.simulation import World
+
+PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
+
+
+def draw_config(rng: np.random.Generator):
+    """One valid config; every field that shapes the run is drawn."""
+    horizon = int(rng.integers(2, 7))
+    rounds = [r for r in (0.5, 1.0, 2.0, float(horizon)) if horizon % r == 0]
+    width, height = (float(x) for x in rng.uniform(200.0, 3000.0, 2))
+    rr = float(rng.uniform(50.0, 1500.0))
+    if rng.random() < 0.5:
+        bs = "random"
+    else:
+        bs = (float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
+    speed_min = float(rng.uniform(0.0, 40.0))
+    if rng.random() < 0.5:
+        interval = float(rng.uniform(0.05, 0.5))
+    else:
+        interval = float(rng.uniform(0.5, 2.0 * horizon))
+    cfg = SimConfig(
+        field_width_m=width,
+        field_height_m=height,
+        node_count=int(rng.integers(8, 65)),
+        bs_position=bs,
+        initial_energy_j=float(10.0 ** rng.uniform(-4.0, 0.0)),
+        sim_duration_s=horizon,
+        round_duration_s=float(rng.choice(rounds)),
+        p_ch_fraction=float(rng.uniform(0.05, 0.5)),
+        cluster_radius_rc_m=rr * float(rng.uniform(0.1, 1.0)),
+        radio_range_rr_m=rr,
+        ch_exclusion_rounds=int(rng.integers(0, 5)),
+        filter_threshold=float(rng.uniform(0.0, 0.5)),
+        mobility_speed_min_mps=speed_min,
+        mobility_speed_max_mps=speed_min + float(rng.uniform(0.0, 40.0)),
+        mobility_pause_s=float(rng.uniform(0.0, 3.0)),
+        traffic_on_s=float(rng.uniform(0.5, 5.0)),
+        traffic_off_s=float(rng.uniform(0.0, 5.0)),
+        traffic_rate_pps=float(rng.uniform(0.5, 10.0)),
+        dsdv_update_interval_s=interval,
+        bs_mac_capacity_bps=float(rng.choice([0.0, 0.0, 500.0, 5000.0, 50000.0])),
+        rng_seed=int(rng.integers(0, 2**32)),
+    )
+    return validate_config(cfg)
+
+
+def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
+    """sha256 of one run's CSVs and ledger state."""
+    h = hashlib.sha256()
+    try:
+        log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
+        world = World(cfg, log, strict=strict)
+        world.run(PROTOCOLS[protocol](world))
+    except Exception as exc:  # a run that now raises must show as a change
+        h.update(f"{type(exc).__name__}: {exc}".encode())
+        return h.hexdigest()
+    log.export_csv(scratch)
+    for name in ("energy", "throughput", "summary"):
+        with open(os.path.join(scratch, name + ".csv"), "rb") as fh:
+            h.update(fh.read())
+    ledger = world.ledger
+    for arr in (ledger.consumed, ledger.consumed_comp, ledger.energy, ledger.death_time_us):
+        h.update(arr.tobytes())
+    h.update(repr(ledger.total_consumed()).encode())
+    return h.hexdigest()
+
+
+def sweep(n: int, seed: int) -> dict[str, str]:
+    digests = {}
+    with tempfile.TemporaryDirectory() as scratch:
+        for k in range(n):
+            cfg = draw_config(np.random.default_rng([seed, k]))
+            for protocol in PROTOCOLS:
+                for strict in (False, True):
+                    mode = "strict" if strict else "plain"
+                    digests[f"{k}:{protocol}:{mode}"] = run_digest(cfg, protocol, strict, scratch)
+    return digests
+
+
+def compare(a_path: str, b_path: str) -> int:
+    with open(a_path) as fh:
+        a = json.load(fh)
+    with open(b_path) as fh:
+        b = json.load(fh)
+    changed = sorted((k for k in a.keys() & b.keys() if a[k] != b[k]), key=_order)
+    missing = sorted(a.keys() ^ b.keys(), key=_order)
+    for k in changed:
+        print(f"changed {k}")
+    for k in missing:
+        print(f"only in {'first' if k in a else 'second'} {k}")
+    print(f"{len(changed)} of {len(a.keys() & b.keys())} digests changed, {len(missing)} unmatched")
+    return 1 if changed or missing else 0
+
+
+def _order(key: str):
+    k, protocol, mode = key.split(":")
+    return int(k), protocol, mode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n", type=int, default=100, help="number of configs to draw")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the config draws")
+    parser.add_argument("--out", help="digest file to write (default: standard output)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="diff two digest files")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    text = json.dumps(sweep(args.n, args.seed), indent=0, sort_keys=True)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -58,7 +58,7 @@ def breakdown(cfg, cls):
     activity = ["other"]
     frame = []  # (node, joules) charged by the data send in progress
 
-    def consume(f):
+    def charge(f):
         def wrapped(ledger, i, j, now):
             before = ledger.energy[i]
             ok = f(ledger, i, j, now)
@@ -99,7 +99,8 @@ def breakdown(cfg, cls):
     log = MetricsLog(cls.__name__, cfg.sim_duration_s, n)
     world = World(cfg, log)
     with ExitStack() as stack:
-        wrap(stack, EnergyLedger, "consume", consume)
+        # every scalar charge, consume's included, goes through charge
+        wrap(stack, EnergyLedger, "charge", charge)
         wrap(stack, EnergyLedger, "charge_many", charge_many)
         names = set(ACTIVITY[cls])
         if cls is MleachProtocol:

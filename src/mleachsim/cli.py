@@ -140,7 +140,7 @@ def main(argv=None) -> int:
                 log = run_simulation(cfg_k, proto)
                 log.export_csv(os.path.join(run_dir, proto))
                 logs[proto] = log
-                batch_rows[proto].append(log.summary_row())
+                batch_rows[proto].append(log.summary_values())
             if len(logs) == 2:
                 write_comparison(os.path.join(run_dir, "comparison.csv"), logs)
             if args.repeat > 1:
@@ -156,13 +156,12 @@ def main(argv=None) -> int:
 
 def _write_batch_summary(out_dir: str, batch_rows: dict[str, list[list]]) -> None:
     """Mean and sample stddev of every numeric summary column across seeds."""
-    numeric = SUMMARY_FIELDS[1:]
     path = os.path.join(out_dir, "batch_summary.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["protocol", "metric", "mean", "stddev"])
         for proto, rows in batch_rows.items():
-            for col, name in enumerate(numeric, start=1):
+            for col, name in enumerate(SUMMARY_FIELDS[1:]):
                 values = [float(r[col]) for r in rows]
                 spread = statistics.stdev(values) if len(values) > 1 else 0.0
                 w.writerow([proto, name, repr(statistics.fmean(values)), repr(spread)])

@@ -144,6 +144,6 @@ class DsdvProtocol:
                 world.log.dropped_dead += 1
                 return
             if nh == bs:
-                world.deliver_data(t_us, i, reading, None)
+                world.deliver_data(t_us, i, None)
                 return
             cur = nh

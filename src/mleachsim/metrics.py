@@ -30,7 +30,6 @@ class MetricsLog:
         self.dropped_dead = 0
         self.dropped_congested = 0
         self.first_death_s: float = -1.0
-        self.per_node_consumed: np.ndarray | None = None
 
     # -- recording ---------------------------------------------------------
 
@@ -111,13 +110,13 @@ class MetricsLog:
             w.writerow(SUMMARY_FIELDS)
             w.writerow(self.summary_row())
 
-    def summary_row(self) -> list:
+    def summary_values(self) -> list:
+        """The numbers behind summary.csv, in SUMMARY_FIELDS order after the protocol."""
         return [
-            self.protocol,
-            repr(self.avg_consumed()),
-            repr(self.max_consumed()),
-            repr(self.steady_state_throughput(self.default_warmup_s())),
-            repr(self.first_death_s),
+            self.avg_consumed(),
+            self.max_consumed(),
+            self.steady_state_throughput(self.default_warmup_s()),
+            self.first_death_s,
             self.generated,
             self.delivered,
             self.dropped_filtered,
@@ -125,6 +124,10 @@ class MetricsLog:
             self.dropped_dead,
             self.dropped_congested,
         ]
+
+    def summary_row(self) -> list:
+        values = self.summary_values()
+        return [self.protocol, *(repr(v) if isinstance(v, float) else v for v in values)]
 
 
 SUMMARY_FIELDS = [

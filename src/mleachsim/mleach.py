@@ -8,9 +8,10 @@ their slot; heads flush their own readings when the round closes. Orphans
 (no head within the cluster radius) send straight to the base station when
 it is in radio range.
 
-The protocol owns its per-node state (election exclusion, the change
-filter's last forwarded reading, queued readings). Who heads, joins or is
-orphaned lasts one round and is recorded only in that round's context.
+The protocol owns its per-node state, indexed by node id: ``exclusion``
+(rounds left out of elections), ``last_forwarded`` (the change filter's
+last forwarded reading) and ``pending`` (queued readings). Who heads, joins
+or is orphaned lasts one round and is recorded in that round's context.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EventKind
-from .model import ChGraph, NodeState
 from .simulation import InvariantViolation
 
 
@@ -46,38 +46,62 @@ def ch_threshold(p: float, r: int, in_g: bool) -> float:
 
 
 def run_election(
-    nodes: list,
-    alive_ids,
+    exclusion: np.ndarray,
+    alive_ids: np.ndarray,
     r: int,
     p: float,
     exclusion_rounds: int,
     epoch_rounds: int,
     stream,
-) -> set[int]:
-    """One round of head election with exclusion bookkeeping.
+) -> np.ndarray:
+    """One round of head election over the ascending alive_ids; the heads, ascending.
 
-    Eligibility resets at every epoch boundary (the exclusion window is
-    "this epoch", not a rolling count), eligible nodes draw in id order,
-    and a round that elects nobody promotes the smallest-id candidate so
-    there is never a headless round. Elected nodes leave the eligible set;
-    everyone else's exclusion counter decays.
+    Nodes with exclusion 0 are eligible; every epoch boundary makes all
+    eligible again. Eligible nodes draw in id order, one draw each, and a
+    round that elects nobody promotes the smallest-id candidate. Heads get
+    exclusion_rounds and everyone else's count decays, in place.
     """
     if r % epoch_rounds == 0:
-        for i in alive_ids:
-            nodes[i].exclusion_remaining = 0
-    elected: set[int] = set()
-    for i in alive_ids:
-        if nodes[i].in_g and stream.random() < ch_threshold(p, r, True):
-            elected.add(int(i))
-    if not elected:
-        pool = [int(i) for i in alive_ids if nodes[i].in_g] or [int(i) for i in alive_ids]
-        elected.add(min(pool))
-    for i in alive_ids:
-        if int(i) in elected:
-            nodes[i].exclusion_remaining = exclusion_rounds
-        elif nodes[i].exclusion_remaining > 0:
-            nodes[i].exclusion_remaining -= 1
+        exclusion[alive_ids] = 0
+    excluded = exclusion[alive_ids]
+    eligible = alive_ids[excluded == 0]
+    elected = eligible[stream.random(len(eligible)) < ch_threshold(p, r, True)]
+    if len(elected) == 0:
+        elected = (eligible if len(eligible) else alive_ids)[:1]
+    exclusion[alive_ids] = np.maximum(excluded - 1, 0)
+    exclusion[elected] = exclusion_rounds
     return elected
+
+
+class ChGraph:
+    """Undirected graph over alive cluster heads plus the base station.
+
+    Edges connect vertices within radio range; weights are distances in
+    meters. Adjacency lists are kept sorted by neighbor id so traversal
+    order is deterministic.
+    """
+
+    def __init__(self, vertices: list[int]) -> None:
+        self.vertices = sorted(vertices)
+        self.adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
+
+    def add_edge(self, u: int, v: int, w: float) -> None:
+        if u == v:
+            raise ValueError("self-loops not allowed")
+        self.adj[u].append((v, w))
+        self.adj[v].append((u, w))
+
+    def sort_adjacency(self) -> None:
+        for lst in self.adj.values():
+            lst.sort()
+
+    def edges(self) -> list[tuple[int, int, float]]:
+        out = []
+        for u in self.vertices:
+            for v, w in self.adj[u]:
+                if u < v:
+                    out.append((u, v, w))
+        return out
 
 
 def build_ch_graph(dist: np.ndarray, chs: list[int], bs_id: int, rr: float) -> ChGraph:
@@ -150,21 +174,29 @@ class MleachProtocol:
     def __init__(self, world) -> None:
         self.world = world
         self.cfg = world.cfg
-        self.nodes = [NodeState(i) for i in range(self.cfg.node_count)]
+        n = self.cfg.node_count
+        self.exclusion = np.zeros(n, dtype=np.int64)
+        self.last_forwarded = [-math.inf] * n
+        self.pending: list[list[float]] = [[] for _ in range(n)]
         self.ctx: RoundContext | None = None
 
     # -- scheduling ----------------------------------------------------------
 
     def start(self) -> None:
+        self._queue_round(0)
+
+    def _queue_round(self, r: int) -> None:
+        # each round start queues the next, so one is queued at a time
         cfg = self.cfg
-        for r in range(cfg.sim_us // cfg.round_us):
+        if r < cfg.sim_us // cfg.round_us:
             self.world.queue.schedule(r * cfg.round_us, EventKind.ROUND_START, r)
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
-        self.nodes[i].pending.extend(readings)
+        self.pending[i].extend(readings)
 
     def handle(self, kind: EventKind, t_us: int, payload) -> None:
         if kind == EventKind.ROUND_START:
+            self._queue_round(payload + 1)
             self._round_start(t_us, payload)
         elif kind == EventKind.SLOT_START:
             self._slot(t_us, *payload)
@@ -178,12 +210,12 @@ class MleachProtocol:
         # a live node's never found a path out
         log = self.world.log
         alive = self.world.ledger.alive
-        for node in self.nodes:
-            if alive[node.id]:
-                log.dropped_unreachable += len(node.pending)
+        for i, queued in enumerate(self.pending):
+            if alive[i]:
+                log.dropped_unreachable += len(queued)
             else:
-                log.dropped_dead += len(node.pending)
-            node.pending.clear()
+                log.dropped_dead += len(queued)
+            queued.clear()
 
     # -- round phases ----------------------------------------------------------
 
@@ -200,7 +232,7 @@ class MleachProtocol:
             return
 
         elected = run_election(
-            self.nodes,
+            self.exclusion,
             alive,
             r,
             cfg.p_ch_fraction,
@@ -212,7 +244,7 @@ class MleachProtocol:
         # formation hellos; a head that cannot pay the broadcast is silent
         heard_from = [
             ch
-            for ch in sorted(elected)
+            for ch in elected.tolist()
             if world.broadcast(ch, cfg.hello_bits, cfg.cluster_radius_rc_m, t_us) is not None
         ]
         chs = [ch for ch in heard_from if ledger.alive[ch]]
@@ -309,14 +341,13 @@ class MleachProtocol:
     def _slot(self, t_us: int, cm: int, ch: int) -> None:
         world = self.world
         cfg = self.cfg
-        node = self.nodes[cm]
         if not world.ledger.alive[cm]:
             return
-        if not node.pending:
+        todo = self.pending[cm]
+        if not todo:
             world.unicast(cm, ch, cfg.heartbeat_bits, t_us)
             return
-        todo = node.pending
-        node.pending = []
+        self.pending[cm] = []
         for idx, reading in enumerate(todo):
             if world.unicast(cm, ch, cfg.packet_size_bits, t_us):
                 self._head_accept(t_us, ch, cm, reading)
@@ -329,10 +360,9 @@ class MleachProtocol:
 
     def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
         """Change filter: forward only readings that moved beyond the threshold."""
-        node = self.nodes[origin]
-        delta = abs(reading - node.last_forwarded_reading)
+        delta = abs(reading - self.last_forwarded[origin])
         if delta > self.cfg.filter_threshold:
-            node.last_forwarded_reading = reading
+            self.last_forwarded[origin] = reading
             self._route(t_us, ch, origin, reading, delta)
         else:
             self.world.log.dropped_filtered += 1
@@ -349,30 +379,29 @@ class MleachProtocol:
                 world.log.dropped_dead += 1
                 return
             if v == world.bs_id:
-                world.deliver_data(t_us, origin, reading, delta)
+                world.deliver_data(t_us, origin, delta)
                 return
 
     def _orphan_flush(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
-        node = self.nodes[i]
-        if not world.ledger.alive[i] or not node.pending:
+        todo = self.pending[i]
+        if not world.ledger.alive[i] or not todo:
             return
-        todo = node.pending
-        node.pending = []
+        self.pending[i] = []
         if world.dist[i, world.bs_id] > cfg.radio_range_rr_m:
             world.log.dropped_unreachable += len(todo)
             return
         for idx, reading in enumerate(todo):
-            delta = abs(reading - node.last_forwarded_reading)
+            delta = abs(reading - self.last_forwarded[i])
             if delta <= cfg.filter_threshold:
                 world.log.dropped_filtered += 1
                 continue
-            node.last_forwarded_reading = reading
+            self.last_forwarded[i] = reading
             if not world.unicast(i, world.bs_id, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += len(todo) - idx
                 return
-            world.deliver_data(t_us, i, reading, delta)
+            world.deliver_data(t_us, i, delta)
 
     def _round_finish(self, t_us: int) -> None:
         ctx = self.ctx
@@ -380,11 +409,10 @@ class MleachProtocol:
             return
         world = self.world
         for ch in ctx.routes:
-            node = self.nodes[ch]
-            if not world.ledger.alive[ch] or not node.pending:
+            todo = self.pending[ch]
+            if not world.ledger.alive[ch] or not todo:
                 continue
-            todo = node.pending
-            node.pending = []
+            self.pending[ch] = []
             for reading in todo:
                 self._head_accept(t_us, ch, ch, reading)
         if world.strict:

@@ -3,66 +3,16 @@
 Each node walks toward a uniformly drawn target at a uniformly drawn speed,
 pauses on arrival, then draws the next leg. Overshoot clamps to the target,
 so positions never leave the field. Dead nodes stop moving.
+
+State is held in arrays indexed by node id (``target``, ``speed`` and
+``pause``, the seconds of pause left), and all nodes step at once. A leg
+is three draws, (x, y, speed), and a step draws its arrivals' legs in id
+order: the stream is consumed as a node-by-node walk would consume it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(slots=True)
-class WaypointState:
-    target: tuple[float, float]
-    speed: float
-    pause_remaining_s: float = 0.0
-
-
-def draw_leg(
-    stream: np.random.Generator,
-    width: float,
-    height: float,
-    speed_min: float,
-    speed_max: float,
-) -> tuple[tuple[float, float], float]:
-    """One (target, speed) pair from the mobility stream."""
-    tx = stream.random() * width
-    ty = stream.random() * height
-    speed = speed_min + stream.random() * (speed_max - speed_min)
-    return (tx, ty), speed
-
-
-def step_waypoint(
-    pos: tuple[float, float],
-    wp: WaypointState,
-    stream: np.random.Generator,
-    width: float,
-    height: float,
-    speed_min: float,
-    speed_max: float,
-    pause_s: float,
-) -> tuple[float, float]:
-    """Advance one node by one second, mutating wp. Returns the new position.
-
-    Arrival during a step clamps to the target (no leftover motion), starts
-    the pause, and immediately draws the next leg so stream consumption
-    stays in a fixed order.
-    """
-    if wp.pause_remaining_s > 0.0:
-        wp.pause_remaining_s = max(0.0, wp.pause_remaining_s - 1.0)
-        return pos
-    dx = wp.target[0] - pos[0]
-    dy = wp.target[1] - pos[1]
-    remaining = math.sqrt(dx * dx + dy * dy)
-    if wp.speed >= remaining:
-        arrived = wp.target
-        wp.pause_remaining_s = pause_s
-        wp.target, wp.speed = draw_leg(stream, width, height, speed_min, speed_max)
-        return arrived
-    scale = wp.speed / remaining
-    return (pos[0] + dx * scale, pos[1] + dy * scale)
 
 
 class MobilityField:
@@ -85,25 +35,37 @@ class MobilityField:
         self.speed_min = speed_min
         self.speed_max = speed_max
         self.pause_s = pause_s
-        self.waypoints = []
-        for _ in range(len(positions)):
-            target, speed = draw_leg(stream, width, height, speed_min, speed_max)
-            self.waypoints.append(WaypointState(target, speed))
+        n = len(positions)
+        self.target = np.empty((n, 2))
+        self.speed = np.empty(n)
+        self.pause = np.zeros(n)
+        self._draw_legs(np.arange(n))
+
+    def _draw_legs(self, ids: np.ndarray) -> None:
+        """A new (target, speed) for each of ids, ascending."""
+        u = self.stream.random((len(ids), 3))
+        self.target[ids, 0] = u[:, 0] * self.width
+        self.target[ids, 1] = u[:, 1] * self.height
+        self.speed[ids] = self.speed_min + u[:, 2] * (self.speed_max - self.speed_min)
 
     def step(self, alive: np.ndarray) -> None:
-        for i in range(len(self.waypoints)):
-            if not alive[i]:
-                continue
-            pos = (self.positions[i, 0], self.positions[i, 1])
-            new = step_waypoint(
-                pos,
-                self.waypoints[i],
-                self.stream,
-                self.width,
-                self.height,
-                self.speed_min,
-                self.speed_max,
-                self.pause_s,
-            )
-            self.positions[i, 0] = new[0]
-            self.positions[i, 1] = new[1]
+        """Advance every live node by one second.
+
+        A node that reaches its target lands on it exactly, starts its
+        pause and draws its next leg; a pausing node stays put.
+        """
+        pause = self.pause
+        waiting = alive & (pause > 0.0)
+        pause[waiting] = np.maximum(0.0, pause[waiting] - 1.0)
+        movers = np.flatnonzero(alive & ~waiting)
+        pos = self.positions
+        d = self.target[movers] - pos[movers]
+        remaining = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1])
+        speed = self.speed[movers]
+        arrive = speed >= remaining
+        walk = ~arrive
+        pos[movers[walk]] += d[walk] * (speed[walk] / remaining[walk])[:, None]
+        arrived = movers[arrive]
+        pos[arrived] = self.target[arrived]
+        pause[arrived] = self.pause_s
+        self._draw_legs(arrived)

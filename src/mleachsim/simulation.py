@@ -22,7 +22,6 @@ from .config import SimConfig, validate_config
 from .engine import US, EventKind, EventQueue, RandomStreams
 from .metrics import MetricsLog
 from .mobility import MobilityField
-from .model import place_nodes
 from .radio import EnergyLedger, RadioModel
 from .traffic import OnOffTraffic
 
@@ -87,9 +86,10 @@ class World:
         self.queue = EventQueue()
         self.radio = RadioModel(cfg.e_elec_j_per_bit, cfg.eps_amp_j_per_bit_m2)
 
-        sensor_pos = place_nodes(
-            n, cfg.field_width_m, cfg.field_height_m, self.streams.get("placement")
-        )
+        # sensors uniformly and independently inside the field, the sink last
+        sensor_pos = self.streams.get("placement").random((n, 2))
+        sensor_pos[:, 0] *= cfg.field_width_m
+        sensor_pos[:, 1] *= cfg.field_height_m
         self.positions = np.vstack([sensor_pos, np.asarray([cfg.bs_position])])
         self.mobility = MobilityField(
             self.positions[:n],
@@ -111,7 +111,6 @@ class World:
             cfg.bs_mac_collapse_k,
             self.streams.get("channel") if cfg.bs_mac_capacity_bps > 0 else None,
         )
-        self.bs_trace: list[tuple[int, float, float | None]] = []
 
     # -- shared helpers ------------------------------------------------------
 
@@ -161,12 +160,15 @@ class World:
             return True
         return alive.item(v) and ledger.charge(v, radio.e_elec_j_per_bit * bits, t_us)
 
-    def deliver_data(self, t_us: int, origin: int, reading: float, delta: float | None) -> None:
-        """A data frame reached the sink's radio; the channel has final say."""
+    def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
+        """A data frame reached the sink's radio; the channel has final say.
+
+        delta is the change a filter let through (None: no filter).
+        """
+        if self.strict and delta is not None and delta <= self.cfg.filter_threshold:
+            raise InvariantViolation(f"filtered-size change from node {origin} reached the sink")
         if self.channel.admit(t_us, self.cfg.packet_size_bits):
             self.log.record_bs_rx(t_us / US)
-            if self.strict:
-                self.bs_trace.append((origin, reading, delta))
         else:
             self.log.dropped_congested += 1
 
@@ -201,7 +203,6 @@ class World:
             elif kind == EventKind.SIM_END:
                 protocol.finish(t_us)
                 ledger = self.ledger
-                self.log.per_node_consumed = ledger.node_consumed()
                 died = ledger.death_time_us[~ledger.alive]
                 if len(died):
                     # a numpy scalar; summary.csv writes its repr, as the pins expect
@@ -249,11 +250,6 @@ class World:
         drift = ledger.conservation_drift()
         if drift > 1e-9:
             raise InvariantViolation(f"energy ledger drift {drift} J exceeds 1e-9 J")
-        for origin, reading, delta in self.bs_trace:
-            if delta is not None and delta <= self.cfg.filter_threshold:
-                raise InvariantViolation(
-                    f"filtered-size change from node {origin} reached the sink"
-                )
 
 
 def run_simulation(cfg: SimConfig, protocol: str, strict: bool = False) -> MetricsLog:

@@ -19,13 +19,13 @@ from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import RandomStreams
 from mleachsim.metrics import MetricsLog
 from mleachsim.mleach import (
+    ChGraph,
     MleachProtocol,
     build_ch_graph,
     ch_threshold,
     run_election,
     shortest_route,
 )
-from mleachsim.model import ChGraph, NodeState
 from mleachsim.radio import RadioModel
 from mleachsim.simulation import World, run_simulation
 from mleachsim import kernels
@@ -122,20 +122,20 @@ def test_criterion_5_election_thresholds_and_fairness():
     assert ch_threshold(0.05, 7, False) == 0.0
 
     n, p, epoch = 128, 0.05, 20
-    nodes = [NodeState(i) for i in range(n)]
+    exclusion = np.zeros(n, dtype=np.int64)
     alive = np.arange(n)
     stream = RandomStreams(99).get("election")
     terms = np.zeros((FAIRNESS_EPOCHS, n), dtype=int)
     for r in range(FAIRNESS_EPOCHS * epoch):
         if r % epoch == epoch - 1:
-            eligible_at_final = {i for i in range(n) if nodes[i].in_g}
+            eligible_at_final = set(np.flatnonzero(exclusion == 0).tolist())
         else:
             eligible_at_final = None
-        elected = run_election(nodes, alive, r, p, 19, epoch, stream)
+        elected = run_election(exclusion, alive, r, p, 19, epoch, stream)
         for i in elected:
             terms[r // epoch, i] += 1
         if eligible_at_final is not None:
-            assert eligible_at_final <= elected  # threshold 1.0 sweeps the G set
+            assert eligible_at_final <= set(elected.tolist())  # threshold 1.0 sweeps the G set
     assert terms.max() == 1  # nobody heads twice within one epoch
 
 

@@ -1,10 +1,13 @@
 import csv
 import math
+import statistics
+from dataclasses import replace
 
 import pytest
 
 from mleachsim.cli import main
 from mleachsim.config import serialize_config
+from mleachsim.simulation import run_simulation
 
 from conftest import small_config
 
@@ -120,6 +123,24 @@ def test_repeat_builds_seed_directories_and_batch_summary(config_file, tmp_path,
     assert "== seed 40" in printed
     assert "== seed 41" in printed
     assert "batch_summary.csv" in printed
+
+
+def test_repeat_with_deaths_averages_first_death(tmp_path):
+    # a budget that runs out: first_death_s is a numpy scalar in every run
+    cfg = small_config(initial_energy_j=0.5, sim_duration_s=4)
+    path = tmp_path / "drain.cfg"
+    path.write_text(serialize_config(cfg))
+    out = tmp_path / "batch"
+    assert main(["--config", str(path), "--out", str(out), "--repeat", "2"]) == 0
+    rows = read_rows(out / "batch_summary.csv")
+    means = {(r[0], r[1]): float(r[2]) for r in rows[1:]}
+    for proto in ("mleach", "dsdv"):
+        deaths = [
+            run_simulation(replace(cfg, rng_seed=cfg.rng_seed + k), proto).first_death_s
+            for k in range(2)
+        ]
+        assert min(deaths) > 0.0
+        assert means[(proto, "first_death_s")] == statistics.fmean(deaths)
 
 
 def test_out_default_comes_from_environment(config_file, tmp_path, monkeypatch):

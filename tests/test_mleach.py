@@ -5,6 +5,7 @@ import pytest
 
 from mleachsim.engine import EventKind, RandomStreams
 from mleachsim.mleach import (
+    ChGraph,
     MleachProtocol,
     RoundContext,
     build_ch_graph,
@@ -13,7 +14,6 @@ from mleachsim.mleach import (
     run_election,
     shortest_route,
 )
-from mleachsim.model import ChGraph, NodeState
 from mleachsim.simulation import InvariantViolation
 
 
@@ -21,8 +21,8 @@ class ConstStream:
     def __init__(self, v: float) -> None:
         self.v = v
 
-    def random(self) -> float:
-        return self.v
+    def random(self, size=None):
+        return self.v if size is None else np.full(size, self.v)
 
 
 # -- election threshold ------------------------------------------------------
@@ -60,19 +60,19 @@ def test_threshold_rejects_bad_arguments():
 # -- election rounds -----------------------------------------------------------
 
 
-def fresh_nodes(n):
-    return [NodeState(i) for i in range(n)]
+def fresh_exclusion(n):
+    return np.zeros(n, dtype=np.int64)
 
 
 def test_every_node_heads_exactly_once_per_epoch():
     n, p, epochs = 64, 0.05, 10
-    nodes = fresh_nodes(n)
+    exclusion = fresh_exclusion(n)
     alive = np.arange(n)
     stream = RandomStreams(42).get("election")
     terms = np.zeros((epochs, n), dtype=int)
     for r in range(epochs * 20):
-        elected = run_election(nodes, alive, r, p, 19, 20, stream)
-        assert elected  # never a headless round
+        elected = run_election(exclusion, alive, r, p, 19, 20, stream)
+        assert len(elected)  # never a headless round
         for i in elected:
             terms[r // 20, i] += 1
     assert (terms == 1).all()
@@ -80,10 +80,10 @@ def test_every_node_heads_exactly_once_per_epoch():
 
 def test_election_deterministic_for_a_seed():
     def one_run():
-        nodes = fresh_nodes(32)
+        exclusion = fresh_exclusion(32)
         stream = RandomStreams(7).get("election")
         return [
-            sorted(run_election(nodes, np.arange(32), r, 0.1, 9, 10, stream))
+            run_election(exclusion, np.arange(32), r, 0.1, 9, 10, stream).tolist()
             for r in range(40)
         ]
 
@@ -91,43 +91,41 @@ def test_election_deterministic_for_a_seed():
 
 
 def test_elected_node_sits_out_rest_of_epoch():
-    nodes = fresh_nodes(3)
+    exclusion = fresh_exclusion(3)
     alive = np.arange(3)
-    nodes[1].exclusion_remaining = 19  # as if it won the round-3 election
+    exclusion[1] = 19  # as if it won the round-3 election
     for r in range(4, 20):
-        assert not nodes[1].in_g
-        elected = run_election(nodes, alive, r, 0.05, 19, 20, ConstStream(0.99))
+        assert exclusion[1] != 0  # not eligible
+        elected = run_election(exclusion, alive, r, 0.05, 19, 20, ConstStream(0.99))
         assert 1 not in elected
     # epoch boundary clears the exclusion even if the counter has not run out
-    run_election(nodes, alive, 20, 0.05, 19, 20, ConstStream(0.99))
-    assert nodes[1].exclusion_remaining == 0
-    elected = run_election(nodes, alive, 21, 0.05, 19, 20, ConstStream(0.0))
+    run_election(exclusion, alive, 20, 0.05, 19, 20, ConstStream(0.99))
+    assert exclusion[1] == 0
+    elected = run_election(exclusion, alive, 21, 0.05, 19, 20, ConstStream(0.0))
     assert 1 in elected
 
 
 def test_no_winner_falls_back_to_smallest_eligible():
-    nodes = fresh_nodes(5)
-    elected = run_election(nodes, np.arange(5), 1, 0.05, 19, 20, ConstStream(0.99))
-    assert elected == {0}
-    assert nodes[0].exclusion_remaining == 19
+    exclusion = fresh_exclusion(5)
+    elected = run_election(exclusion, np.arange(5), 1, 0.05, 19, 20, ConstStream(0.99))
+    assert elected.tolist() == [0]
+    assert exclusion[0] == 19
 
 
 def test_fallback_when_nobody_is_eligible():
-    nodes = fresh_nodes(4)
-    for node in nodes:
-        node.exclusion_remaining = 5
-    elected = run_election(nodes, np.arange(4), 1, 0.05, 19, 20, ConstStream(0.99))
-    assert elected == {0}
+    exclusion = np.full(4, 5, dtype=np.int64)
+    elected = run_election(exclusion, np.arange(4), 1, 0.05, 19, 20, ConstStream(0.99))
+    assert elected.tolist() == [0]
 
 
 def test_winners_get_full_exclusion_and_losers_decay():
-    nodes = fresh_nodes(6)
-    nodes[4].exclusion_remaining = 3
-    elected = run_election(nodes, np.arange(6), 1, 0.05, 19, 20, ConstStream(0.0))
+    exclusion = fresh_exclusion(6)
+    exclusion[4] = 3
+    elected = run_election(exclusion, np.arange(6), 1, 0.05, 19, 20, ConstStream(0.0))
     # every eligible node drew below threshold; node 4 was excluded
-    assert elected == {0, 1, 2, 3, 5}
-    assert all(nodes[i].exclusion_remaining == 19 for i in elected)
-    assert nodes[4].exclusion_remaining == 2
+    assert elected.tolist() == [0, 1, 2, 3, 5]
+    assert all(exclusion[i] == 19 for i in elected)
+    assert exclusion[4] == 2
 
 
 # -- head graph and routing ----------------------------------------------------
@@ -299,9 +297,9 @@ def relay_world(world_factory, **overrides):
 
 def test_slot_drains_all_pending_readings(world_factory):
     world, proto = relay_world(world_factory)
-    proto.nodes[1].pending = [1.0, 2.0, 3.0]
+    proto.pending[1] = [1.0, 2.0, 3.0]
     proto._slot(0, 1, 0)
-    assert proto.nodes[1].pending == []
+    assert proto.pending[1] == []
     assert world.log.delivered == 3
     assert world.log.bs_buckets[0] == 3
     tx = world.radio.tx_energy(4096, 50.0)
@@ -322,7 +320,7 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     world, proto = relay_world(world_factory)
     tx = world.radio.tx_energy(4096, 50.0)
     world.ledger.energy[1] = 1.5 * tx
-    proto.nodes[1].pending = [1.0, 2.0, 3.0]
+    proto.pending[1] = [1.0, 2.0, 3.0]
     proto._slot(0, 1, 0)
     assert world.log.delivered == 1
     assert world.log.dropped_dead == 2
@@ -333,34 +331,34 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
 def test_dead_member_slot_sends_nothing(world_factory):
     world, proto = relay_world(world_factory)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)
-    proto.nodes[1].pending = [1.0]
+    proto.pending[1] = [1.0]
     spent = world.ledger.consumed.copy()
     proto._slot(0, 1, 0)
     assert np.array_equal(world.ledger.consumed, spent)
     assert world.log.delivered == world.log.dropped_dead == 0
     # the queue is left for finish, which counts it as lost with the node
-    assert proto.nodes[1].pending == [1.0]
+    assert proto.pending[1] == [1.0]
     proto.finish(world.cfg.sim_us)
     assert world.log.dropped_dead == 1
 
 
 def test_filter_drops_small_changes(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    proto.nodes[1].last_forwarded_reading = 10.0
+    proto.last_forwarded[1] = 10.0
     proto._head_accept(0, 0, 1, 10.0)
     assert world.log.dropped_filtered == 1
     assert world.log.delivered == 0
     proto._head_accept(0, 0, 1, 10.5)  # change equal to the threshold: dropped
     assert world.log.dropped_filtered == 2
-    assert proto.nodes[1].last_forwarded_reading == 10.0
+    assert proto.last_forwarded[1] == 10.0
 
 
 def test_filter_forwards_big_changes_and_advances(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    proto.nodes[1].last_forwarded_reading = 10.0
+    proto.last_forwarded[1] = 10.0
     proto._head_accept(0, 0, 1, 11.0)
     assert world.log.delivered == 1
-    assert proto.nodes[1].last_forwarded_reading == 11.0
+    assert proto.last_forwarded[1] == 11.0
 
 
 def test_filter_always_forwards_first_reading(world_factory):
@@ -404,11 +402,11 @@ def test_multi_hop_route_charges_every_relay(world_factory):
 def test_orphan_flush_filters_then_sends(world_factory):
     world = world_factory([(500.0, 600.0)], filter_threshold=0.1)
     proto = MleachProtocol(world)
-    proto.nodes[0].pending = [5.0, 5.05, 6.0]
+    proto.pending[0] = [5.0, 5.05, 6.0]
     proto._orphan_flush(0, 0)
     assert world.log.delivered == 2
     assert world.log.dropped_filtered == 1
-    assert proto.nodes[0].pending == []
+    assert proto.pending[0] == []
     assert math.isclose(
         world.ledger.consumed[0], 2 * world.radio.tx_energy(4096, 100.0), rel_tol=1e-12
     )
@@ -417,7 +415,7 @@ def test_orphan_flush_filters_then_sends(world_factory):
 def test_orphan_out_of_sink_range_drops_unreachable(world_factory):
     world = world_factory([(0.0, 600.0)], radio_range_rr_m=500.0)
     proto = MleachProtocol(world)
-    proto.nodes[0].pending = [1.0, 2.0]
+    proto.pending[0] = [1.0, 2.0]
     proto._orphan_flush(0, 0)
     assert world.log.dropped_unreachable == 2
     assert world.ledger.consumed[0] == 0.0
@@ -427,11 +425,11 @@ def test_dead_orphan_flush_sends_nothing(world_factory):
     world = world_factory([(500.0, 600.0)])
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     proto = MleachProtocol(world)
-    proto.nodes[0].pending = [1.0]
+    proto.pending[0] = [1.0]
     spent = world.ledger.total_consumed()
     proto._orphan_flush(0, 0)
     assert world.ledger.total_consumed() == spent
-    assert proto.nodes[0].pending == [1.0]
+    assert proto.pending[0] == [1.0]
     assert world.log.delivered == world.log.dropped_dead == 0
 
 
@@ -446,9 +444,9 @@ def test_check_round_rejects_a_node_in_two_clusters():
 
 def test_round_finish_flushes_head_backlog(world_factory):
     world, proto = relay_world(world_factory)
-    proto.nodes[0].pending = [3.0, 3.05]
+    proto.pending[0] = [3.0, 3.05]
     proto._round_finish(100)
-    assert proto.nodes[0].pending == []
+    assert proto.pending[0] == []
     assert world.log.delivered == 1  # second reading fails the change filter
     assert world.log.dropped_filtered == 1
 
@@ -457,8 +455,8 @@ def test_full_round_single_member_delivers_one_packet(world_factory):
     # one head, one member, one queued reading: exactly one frame reaches the sink
     world = world_factory([(500.0, 600.0), (450.0, 600.0)], p_ch_fraction=0.5)
     proto = MleachProtocol(world)
-    proto.nodes[0].pending = [7.0]
-    proto.nodes[1].pending = [8.0]
+    proto.pending[0] = [7.0]
+    proto.pending[1] = [8.0]
     proto._round_start(0, 0)
     assert len(proto.ctx.cluster_heads) >= 1
     while len(world.queue):
@@ -476,3 +474,16 @@ def test_round_start_with_everyone_dead_is_a_noop(world_factory):
     assert world.log.alive_series == [(0, 0)]
     assert world.log.ch_count_series == [(0, 0)]
     assert len(world.queue) == 0
+
+
+def test_round_starts_are_queued_one_at_a_time(world_factory):
+    world = world_factory(
+        [(0.0, 0.0), (50.0, 0.0)], round_duration_s=1e-3, sim_duration_s=1
+    )
+    proto = MleachProtocol(world)
+    proto.start()
+    assert len(world.queue) == 1  # not one per round: 1,000
+    assert world.queue.pop() == (0, EventKind.ROUND_START, 0)
+    world.run(proto)  # starts the protocol again
+    # every round still ran, in order, and none was queued past the horizon
+    assert [r for r, _ in world.log.alive_series] == list(range(1000))

@@ -4,40 +4,51 @@ import numpy as np
 import pytest
 
 from mleachsim.engine import RandomStreams
-from mleachsim.mobility import MobilityField, WaypointState, step_waypoint
+from mleachsim.mobility import MobilityField
+
+ALIVE = np.ones(1, dtype=bool)
 
 
-def fixed_stream():
-    return np.random.default_rng(11)
+def one_node(pos, target, speed, pause_left=0.0, size=100, speeds=(1, 5), pause_s=0.0):
+    """A one-node field on a fixed stream, its current leg set by hand."""
+    stream = np.random.default_rng(11)
+    field = MobilityField(np.array([pos], dtype=float), stream, size, size, *speeds, pause_s)
+    field.target[0] = target
+    field.speed[0] = speed
+    field.pause[0] = pause_left
+    return field
+
+
+def at(field):
+    return tuple(field.positions[0].tolist())
 
 
 def test_step_moves_along_segment():
-    wp = WaypointState(target=(10.0, 0.0), speed=4.0)
-    new = step_waypoint((0.0, 0.0), wp, fixed_stream(), 100, 100, 1, 5, 0.0)
-    assert new == (4.0, 0.0)
-    assert wp.target == (10.0, 0.0)  # leg not finished, target untouched
+    field = one_node((0.0, 0.0), (10.0, 0.0), 4.0)
+    field.step(ALIVE)
+    assert at(field) == (4.0, 0.0)
+    assert tuple(field.target[0]) == (10.0, 0.0)  # leg not finished, target untouched
 
 
 def test_overshoot_clamps_to_target_and_redraws():
-    wp = WaypointState(target=(3.0, 4.0), speed=50.0)
-    new = step_waypoint((0.0, 0.0), wp, fixed_stream(), 100, 100, 1, 5, 2.0)
-    assert new == (3.0, 4.0)
-    assert wp.pause_remaining_s == 2.0
-    assert wp.target != (3.0, 4.0)
-    assert 1.0 <= wp.speed <= 5.0
+    field = one_node((0.0, 0.0), (3.0, 4.0), 50.0, pause_s=2.0)
+    field.step(ALIVE)
+    assert at(field) == (3.0, 4.0)
+    assert field.pause[0] == 2.0
+    assert tuple(field.target[0]) != (3.0, 4.0)
+    assert 1.0 <= field.speed[0] <= 5.0
 
 
 def test_pause_holds_position_then_resumes():
-    wp = WaypointState(target=(10.0, 0.0), speed=2.0, pause_remaining_s=1.5)
-    stream = fixed_stream()
-    p1 = step_waypoint((5.0, 5.0), wp, stream, 100, 100, 1, 5, 0.0)
-    assert p1 == (5.0, 5.0)
-    assert wp.pause_remaining_s == 0.5
-    p2 = step_waypoint(p1, wp, stream, 100, 100, 1, 5, 0.0)
-    assert p2 == (5.0, 5.0)
-    assert wp.pause_remaining_s == 0.0
-    p3 = step_waypoint(p2, wp, stream, 100, 100, 1, 5, 0.0)
-    assert p3 != (5.0, 5.0)
+    field = one_node((5.0, 5.0), (10.0, 0.0), 2.0, pause_left=1.5)
+    field.step(ALIVE)
+    assert at(field) == (5.0, 5.0)
+    assert field.pause[0] == 0.5
+    field.step(ALIVE)
+    assert at(field) == (5.0, 5.0)
+    assert field.pause[0] == 0.0
+    field.step(ALIVE)
+    assert at(field) != (5.0, 5.0)
 
 
 def make_field(n=32, width=400.0, height=300.0, seed=7, pause=1.0):
@@ -64,7 +75,7 @@ def test_step_never_exceeds_speed():
     alive = np.ones(32, dtype=bool)
     for _ in range(200):
         before = field.positions.copy()
-        speeds = np.array([wp.speed for wp in field.waypoints])
+        speeds = field.speed.copy()
         field.step(alive)
         moved = np.hypot(*(field.positions - before).T)
         assert (moved <= speeds + 1e-9).all()
@@ -111,10 +122,11 @@ def test_long_run_mean_displacement_reasonable():
 
 
 def test_zero_pause_redraw_keeps_walking():
-    wp = WaypointState(target=(1.0, 0.0), speed=5.0)
-    stream = fixed_stream()
-    p = step_waypoint((0.0, 0.0), wp, stream, 50, 50, 2, 2, 0.0)
+    field = one_node((0.0, 0.0), (1.0, 0.0), 5.0, size=50, speeds=(2, 2))
+    field.step(ALIVE)
+    p = at(field)
     assert p == (1.0, 0.0)
-    assert wp.pause_remaining_s == 0.0
-    p2 = step_waypoint(p, wp, stream, 50, 50, 2, 2, 0.0)
+    assert field.pause[0] == 0.0
+    field.step(ALIVE)
+    p2 = at(field)
     assert 0.0 < math.dist(p, p2) <= 2.0 + 1e-12

@@ -213,23 +213,25 @@ def test_channel_below_capacity_is_mostly_clean():
 def test_finish_counts_queued_readings_by_liveness():
     world = make_world([(0.0, 0.0), (100.0, 0.0)])
     proto = MleachProtocol(world)
-    proto.nodes[0].pending = [1.0, 2.0, 3.0]
-    proto.nodes[1].pending = [4.0]
+    proto.pending[0] = [1.0, 2.0, 3.0]
+    proto.pending[1] = [4.0]
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     assert world.log.dropped_dead == 0  # a death alone counts nothing
     proto.finish(world.cfg.sim_us)
     assert world.log.dropped_dead == 3
     assert world.log.dropped_unreachable == 1
-    assert all(not node.pending for node in proto.nodes)
+    assert not any(proto.pending)
 
 
 def test_strict_trace_catches_filter_leaks():
     world = make_world([(0.0, 0.0)])
     world.strict = True
-    world.log.generated = 1
-    world.deliver_data(0, 0, 5.0, 0.05)  # change below the threshold leaked out
     with pytest.raises(InvariantViolation, match="filter"):
-        world._check_final()
+        world.deliver_data(0, 0, 0.05)  # change below the threshold leaked out
+    assert world.log.delivered == 0  # raised on arrival, before the sink counts it
+    world.deliver_data(0, 0, 0.5)  # a change past the threshold, and an unfiltered frame
+    world.deliver_data(0, 0, None)
+    assert world.log.delivered == 2
 
 
 def test_strict_final_checks_packet_books():

@@ -12,9 +12,9 @@ import math
 import os
 import statistics
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
-from .config import ConfigError, SimConfig, load_config, validate_config
+from .config import ConfigError, load_config, validate_config
 from .metrics import SUMMARY_FIELDS, MetricsLog
 from .simulation import run_simulation
 

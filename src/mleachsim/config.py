@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
 
 class ConfigError(ValueError):
     """Raised with every violated constraint, one message per line."""
@@ -73,6 +71,10 @@ class SimConfig:
     @property
     def round_us(self) -> int:
         return round(self.round_duration_s * 1_000_000)
+
+    @property
+    def dsdv_interval_us(self) -> int:
+        return round(self.dsdv_update_interval_s * 1_000_000)
 
     @property
     def sim_us(self) -> int:
@@ -197,12 +199,11 @@ def validate_config(cfg: SimConfig) -> SimConfig:
     if cfg.traffic_on_s == 0 and cfg.traffic_off_s == 0:
         e.append("traffic_on_s and traffic_off_s cannot both be zero")
     if cfg.round_duration_s > 0:
-        round_us = round(cfg.round_duration_s * 1_000_000)
-        if round_us <= 0:
+        if cfg.round_us <= 0:
             e.append("round_duration_s too small to represent in microseconds")
-        elif cfg.sim_duration_s > 0 and (cfg.sim_duration_s * 1_000_000) % round_us != 0:
+        elif cfg.sim_duration_s > 0 and cfg.sim_us % cfg.round_us != 0:
             e.append("sim_duration_s must be an integer multiple of round_duration_s")
-    if cfg.dsdv_update_interval_s > 0 and round(cfg.dsdv_update_interval_s * 1_000_000) <= 0:
+    if cfg.dsdv_update_interval_s > 0 and cfg.dsdv_interval_us <= 0:
         e.append("dsdv_update_interval_s too small to represent in microseconds")
     if not 0 <= cfg.rng_seed < 2**64:
         e.append("rng_seed must fit in 64 bits")

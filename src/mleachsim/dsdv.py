@@ -37,7 +37,7 @@ class DsdvProtocol:
         self.sink_hop = self.next_hop[:, world.bs_id]
         self.own_seq = np.zeros(n, dtype=np.int64)
         self.bs_seq = 0
-        self.interval_us = int(round(world.cfg.dsdv_update_interval_s * US))
+        self.interval_us = world.cfg.dsdv_interval_us
 
     # -- scheduling ----------------------------------------------------------
 
@@ -56,9 +56,9 @@ class DsdvProtocol:
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
         stream = self.world.streams.get("dsdv")
-        for reading in readings:
+        for _ in readings:
             offset = int(stream.random() * US)
-            self.world.queue.schedule(t_us + offset, EventKind.DATA_SEND, (i, reading))
+            self.world.queue.schedule(t_us + offset, EventKind.DATA_SEND, i)
 
     def handle(self, kind: EventKind, t_us: int, payload) -> None:
         if kind == EventKind.BS_ROUTE_DUMP:
@@ -66,7 +66,7 @@ class DsdvProtocol:
         elif kind == EventKind.ROUTE_DUMP:
             self._node_dump(t_us, *payload)
         elif kind == EventKind.DATA_SEND:
-            self._send(t_us, *payload)
+            self._send(t_us, payload)
 
     def finish(self, t_us: int) -> None:
         pass
@@ -112,7 +112,7 @@ class DsdvProtocol:
 
     # -- data plane ----------------------------------------------------------
 
-    def _send(self, t_us: int, i: int, reading: float) -> None:
+    def _send(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
         bs = world.bs_id

@@ -8,6 +8,10 @@ their slot; heads flush their own readings when the round closes. Orphans
 (no head within the cluster radius) send straight to the base station when
 it is in radio range.
 
+The head graph is a plain adjacency dict, vertex -> [(neighbor, distance
+in meters), ...] ascending by neighbor id, with an edge between any two
+vertices within radio range.
+
 The protocol owns its per-node state, indexed by node id: ``exclusion``
 (rounds left out of elections), ``last_forwarded`` (the change filter's
 last forwarded reading) and ``pending`` (queued readings). Who heads, joins
@@ -26,21 +30,18 @@ from .engine import EventKind
 from .simulation import InvariantViolation
 
 
-def ch_threshold(p: float, r: int, in_g: bool) -> float:
-    """Election probability for round r.
+def ch_threshold(p: float, r: int) -> float:
+    """Election probability for round r of an eligible node.
 
     Rises over an epoch of ceil(1/p) rounds as the eligible set shrinks,
     reaching 1.0 in the final round so every remaining eligible node is
-    elected. Nodes outside the eligible set get 0. The raw formula can
-    exceed 1 by a few ulps at the epoch's last round, so the result is
-    clamped into (0, 1].
+    elected. The raw formula can exceed 1 by a few ulps at the epoch's last
+    round, so the result is clamped into (0, 1].
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
     if r < 0:
         raise ValueError("round index must not be negative")
-    if not in_g:
-        return 0.0
     epoch = math.ceil(1.0 / p)
     return min(1.0, p / (1.0 - p * (r % epoch)))
 
@@ -65,7 +66,7 @@ def run_election(
         exclusion[alive_ids] = 0
     excluded = exclusion[alive_ids]
     eligible = alive_ids[excluded == 0]
-    elected = eligible[stream.random(len(eligible)) < ch_threshold(p, r, True)]
+    elected = eligible[stream.random(len(eligible)) < ch_threshold(p, r)]
     if len(elected) == 0:
         elected = (eligible if len(eligible) else alive_ids)[:1]
     exclusion[alive_ids] = np.maximum(excluded - 1, 0)
@@ -73,51 +74,25 @@ def run_election(
     return elected
 
 
-class ChGraph:
-    """Undirected graph over alive cluster heads plus the base station.
+def build_ch_graph(
+    dist: np.ndarray, chs: list[int], bs_id: int, rr: float
+) -> dict[int, list[tuple[int, float]]]:
+    """Adjacency over the given heads plus the base station; edges within rr.
 
-    Edges connect vertices within radio range; weights are distances in
-    meters. Adjacency lists are kept sorted by neighbor id so traversal
-    order is deterministic.
+    Maps each vertex to its (neighbor, distance in meters) pairs, ascending
+    by neighbor id so traversal order is deterministic.
     """
-
-    def __init__(self, vertices: list[int]) -> None:
-        self.vertices = sorted(vertices)
-        self.adj: dict[int, list[tuple[int, float]]] = {v: [] for v in self.vertices}
-
-    def add_edge(self, u: int, v: int, w: float) -> None:
-        if u == v:
-            raise ValueError("self-loops not allowed")
-        self.adj[u].append((v, w))
-        self.adj[v].append((u, w))
-
-    def sort_adjacency(self) -> None:
-        for lst in self.adj.values():
-            lst.sort()
-
-    def edges(self) -> list[tuple[int, int, float]]:
-        out = []
-        for u in self.vertices:
-            for v, w in self.adj[u]:
-                if u < v:
-                    out.append((u, v, w))
-        return out
+    verts = sorted([*chs, bs_id])
+    rows = dist[np.ix_(verts, verts)].tolist()
+    return {
+        u: [(v, w) for v, w in zip(verts, row) if v != u and w <= rr]
+        for u, row in zip(verts, rows)
+    }
 
 
-def build_ch_graph(dist: np.ndarray, chs: list[int], bs_id: int, rr: float) -> ChGraph:
-    """Graph over the given heads plus the base station; edges within rr."""
-    graph = ChGraph(list(chs) + [bs_id])
-    verts = graph.vertices
-    for a in range(len(verts)):
-        for b in range(a + 1, len(verts)):
-            w = float(dist[verts[a], verts[b]])
-            if w <= rr:
-                graph.add_edge(verts[a], verts[b], w)
-    graph.sort_adjacency()
-    return graph
-
-
-def shortest_route(graph: ChGraph, src: int, bs_id: int) -> list[int] | None:
+def shortest_route(
+    graph: dict[int, list[tuple[int, float]]], src: int, bs_id: int
+) -> list[int] | None:
     """Minimum-weight path src -> base station, or None if unreachable.
 
     Ties break on fewer hops, then on the lexicographically smallest vertex
@@ -125,7 +100,7 @@ def shortest_route(graph: ChGraph, src: int, bs_id: int) -> list[int] | None:
     settled path per vertex is minimal under that order, and extending a
     path never reorders prefixes, so the first pop of the target is optimal.
     """
-    if src not in graph.adj:
+    if src not in graph:
         return None
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
     done: set[int] = set()
@@ -137,7 +112,7 @@ def shortest_route(graph: ChGraph, src: int, bs_id: int) -> list[int] | None:
         done.add(v)
         if v == bs_id:
             return list(path)
-        for nbr, w in graph.adj[v]:
+        for nbr, w in graph[v]:
             if nbr not in done:
                 heapq.heappush(heap, (cost + w, hops + 1, path + (nbr,)))
     return None
@@ -149,12 +124,12 @@ class RoundContext:
     cluster_heads: list[int] = field(default_factory=list)
     clusters: dict[int, list[int]] = field(default_factory=dict)
     tdma: dict[int, int] = field(default_factory=dict)
-    ch_graph: ChGraph | None = None
+    ch_graph: dict[int, list[tuple[int, float]]] = field(default_factory=dict)
     routes: dict[int, list[int] | None] = field(default_factory=dict)
 
 
 def check_round(ctx: RoundContext, rr: float) -> None:
-    """Per-round structure: disjoint clusters, one unique slot per member."""
+    """Per-round structure: disjoint clusters, unique slots, graph edges within rr."""
     seen: set[int] = set()
     for ch, members in ctx.clusters.items():
         slots = [ctx.tdma[i] for i in members if i in ctx.tdma]
@@ -164,8 +139,8 @@ def check_round(ctx: RoundContext, rr: float) -> None:
             if i in seen:
                 raise InvariantViolation(f"node {i} assigned to two clusters")
             seen.add(i)
-    if ctx.ch_graph is not None:
-        for u, v, w in ctx.ch_graph.edges():
+    for u, nbrs in ctx.ch_graph.items():
+        for v, w in nbrs:
             if w > rr:
                 raise InvariantViolation(f"head graph edge {u}-{v} exceeds radio range")
 
@@ -241,14 +216,7 @@ class MleachProtocol:
             world.streams.get("election"),
         )
 
-        # formation hellos; a head that cannot pay the broadcast is silent
-        heard_from = [
-            ch
-            for ch in elected.tolist()
-            if world.broadcast(ch, cfg.hello_bits, cfg.cluster_radius_rc_m, t_us) is not None
-        ]
-        chs = [ch for ch in heard_from if ledger.alive[ch]]
-        ctx.cluster_heads = chs
+        ctx.cluster_heads = chs = self._hello(elected.tolist(), cfg.cluster_radius_rc_m, t_us)
 
         orphans = self._assign_members(ctx, chs)
         stranded = self._build_tdma(ctx, t_us)
@@ -267,6 +235,17 @@ class MleachProtocol:
 
         world.log.alive_series.append((r, int(np.count_nonzero(ledger.alive))))
         world.log.ch_count_series.append((r, len(ctx.cluster_heads)))
+
+    def _hello(self, heads: list[int], radius: float, t_us: int) -> list[int]:
+        """Every head broadcasts a hello; returns those still alive after all of them.
+
+        A head that cannot pay its broadcast is silent, and a later head's
+        hello can drain an earlier one, so liveness is read only at the end.
+        """
+        world = self.world
+        bits = self.cfg.hello_bits
+        heard = [ch for ch in heads if world.broadcast(ch, bits, radius, t_us) is not None]
+        return [ch for ch in heard if world.ledger.alive[ch]]
 
     def _assign_members(self, ctx: RoundContext, chs: list[int]) -> list[int]:
         """Join every alive non-head to its nearest head within the cluster radius.
@@ -325,14 +304,9 @@ class MleachProtocol:
 
     def _build_graph_and_routes(self, ctx: RoundContext, t_us: int) -> None:
         world = self.world
-        cfg = self.cfg
-        verts = [
-            ch
-            for ch in ctx.cluster_heads
-            if world.broadcast(ch, cfg.hello_bits, cfg.radio_range_rr_m, t_us) is not None
-        ]
-        verts = [ch for ch in verts if world.ledger.alive[ch]]
-        ctx.ch_graph = build_ch_graph(world.dist, verts, world.bs_id, cfg.radio_range_rr_m)
+        rr = self.cfg.radio_range_rr_m
+        verts = self._hello(ctx.cluster_heads, rr, t_us)
+        ctx.ch_graph = build_ch_graph(world.dist, verts, world.bs_id, rr)
         for ch in verts:
             ctx.routes[ch] = shortest_route(ctx.ch_graph, ch, world.bs_id)
 
@@ -358,19 +332,24 @@ class MleachProtocol:
             else:
                 world.log.dropped_dead += 1
 
-    def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
-        """Change filter: forward only readings that moved beyond the threshold."""
+    def _change(self, origin: int, reading: float) -> float | None:
+        """Change filter: the change to forward, or None (counted as filtered)."""
         delta = abs(reading - self.last_forwarded[origin])
         if delta > self.cfg.filter_threshold:
             self.last_forwarded[origin] = reading
-            self._route(t_us, ch, origin, reading, delta)
-        else:
-            self.world.log.dropped_filtered += 1
+            return delta
+        self.world.log.dropped_filtered += 1
+        return None
 
-    def _route(self, t_us: int, ch: int, origin: int, reading: float, delta: float) -> None:
+    def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
+        delta = self._change(origin, reading)
+        if delta is not None:
+            self._route(t_us, ch, origin, delta)
+
+    def _route(self, t_us: int, ch: int, origin: int, delta: float) -> None:
         world = self.world
         cfg = self.cfg
-        path = self.ctx.routes.get(ch) if self.ctx else None
+        path = self.ctx.routes.get(ch)
         if path is None:
             world.log.dropped_unreachable += 1
             return
@@ -393,11 +372,9 @@ class MleachProtocol:
             world.log.dropped_unreachable += len(todo)
             return
         for idx, reading in enumerate(todo):
-            delta = abs(reading - self.last_forwarded[i])
-            if delta <= cfg.filter_threshold:
-                world.log.dropped_filtered += 1
+            delta = self._change(i, reading)
+            if delta is None:
                 continue
-            self.last_forwarded[i] = reading
             if not world.unicast(i, world.bs_id, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += len(todo) - idx
                 return
@@ -405,8 +382,6 @@ class MleachProtocol:
 
     def _round_finish(self, t_us: int) -> None:
         ctx = self.ctx
-        if ctx is None:
-            return
         world = self.world
         for ch in ctx.routes:
             todo = self.pending[ch]

@@ -52,9 +52,8 @@ class EnergyLedger:
     lets conservation be checked rather than assumed.
     """
 
-    def __init__(self, node_count: int, initial_j: float) -> None:
-        self.initial_j = initial_j
-        self.energy = np.full(node_count, float(initial_j))
+    def __init__(self, node_count: int, initial_energy_j: float) -> None:
+        self.energy = np.full(node_count, float(initial_energy_j))
         self.consumed = np.zeros(node_count)
         self.consumed_comp = np.zeros(node_count)
         self.alive = np.ones(node_count, dtype=bool)

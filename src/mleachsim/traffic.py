@@ -33,7 +33,6 @@ class OnOffTraffic:
         if rate_pps <= 0:
             raise ValueError("rate_pps must be positive")
         self.on_s = on_s
-        self.off_s = off_s
         self.cycle_s = on_s + off_s
         self.rate_pps = rate_pps
         tag = zlib.crc32(b"traffic")

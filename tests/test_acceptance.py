@@ -19,7 +19,6 @@ from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import RandomStreams
 from mleachsim.metrics import MetricsLog
 from mleachsim.mleach import (
-    ChGraph,
     MleachProtocol,
     build_ch_graph,
     ch_threshold,
@@ -115,11 +114,19 @@ def test_criterion_4_radio_reference_values():
         assert abs(got - want) / want <= RADIO_REL_TOL
 
 
+class ZeroDraws:
+    def random(self, size):
+        return np.zeros(size)
+
+
 def test_criterion_5_election_thresholds_and_fairness():
-    assert ch_threshold(0.05, 0, True) == 0.05
-    assert ch_threshold(0.05, 10, True) == 0.10
-    assert ch_threshold(0.05, 19, True) == 1.0
-    assert ch_threshold(0.05, 7, False) == 0.0
+    assert ch_threshold(0.05, 0) == 0.05
+    assert ch_threshold(0.05, 10) == 0.10
+    assert ch_threshold(0.05, 19) == 1.0
+    # a node still excluded is not elected, even when every draw is 0.0
+    exclusion = np.array([0, 0, 5, 0], dtype=np.int64)
+    elected = run_election(exclusion, np.arange(4), 7, 0.05, 19, 20, ZeroDraws())
+    assert elected.tolist() == [0, 1, 3]
 
     n, p, epoch = 128, 0.05, 20
     exclusion = np.zeros(n, dtype=np.int64)
@@ -149,7 +156,7 @@ def brute_force_cost(graph, src, bs):
         if v == bs:
             best[0] = cost
             return
-        for n, w in graph.adj[v]:
+        for n, w in graph[v]:
             if n not in visited:
                 visited.add(n)
                 dfs(n, cost + w)
@@ -176,7 +183,7 @@ def test_criterion_6_routing_matches_exhaustive_search():
                 agreements += got is None
                 continue
             cost = sum(
-                next(w for n, w in graph.adj[u] if n == v)
+                next(w for n, w in graph[u] if n == v)
                 for u, v in zip(got, got[1:])
             )
             agreements += cost == want
@@ -184,13 +191,13 @@ def test_criterion_6_routing_matches_exhaustive_search():
     assert agreements == checks  # 100% agreement
 
     # reference configuration: relaying via 2 is half the cost of relaying via 1
-    fig = ChGraph([1, 2, 3, 4, 9])
-    fig.add_edge(4, 1, 2.0)
-    fig.add_edge(1, 9, 2.5)
-    fig.add_edge(4, 2, 1.0)
-    fig.add_edge(2, 9, 1.5)
-    fig.add_edge(3, 9, 1.0)
-    fig.sort_adjacency()
+    fig = {
+        1: [(4, 2.0), (9, 2.5)],
+        2: [(4, 1.0), (9, 1.5)],
+        3: [(9, 1.0)],
+        4: [(1, 2.0), (2, 1.0)],
+        9: [(1, 2.5), (2, 1.5), (3, 1.0)],
+    }
     assert shortest_route(fig, 4, 9) == [4, 2, 9]
 
 

@@ -15,7 +15,7 @@ from mleachsim.mleach import build_ch_graph, shortest_route
 
 def enumerate_paths(graph, src, bs):
     """Every simple src->bs path as (cost, hops, path), costs summed in path order."""
-    if src not in graph.adj:
+    if src not in graph:
         return []
     out = []
     path = [src]
@@ -25,7 +25,7 @@ def enumerate_paths(graph, src, bs):
         if v == bs:
             out.append((cost, len(path) - 1, tuple(path)))
             return
-        for n, w in graph.adj[v]:
+        for n, w in graph[v]:
             if n not in visited:
                 visited.add(n)
                 path.append(n)
@@ -62,7 +62,7 @@ def check_graph(graph, k):
             assert got == list(path)
             got_cost = 0.0
             for u, v in zip(got, got[1:]):
-                got_cost += next(w for n, w in graph.adj[u] if n == v)
+                got_cost += next(w for n, w in graph[u] if n == v)
             assert got_cost == cost
         checked += 1
     return checked

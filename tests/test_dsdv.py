@@ -90,7 +90,7 @@ def test_send_walks_next_hops_to_the_sink(world_factory):
     proto._node_dump(1, 1, 0)
     base0 = float(world.ledger.consumed[0])
     base1 = float(world.ledger.consumed[1])
-    proto._send(0, 0, 3.5)
+    proto._send(0, 0)
     assert world.log.delivered == 1
     hop1 = world.radio.tx_energy(4096, 400.0)
     hop2 = world.radio.rx_energy(4096) + world.radio.tx_energy(4096, 100.0)
@@ -101,7 +101,7 @@ def test_send_walks_next_hops_to_the_sink(world_factory):
 def test_send_without_route_drops_unreachable(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
-    proto._send(0, 0, 1.0)
+    proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
     assert world.ledger.consumed[0] == 0.0
 
@@ -110,7 +110,7 @@ def test_send_from_dead_node_counts_dropped_dead(world_factory):
     world = world_factory([(500.0, 600.0)])
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     proto = DsdvProtocol(world)
-    proto._send(0, 0, 1.0)
+    proto._send(0, 0)
     assert world.log.dropped_dead == 1
 
 
@@ -122,14 +122,14 @@ def test_broken_next_hop_invalidates_route(world_factory):
     proto._node_dump(1, 1, 0)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)  # relay dies
     assert proto.key[0, bs] == route_key(2, 2)
-    proto._send(0, 0, 2.0)
+    proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
     assert world.log.delivered == 0
     # the next (odd) sequence with no metric; the next hop is left as it was
     assert proto.key[0, bs] == route_key(3, NO_ROUTE)
     assert proto.next_hop[0, bs] == 1
     # an odd (invalidated) sequence refuses further sends without new info
-    proto._send(0, 0, 2.5)
+    proto._send(0, 0)
     assert world.log.dropped_unreachable == 2
 
 
@@ -144,7 +144,7 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     from mleachsim import kernels
 
     world.dist = kernels.pairwise_distances(world.positions)
-    proto._send(0, 0, 2.0)
+    proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
     assert proto.key[0, bs] == route_key(3, NO_ROUTE)
 
@@ -157,7 +157,7 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     proto.key[0, bs] = route_key(3, NO_ROUTE)  # locally invalidated
     proto._bs_dump(0)  # newer even sequence wins over the odd local mark
     assert proto.key[0, bs] == route_key(4, 1)
-    proto._send(0, 0, 9.0)
+    proto._send(0, 0)
     assert world.log.delivered == 1
 
 
@@ -169,7 +169,9 @@ def test_readings_become_jittered_send_events(world_factory):
     for t_us, kind, payload in sorted(fired):
         assert kind == EventKind.DATA_SEND
         assert 3_000_000 <= t_us < 4_000_000
-    assert {p[1] for _, _, p in fired} == {1.0, 2.0}
+    # one send per reading, each carrying only the origin's id
+    assert [p for _, _, p in fired] == [0, 0]
+    assert len(world.queue) == 0
 
 
 def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):

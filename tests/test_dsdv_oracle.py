@@ -145,7 +145,7 @@ def replay(cfg):
         elif kind == EventKind.ROUTE_DUMP:
             oracle.node_dump(payload[0], alive, heard[0] if heard else None)
         else:
-            oracle.send(payload[0], alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
+            oracle.send(payload, alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
             assert sent == []
         assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 

@@ -1,0 +1,39 @@
+"""Every name a package module imports is used in that module.
+
+No linter ships with the project's dependencies, so this walks each module's
+syntax tree: an imported name that never appears as a name or as the root of
+an attribute access is reported.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mleachsim"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    return [f"line {line}: {name}" for line, name in unused]
+
+
+def test_checker_flags_an_unused_import():
+    source = "import math\nimport os\nfrom a import b, c as d\nprint(os.sep, d)\n"
+    assert unused_imports(source) == ["line 1: math", "line 3: b"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_uses_every_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -5,7 +5,6 @@ import pytest
 
 from mleachsim.engine import EventKind, RandomStreams
 from mleachsim.mleach import (
-    ChGraph,
     MleachProtocol,
     RoundContext,
     build_ch_graph,
@@ -29,22 +28,17 @@ class ConstStream:
 
 
 def test_threshold_reference_values():
-    assert ch_threshold(0.05, 0, True) == 0.05
-    assert math.isclose(ch_threshold(0.05, 10, True), 0.1, rel_tol=1e-12)
-    assert ch_threshold(0.05, 19, True) == 1.0
-    assert ch_threshold(0.05, 20, True) == 0.05  # next epoch restarts the ramp
-    assert ch_threshold(0.5, 1, True) == 1.0
-
-
-def test_threshold_zero_outside_eligible_set():
-    for r in range(25):
-        assert ch_threshold(0.05, r, False) == 0.0
+    assert ch_threshold(0.05, 0) == 0.05
+    assert math.isclose(ch_threshold(0.05, 10), 0.1, rel_tol=1e-12)
+    assert ch_threshold(0.05, 19) == 1.0
+    assert ch_threshold(0.05, 20) == 0.05  # next epoch restarts the ramp
+    assert ch_threshold(0.5, 1) == 1.0
 
 
 def test_threshold_monotone_within_epoch_and_capped():
     prev = 0.0
     for r in range(20):
-        t = ch_threshold(0.05, r, True)
+        t = ch_threshold(0.05, r)
         assert prev < t <= 1.0
         prev = t
 
@@ -52,9 +46,9 @@ def test_threshold_monotone_within_epoch_and_capped():
 def test_threshold_rejects_bad_arguments():
     for p in (0.0, 1.0, -0.1, 1.5):
         with pytest.raises(ValueError):
-            ch_threshold(p, 0, True)
+            ch_threshold(p, 0)
     with pytest.raises(ValueError):
-        ch_threshold(0.05, -1, True)
+        ch_threshold(0.05, -1)
 
 
 # -- election rounds -----------------------------------------------------------
@@ -132,11 +126,11 @@ def test_winners_get_full_exclusion_and_losers_decay():
 
 
 def graph_from_edges(vertices, edges):
-    g = ChGraph(vertices)
+    g = {v: [] for v in vertices}
     for u, v, w in edges:
-        g.add_edge(u, v, w)
-    g.sort_adjacency()
-    return g
+        g[u].append((v, w))
+        g[v].append((u, w))
+    return {v: sorted(nbrs) for v, nbrs in g.items()}
 
 
 def test_route_prefers_cheap_relay_over_long_direct():
@@ -179,15 +173,36 @@ def test_route_source_is_sink():
 def test_build_ch_graph_respects_radio_range(world_factory):
     world = world_factory([(0.0, 600.0), (600.0, 600.0), (2000.0, 600.0)])
     g = build_ch_graph(world.dist, [0, 1, 2], world.bs_id, 900.0)
-    assert g.vertices == [0, 1, 2, 3]
-    assert {(u, v) for u, v, _ in g.edges()} == {(0, 1), (0, 3), (1, 3)}
-    w = dict(((u, v), w) for u, v, w in g.edges())
-    assert w[(0, 1)] == 600.0
-    assert w[(1, 3)] == 0.0
+    assert list(g) == [0, 1, 2, 3]
+    # both directions of every edge, each list ascending by neighbor id
+    assert g == {
+        0: [(1, 600.0), (3, 600.0)],
+        1: [(0, 600.0), (3, 0.0)],
+        2: [],
+        3: [(0, 600.0), (1, 0.0)],
+    }
     # isolated head has no path out
     assert shortest_route(g, 2, world.bs_id) is None
     # equal-cost alternatives: direct one-hop wins over relay via head 1
     assert shortest_route(g, 0, world.bs_id) == [0, 3]
+
+
+def test_hello_liveness_is_read_after_every_head_has_spoken(world_factory):
+    # head 0 can pay its own hello but not the receipt of head 1's: alive
+    # right after its broadcast, dead once both heads have spoken
+    world = world_factory([(500.0, 600.0), (450.0, 600.0)])
+    cfg = world.cfg
+    bits = cfg.hello_bits
+    world.ledger.energy[0] = (
+        world.radio.tx_energy(bits, cfg.radio_range_rr_m) + world.radio.rx_energy(bits) / 2
+    )
+    proto = MleachProtocol(world)
+    ctx = RoundContext(0)
+    ctx.cluster_heads = [0, 1]
+    proto._build_graph_and_routes(ctx, 0)
+    assert list(ctx.routes) == [1]
+    assert not world.ledger.alive[0]
+    assert 0 not in ctx.ch_graph
 
 
 # -- cluster formation -----------------------------------------------------------

@@ -129,7 +129,7 @@ def scalar_election(exclusion, alive_ids, r, p, exclusion_rounds, epoch_rounds, 
             exclusion[i] = 0
     elected = []
     for i in alive_ids:
-        if exclusion[i] == 0 and stream.random() < ch_threshold(p, r, True):
+        if exclusion[i] == 0 and stream.random() < ch_threshold(p, r):
             elected.append(i)
     fallback = not elected
     if fallback:

@@ -32,9 +32,10 @@ class DsdvProtocol:
         self.next_hop = np.full((n, dests), -1, dtype=np.int32)
         np.fill_diagonal(self.key, route_key(0, 0))
         np.fill_diagonal(self.next_hop, np.arange(n))
-        # the data plane only reads routes to the sink
-        self.sink_key = self.key[:, world.bs_id]
-        self.sink_hop = self.next_hop[:, world.bs_id]
+        # the data plane only reads routes to the sink, one cell at a time:
+        # memoryviews over the sink columns, aliasing key and next_hop
+        self.sink_key = memoryview(self.key[:, world.bs_id])
+        self.sink_hop = memoryview(self.next_hop[:, world.bs_id])
         self.own_seq = np.zeros(n, dtype=np.int64)
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
@@ -55,10 +56,11 @@ class DsdvProtocol:
                 world.queue.schedule(jitter, EventKind.ROUTE_DUMP, (i, 0))
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
-        stream = self.world.streams.get("dsdv")
-        for _ in readings:
-            offset = int(stream.random() * US)
-            self.world.queue.schedule(t_us + offset, EventKind.DATA_SEND, i)
+        # one draw call per batch: PCG64 yields the same doubles as a draw per reading
+        offsets = self.world.streams.get("dsdv").random(len(readings)).tolist()
+        schedule = self.world.queue.schedule
+        for u in offsets:
+            schedule(t_us + int(u * US), EventKind.DATA_SEND, i)
 
     def handle(self, kind: EventKind, t_us: int, payload) -> None:
         if kind == EventKind.BS_ROUTE_DUMP:
@@ -90,7 +92,7 @@ class DsdvProtocol:
     def _node_dump(self, t_us: int, i: int, interval: int) -> None:
         world = self.world
         cfg = self.cfg
-        if not world.ledger.alive[i]:
+        if not world.ledger.alive_mv[i]:
             return
         self.own_seq[i] += 2
         row = self.key[i]
@@ -116,8 +118,8 @@ class DsdvProtocol:
         world = self.world
         cfg = self.cfg
         bs = world.bs_id
-        alive = world.ledger.alive
-        if not alive.item(i):
+        alive = world.ledger.alive_mv
+        if not alive[i]:
             world.log.dropped_dead += 1
             return
         sink_key = self.sink_key
@@ -126,16 +128,16 @@ class DsdvProtocol:
         cur = i
         hops = 0
         while True:
-            key = sink_key.item(cur)
+            key = sink_key[cur]
             if key & ROUTE_BITS != LIVE:
                 world.log.dropped_unreachable += 1
                 return
-            nh = sink_hop.item(cur)
+            nh = sink_hop[cur]
             hops += 1
             if nh < 0 or hops > cfg.node_count + 1:
                 world.log.dropped_unreachable += 1
                 return
-            if dist.item(cur, nh) > cfg.radio_range_rr_m or (nh != bs and not alive.item(nh)):
+            if dist.item(cur, nh) > cfg.radio_range_rr_m or (nh != bs and not alive[nh]):
                 # stale route: invalidate locally with the next odd sequence, packet is lost
                 sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
                 world.log.dropped_unreachable += 1

@@ -39,6 +39,10 @@ class EventKind(IntEnum):
     SIM_END = 10
 
 
+# kind value -> member, so a pop looks its kind up rather than building it
+_KINDS = tuple(EventKind)
+
+
 class EventQueue:
     """Min-heap of (time_us, kind, seq) with opaque payloads."""
 
@@ -61,7 +65,7 @@ class EventQueue:
     def pop(self) -> tuple[int, EventKind, Any]:
         fire_at_us, kind, _, payload = heapq.heappop(self._heap)
         self.now_us = fire_at_us
-        return fire_at_us, EventKind(kind), payload
+        return fire_at_us, _KINDS[kind], payload
 
 
 class RandomStreams:

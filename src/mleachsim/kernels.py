@@ -42,13 +42,15 @@ def charge_uniform(
     comp: np.ndarray,
     ids: np.ndarray,
     amount: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Charge the same amount to every listed node, clamping at zero.
 
     ids must be sorted and refer to nodes that are still alive. Returns
-    (ok, died): ok[i] tells whether node ids[i] could pay in full (its
-    action succeeds), died lists ids that hit zero energy, in id order.
-    A node that pays exactly its residual succeeds and then dies.
+    (ok, died, burned): ok[i] tells whether node ids[i] could pay in full
+    (its action succeeds), died lists ids that hit zero energy, in id
+    order, and burned holds the residuals that the nodes which could not
+    pay in full gave up, in id order. A node that pays exactly its
+    residual succeeds and then dies.
 
     Per-node consumed totals use Neumaier compensation (comp holds the
     low-order bits) so subtotal drift stays at ulp scale over millions of
@@ -63,15 +65,22 @@ def charge_uniform(
         consumed[idx] = t
 
     e = energy[ids]
+    if len(e) and e.min() > amount:
+        # the common case: everyone pays in full and, as e - amount > 0 for
+        # e > amount, nobody reaches zero; no partial payers, no death scan
+        energy[ids] = e - amount
+        add_compensated(ids, amount)
+        return np.ones(len(ids), dtype=bool), ids[:0], e[:0]
     ok = e >= amount
     full = ids[ok]
     energy[full] -= amount
     add_compensated(full, amount)
     part = ids[~ok]
-    add_compensated(part, energy[part])
+    burned = energy[part]
+    add_compensated(part, burned)
     energy[part] = 0.0
     died = ids[energy[ids] == 0.0]
-    return ok, died
+    return ok, died, burned
 
 
 def route_key(seq, metric):

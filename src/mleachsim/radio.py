@@ -58,6 +58,10 @@ class EnergyLedger:
         self.consumed_comp = np.zeros(node_count)
         self.alive = np.ones(node_count, dtype=bool)
         self.death_time_us = np.full(node_count, -1, dtype=np.int64)
+        self._energy_mv = memoryview(self.energy)
+        self._consumed_mv = memoryview(self.consumed)
+        self._comp_mv = memoryview(self.consumed_comp)
+        self.alive_mv = memoryview(self.alive)
         self._total = 0.0
         self._total_comp = 0.0
 
@@ -68,9 +72,9 @@ class EnergyLedger:
         self._total = t
 
     def _mark_dead(self, i: int, now_us: int) -> None:
-        if not self.alive[i]:
+        if not self.alive_mv[i]:
             return
-        self.alive[i] = False
+        self.alive_mv[i] = False
         self.death_time_us[i] = now_us
 
     def consume(self, i: int, j: float, now_us: int) -> bool:
@@ -82,21 +86,22 @@ class EnergyLedger:
     def charge(self, i: int, j: float, now_us: int) -> bool:
         """consume without the sign check, for charges priced from checked constants.
 
-        Works on Python floats: the clamp, then the node's Neumaier step,
-        then the total's Kahan step, each the same IEEE operations as on
-        numpy scalars, so the results are identical bit for bit.
+        Works on Python floats read and written through the views: the
+        clamp, then the node's Neumaier step, then the total's Kahan step,
+        each the same IEEE operations as on numpy scalars, so the results
+        are identical bit for bit.
         """
-        energy = self.energy
-        e = energy.item(i)
+        energy = self._energy_mv
+        e = energy[i]
         ok = e >= j
         x = j if ok else e
         e = e - j if ok else 0.0
         energy[i] = e
-        consumed = self.consumed
-        s = consumed.item(i)
+        consumed = self._consumed_mv
+        s = consumed[i]
         t = s + x
-        comp = self.consumed_comp
-        comp[i] = comp.item(i) + ((s - t) + x if s >= x else (x - t) + s)
+        comp = self._comp_mv
+        comp[i] += (s - t) + x if s >= x else (x - t) + s
         consumed[i] = t
         self._total_add(x)
         if e == 0.0:
@@ -107,15 +112,14 @@ class EnergyLedger:
         """Charge every node in ids (sorted, alive). Returns success mask."""
         if len(ids) == 0:
             return np.zeros(0, dtype=bool)
-        residual_before = self.energy[ids].copy()
-        ok, died = kernels.charge_uniform(
+        ok, died, burned = kernels.charge_uniform(
             self.energy, self.consumed, self.consumed_comp, ids, amount
         )
         self._total_add(amount * int(np.count_nonzero(ok)))
-        if not ok.all():
-            self._total_add(math.fsum(residual_before[~ok]))
-        for i in died:
-            self._mark_dead(int(i), now_us)
+        if len(burned):
+            self._total_add(math.fsum(burned.tolist()))
+        for i in died.tolist():
+            self._mark_dead(i, now_us)
         return ok
 
     def node_consumed(self) -> np.ndarray:

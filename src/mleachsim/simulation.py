@@ -133,7 +133,7 @@ class World:
         """
         ledger = self.ledger
         if src != self.bs_id and not (
-            ledger.alive[src] and ledger.consume(src, self.radio.tx_energy(bits, radius), t_us)
+            ledger.alive_mv[src] and ledger.consume(src, self.radio.tx_energy(bits, radius), t_us)
         ):
             return None
         listeners = self.alive_in_range(src, radius)
@@ -146,8 +146,8 @@ class World:
         A dead node neither sends nor receives, and pays nothing.
         """
         ledger = self.ledger
-        alive = ledger.alive
-        if not alive.item(u):
+        alive = ledger.alive_mv
+        if not alive[u]:
             return False
         # RadioModel's tx and rx formulas, in the same operation order; the
         # constants were validated positive, so the argument checks are skipped
@@ -158,7 +158,7 @@ class World:
             return False
         if v == self.bs_id:
             return True
-        return alive.item(v) and ledger.charge(v, radio.e_elec_j_per_bit * bits, t_us)
+        return alive[v] and ledger.charge(v, radio.e_elec_j_per_bit * bits, t_us)
 
     def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say.
@@ -195,11 +195,11 @@ class World:
                 self.mobility.step(self.ledger.alive)
                 self.dist = kernels.pairwise_distances(self.positions)
             elif kind == EventKind.TRAFFIC_GEN:
-                for i in np.nonzero(self.ledger.alive)[0]:
-                    readings = self.traffic.generate(int(i), payload)
+                for i in np.flatnonzero(self.ledger.alive).tolist():
+                    readings = self.traffic.generate(i, payload)
                     if readings:
                         self.log.generated += len(readings)
-                        protocol.on_readings(int(i), readings, t_us)
+                        protocol.on_readings(i, readings, t_us)
             elif kind == EventKind.SIM_END:
                 protocol.finish(t_us)
                 ledger = self.ledger
@@ -224,9 +224,9 @@ class World:
             cur = i
             visited = {cur}
             while True:
-                if sink_key.item(cur) & kernels.ROUTE_BITS != kernels.LIVE:
+                if sink_key[cur] & kernels.ROUTE_BITS != kernels.LIVE:
                     break
-                nh = sink_hop.item(cur)
+                nh = sink_hop[cur]
                 if nh < 0 or nh == bs:
                     break
                 if nh in visited:

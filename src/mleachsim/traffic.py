@@ -8,7 +8,11 @@ seed, never on what any protocol or any other node did. Phase starts are
 staggered per node by a uniform offset in one full On+Off cycle.
 
 Readings follow a bounded-step random walk: each new value is the previous
-plus a uniform step in [-1, 1] sensor units, starting from 0.
+plus a uniform step in [-1, 1] sensor units, starting from 0. A call to
+generate draws all of its steps from the node's substream in one call;
+PCG64 yields the same doubles, in the same order, as one draw per reading,
+so the stream is used exactly as a per-reading draw would use it. The walk
+itself runs on Python floats, the same IEEE operations as on numpy scalars.
 """
 
 from __future__ import annotations
@@ -51,12 +55,13 @@ class OnOffTraffic:
         """Readings node i emits over [t_s, t_s + 1). Phase judged at t_s."""
         if not self.is_on(i, t_s):
             return []
-        self.acc[i] += self.rate_pps
-        n = math.floor(self.acc[i])
-        self.acc[i] -= n
-        gen = self._gen[i]
+        acc = self.acc.item(i) + self.rate_pps
+        n = math.floor(acc)
+        self.acc[i] = acc - n
+        value = self.reading.item(i)
         out = []
-        for _ in range(n):
-            self.reading[i] += gen.random() * 2.0 - 1.0
-            out.append(float(self.reading[i]))
+        for u in self._gen[i].random(n).tolist():
+            value += u * 2.0 - 1.0
+            out.append(value)
+        self.reading[i] = value
         return out

@@ -3,7 +3,7 @@ import math
 import numpy as np
 
 from mleachsim.dsdv import DsdvProtocol
-from mleachsim.engine import EventKind
+from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.kernels import NO_ROUTE, route_key
 from mleachsim.simulation import run_simulation
 
@@ -172,6 +172,21 @@ def test_readings_become_jittered_send_events(world_factory):
     # one send per reading, each carrying only the origin's id
     assert [p for _, _, p in fired] == [0, 0]
     assert len(world.queue) == 0
+
+
+def test_send_offsets_are_the_draws_of_a_per_reading_loop(world_factory):
+    world = world_factory([(500.0, 600.0), (700.0, 600.0)])
+    proto = DsdvProtocol(world)
+    twin = RandomStreams(world.cfg.rng_seed).get("dsdv")
+    sent = []
+    world.queue.schedule = lambda t_us, kind, payload: sent.append((t_us, kind, payload))
+    want = []
+    for i, count, t_us in ((0, 5, 3_000_000), (1, 1, 3_000_000), (0, 3, 4_000_000)):
+        proto.on_readings(i, [0.5] * count, t_us)
+        for _ in range(count):
+            want.append((t_us + int(twin.random() * US), EventKind.DATA_SEND, i))
+    assert sent == want
+    assert world.streams.get("dsdv").bit_generator.state == twin.bit_generator.state
 
 
 def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):

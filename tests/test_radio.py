@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mleachsim.radio import EnergyLedger, RadioModel
 
+from conftest import make_world
+
 RADIO = RadioModel()
 
 
@@ -144,3 +146,75 @@ def test_dead_nodes_keep_zero_energy_under_more_charges():
     assert not ok.any()
     assert (led.energy == 0.0).all()
     assert math.isclose(led.total_consumed(), 1.0)
+
+
+# -- scalar views and the batched path share one state -----------------------
+
+BITS = 4096
+
+
+def test_node_killed_by_charge_many_is_dead_to_charge_and_unicast():
+    world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+    ledger = world.ledger
+    rx = world.radio.rx_energy(BITS)
+    ledger.energy[1] = rx / 2
+    assert ledger.charge_many(np.array([1, 2]), rx, now_us=7).tolist() == [False, True]
+    assert ledger.energy[1] == 0.0 and not ledger.alive[1]
+    consumed = ledger.consumed.copy()
+    # the scalar path reads the zero that the batched path wrote
+    assert not ledger.charge(1, rx, now_us=8)
+    assert not world.unicast(1, 2, BITS, 8)
+    assert not world.unicast(0, 1, BITS, 8)
+    assert ledger.consumed[1] == consumed[1]
+    assert ledger.consumed[2] == consumed[2]
+    assert ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)
+    assert ledger.death_time_us.tolist() == [-1, 7, -1]
+
+
+def test_node_killed_by_charge_drops_out_of_the_next_broadcast():
+    world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
+    ledger = world.ledger
+    assert ledger.charge(2, world.cfg.initial_energy_j, now_us=4)
+    assert ledger.energy[2] == 0.0 and not ledger.alive[2]
+    assert world.alive_in_range(0, 250.0).tolist() == [1]
+    assert world.broadcast(0, BITS, 250.0, 5).tolist() == [1]
+    assert ledger.consumed[2] == world.cfg.initial_energy_j
+    assert np.array_equal(ledger.alive, ledger.energy > 0.0)
+
+
+def primed_twins(rng, n):
+    """Two ledgers with the same uneven history, charged one node at a time."""
+    a, b = EnergyLedger(n, 1.0), EnergyLedger(n, 1.0)
+    for _ in range(4 * n):
+        i, j = int(rng.integers(n)), float(rng.uniform(0.0, 0.2))
+        a.consume(i, j, now_us=0)
+        b.consume(i, j, now_us=0)
+    return a, b
+
+
+BATCHES = {
+    # name: how the batch's amount relates to the listed nodes' residuals
+    "all-pay": lambda e: float(e.min()) / 2,
+    "zero-amount": lambda e: 0.0,
+    "one-pays-exactly": lambda e: float(e.min()),
+    "mixed": lambda e: float(np.median(e)),
+}
+
+
+@pytest.mark.parametrize("batch", sorted(BATCHES))
+def test_charge_many_matches_consume_loop_bit_for_bit(batch):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        a, b = primed_twins(rng, int(rng.integers(2, 30)))
+        ids = np.flatnonzero(a.alive)
+        amount = BATCHES[batch](a.energy[ids])
+        ok_a = a.charge_many(ids, amount, now_us=11)
+        ok_b = np.array([b.consume(int(i), amount, now_us=11) for i in ids], dtype=bool)
+        assert np.array_equal(ok_a, ok_b)
+        for name in ("energy", "consumed", "consumed_comp", "alive", "death_time_us"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert math.isclose(a.total_consumed(), b.total_consumed(), rel_tol=0, abs_tol=1e-12)
+        if batch == "one-pays-exactly":
+            assert ok_a.all() and not a.alive[ids].all()
+        if batch == "mixed":
+            assert ok_a.any() and not ok_a.all()

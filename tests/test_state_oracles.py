@@ -1,6 +1,7 @@
 """Array-held node state cross-checked against scalar, node-by-node models.
 
-Mobility and the head election step every node at once on arrays. Each is
+Mobility and the head election step every node at once on arrays, and
+traffic draws all of a node's readings for one second in one call. Each is
 checked here, bit for bit, against a reference that walks the nodes one at
 a time in id order and draws one scalar at a time from its own copy of the
 same PCG64 stream:
@@ -14,7 +15,10 @@ same PCG64 stream:
   an epoch boundary clears the window of every alive node, each eligible
   node draws once against the round's threshold, a round with no winner
   promotes the smallest eligible id (or the smallest alive id if none is
-  eligible), heads get the full window and the others' windows decay.
+  eligible), heads get the full window and the others' windows decay;
+* On-Off readings: a node in its On phase adds the rate to its carried
+  remainder, emits the whole part as readings and keeps the fraction; each
+  reading is the previous one plus one draw mapped onto [-1, 1].
 
 Both models must also leave their streams in the same state, so the array
 code draws exactly as many numbers, in the same order.
@@ -27,6 +31,7 @@ import pytest
 
 from mleachsim.mleach import ch_threshold, run_election
 from mleachsim.mobility import MobilityField
+from mleachsim.traffic import OnOffTraffic
 
 
 # -- random waypoint -----------------------------------------------------------
@@ -183,3 +188,54 @@ def test_election_matches_scalar_rounds(case):
     assert r >= 2 * epoch_rounds  # the run crossed epoch boundaries
     if case == "nobody-eligible":
         assert none_eligible > 0 and fallbacks > 0
+
+
+# -- On-Off readings -------------------------------------------------------------
+
+
+def scalar_generate(traffic, i, t_s):
+    """One draw per reading, on the numpy scalars of the traffic's arrays."""
+    if not traffic.is_on(i, t_s):
+        return []
+    traffic.acc[i] += traffic.rate_pps
+    n = math.floor(traffic.acc[i])
+    traffic.acc[i] -= n
+    gen = traffic._gen[i]
+    out = []
+    for _ in range(n):
+        traffic.reading[i] += gen.random() * 2.0 - 1.0
+        out.append(float(traffic.reading[i]))
+    return out
+
+
+TRAFFIC_CASES = {
+    # name: (on_s, off_s, rate_pps)
+    "table1-like": (10.0, 5.0, 7.3),
+    "slow-fractional": (3.0, 2.0, 0.4),
+    "always-on": (60.0, 0.0, 2.5),
+    "short-cycles": (0.5, 1.5, 1.7),
+    "whole-rate": (4.0, 4.0, 3.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAFFIC_CASES))
+def test_traffic_matches_draw_per_reading(case):
+    on_s, off_s, rate = TRAFFIC_CASES[case]
+    n, seconds = 12, 90
+    traffic = OnOffTraffic(n, on_s, off_s, rate, seed=41)
+    ref = OnOffTraffic(n, on_s, off_s, rate, seed=41)
+    silent = off = 0
+    for t in range(seconds):
+        for i in range(n):
+            got = traffic.generate(i, t)
+            want = scalar_generate(ref, i, t)
+            assert got == want, f"node {i} at {t} s"
+            assert all(type(v) is float for v in got)
+            off += not ref.is_on(i, t)
+            silent += ref.is_on(i, t) and not want
+        assert np.array_equal(traffic.acc, ref.acc)
+        assert np.array_equal(traffic.reading, ref.reading)
+        for g, h in zip(traffic._gen, ref._gen):
+            assert g.bit_generator.state == h.bit_generator.state
+    assert (off > 0) == (off_s > 0)
+    assert (silent > 0) == (rate < 1.0)

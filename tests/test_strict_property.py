@@ -3,6 +3,9 @@
 Draws cover tiny energy budgets (most runs have deaths), a sink out of radio
 range, the sink channel on, high mobility and update intervals up to twice
 the horizon. Strict mode raises InvariantViolation on the first breach.
+Draws of 1-16 nodes over 2-6 s cover the corners; draws of 17-64 nodes
+over 2-12 s reach multi-hop routes, several elections per run and deaths
+late in a run, which the small draws rarely do.
 """
 
 from hypothesis import given, settings
@@ -13,8 +16,8 @@ from mleachsim.simulation import run_simulation
 
 
 @st.composite
-def small_configs(draw):
-    horizon = draw(st.integers(2, 6))
+def small_configs(draw, nodes=(1, 16), horizons=(2, 6)):
+    horizon = draw(st.integers(*horizons))
     rounds = [r for r in (0.5, 1.0, 2.0, float(horizon)) if horizon % r == 0]
     width = draw(st.floats(200.0, 3000.0))
     height = draw(st.floats(200.0, 3000.0))
@@ -31,7 +34,7 @@ def small_configs(draw):
     return SimConfig(
         field_width_m=width,
         field_height_m=height,
-        node_count=draw(st.integers(1, 16)),
+        node_count=draw(st.integers(*nodes)),
         bs_position=bs,
         initial_energy_j=draw(st.sampled_from([1e-4, 1e-3, 1e-2, 0.1, 1.0, 500.0])),
         sim_duration_s=horizon,
@@ -53,11 +56,21 @@ def small_configs(draw):
     )
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(cfg=small_configs())
-def test_strict_runs_hold_for_small_valid_configs(cfg):
+def assert_strict_runs_hold(cfg):
     cfg = validate_config(cfg)
     for protocol in ("mleach", "dsdv"):
         log = run_simulation(cfg, protocol, strict=True)
         assert log.conservation_residual() == 0
         assert log.max_consumed() <= cfg.initial_energy_j * (1.0 + 1e-9)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cfg=small_configs())
+def test_strict_runs_hold_for_small_valid_configs(cfg):
+    assert_strict_runs_hold(cfg)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(cfg=small_configs(nodes=(17, 64), horizons=(2, 12)))
+def test_strict_runs_hold_for_larger_valid_configs(cfg):
+    assert_strict_runs_hold(cfg)

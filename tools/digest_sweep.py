@@ -17,6 +17,13 @@ to keep output bytes can be checked against its parent on every draw:
     PYTHONPATH=src python3 tools/digest_sweep.py --compare before.json after.json
 
 Compare mode exits with status 1 when any digest differs or is missing.
+
+The sweep cannot reach every branch. A waypoint arrival tie, a speed equal
+to the remaining distance, needs a node standing on its target at speed 0,
+and speeds are drawn from a continuous range, so no run has one; a change
+to that comparison in ``MobilityField.step`` leaves every digest as it was.
+``tests/test_state_oracles.py`` starts nodes on their targets and is what
+guards that tie.
 """
 
 from __future__ import annotations

@@ -1,17 +1,22 @@
 """Proactive distance-vector baseline with sequence-numbered routes.
 
-Every node keeps a full routing table (all nodes plus the base station) and
-rebroadcasts it once per update interval at a jittered instant. Entries
-carry destination-issued sequence numbers: a received entry wins if its
-sequence is newer, or equal with a strictly shorter path. Broken next hops
-are marked locally with an odd sequence and the packet in flight is
-dropped. Data is forwarded hop by hop along next-hop pointers.
+Each node advertises its table once per update interval at a jittered
+instant. Entries carry destination-issued sequence numbers: a received
+entry wins if its sequence is newer, or equal with a strictly shorter
+path. Broken next hops are marked locally with an odd sequence and the
+packet in flight is dropped. Data is forwarded hop by hop to the sink.
 
-A table cell stores its (sequence, metric) pair as one packed int64 key,
-``kernels.route_key``: seq * 2**31 + (2**31 - 1 - metric). Keys order as
-(seq, -metric) pairs, so the adoption rule is one compare, adv_key > key,
-and a route is usable iff ``key & ROUTE_BITS == LIVE``. Sequences never
-fall below -1 (no route yet), which that bit test relies on.
+Only what a run can observe is kept. A node's route to the sink, the one
+destination of data, is a next hop and a packed int64 key,
+``kernels.route_key``: keys order as (seq, -metric) pairs, so adoption is
+adv > key. A route is usable iff ``key & ROUTE_BITS == LIVE``, as sequences
+never fall below -1 (no route yet). Routes to sensors show only in a dump's
+size, so a node keeps just ``known``, an int whose bit d is set iff it can
+advertise a route to sensor d. That is exact: only sink routes
+are ever invalidated, and a sensor route is adopted only from an advertised
+one, at an even sequence and a loop-free hop count far below NO_ROUTE. It
+is advertisable from the first dump that brings it on, so a dump ORs the
+sender's bits into each receiver's.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .engine import US, EventKind
-from .kernels import LIVE, NO_ROUTE, NOT_ADVERTISED, ROUTE_BITS, dsdv_merge, route_key
+from .kernels import LIVE, NO_ROUTE, ROUTE_BITS, dsdv_merge, route_key
 
 
 class DsdvProtocol:
@@ -27,16 +32,13 @@ class DsdvProtocol:
         self.world = world
         self.cfg = world.cfg
         n = world.cfg.node_count
-        dests = n + 1
-        self.key = np.full((n, dests), route_key(-1, NO_ROUTE), dtype=np.int64)
-        self.next_hop = np.full((n, dests), -1, dtype=np.int32)
-        np.fill_diagonal(self.key, route_key(0, 0))
-        np.fill_diagonal(self.next_hop, np.arange(n))
-        # the data plane only reads routes to the sink, one cell at a time:
-        # memoryviews over the sink columns, aliasing key and next_hop
-        self.sink_key = memoryview(self.key[:, world.bs_id])
-        self.sink_hop = memoryview(self.next_hop[:, world.bs_id])
-        self.own_seq = np.zeros(n, dtype=np.int64)
+        # routes to the sink, and memoryviews for the data plane's cell reads
+        self.key = np.full(n, route_key(-1, NO_ROUTE), dtype=np.int64)
+        self.next_hop = np.full(n, -1, dtype=np.int32)
+        self.sink_key = memoryview(self.key)
+        self.sink_hop = memoryview(self.next_hop)
+        # bit d of known[i]: node i can advertise a route to sensor d
+        self.known = [1 << i for i in range(n)]
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
 
@@ -83,9 +85,7 @@ class DsdvProtocol:
         survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if len(survivors) == 0:
             return
-        adv_key = np.full(cfg.node_count + 1, NOT_ADVERTISED, dtype=np.int64)
-        adv_key[world.bs_id] = route_key(self.bs_seq, 1)
-        dsdv_merge(self.key, self.next_hop, adv_key, survivors, world.bs_id)
+        dsdv_merge(self.key, self.next_hop, route_key(self.bs_seq, 1), survivors, world.bs_id)
         if world.strict:
             world.check_routes(self)
 
@@ -94,18 +94,20 @@ class DsdvProtocol:
         cfg = self.cfg
         if not world.ledger.alive_mv[i]:
             return
-        self.own_seq[i] += 2
-        row = self.key[i]
-        row[i] = route_key(self.own_seq[i], 0)
-        adv_mask = (row & ROUTE_BITS) == LIVE
-        entries = int(np.count_nonzero(adv_mask))
+        bits = self.known[i]
+        sink_key = self.sink_key[i]
+        sink_live = sink_key & ROUTE_BITS == LIVE
+        entries = bits.bit_count() + sink_live
         survivors = world.broadcast(i, entries * cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if survivors is None:
             return
         if len(survivors):
-            # one hop further via i, as the receivers would store it
-            adv_key = np.where(adv_mask, row - 1, NOT_ADVERTISED)
-            dsdv_merge(self.key, self.next_hop, adv_key, survivors, i)
+            known = self.known
+            for r in survivors.tolist():
+                known[r] |= bits
+            if sink_live:
+                # one hop further via i, as the receivers would store it
+                dsdv_merge(self.key, self.next_hop, sink_key - 1, survivors, i)
         stream = world.streams.get("dsdv")
         jitter = int(stream.random() * self.interval_us)
         next_t = (interval + 1) * self.interval_us + jitter

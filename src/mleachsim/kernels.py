@@ -3,7 +3,9 @@
 Vectorization does not change outcomes: every floating-point operation maps
 to the same IEEE-754 operation per element as a scalar loop would (multiply,
 add, subtract, correctly-rounded sqrt), so results match the scalar formulas
-bit for bit.
+bit for bit. The route merge works on DSDV's routes to the sink, the only
+destination whose (sequence, metric, next hop) a run reads: one packed key
+and one next hop per node.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ NO_ROUTE = np.int32(2**30)
 # metric < NO_ROUTE.
 ROUTE_BITS = 3 << 30
 LIVE = 1 << 30
-# advertised-table entry meaning "not advertised": below every real key
-NOT_ADVERTISED = np.iinfo(np.int64).min
 
 
 def pairwise_distances(pos: np.ndarray) -> np.ndarray:
@@ -100,29 +100,19 @@ def route_key(seq, metric):
 def dsdv_merge(
     key: np.ndarray,
     next_hop: np.ndarray,
-    adv_key: np.ndarray,
+    adv: int,
     receivers: np.ndarray,
     sender: int,
 ) -> None:
-    """Fold one advertised table into every receiver's table, in place.
+    """Fold one advertised route to the sink into every receiver's, in place.
 
-    adv_key holds the routes as the receivers would take them (metric + 1,
-    via the sender), NOT_ADVERTISED where the sender advertises nothing.
-    Adoption rule per destination: take the advertised route iff its
-    sequence number is strictly newer, or equal with a strictly shorter
-    metric; on packed keys that is adv_key > key. A receiver never adopts
-    a route to itself. Only the adopted cells (a few percent) are written,
-    through flat indices, so key and next_hop must be C-contiguous.
+    key and next_hop hold each node's route to the sink; adv is the
+    advertised route's key as the receivers would take it (metric + 1, via
+    the sender). Adoption rule: take the advertised route iff its sequence
+    number is strictly newer, or equal with a strictly shorter metric; on
+    packed keys that is adv > key, so a tie keeps the old next hop. The sink
+    never receives, so no receiver is the destination itself.
     """
-    if len(receivers) == 0:
-        return
-    dests = key.shape[1]
-    adopt = adv_key > key[receivers]
-    adopt[np.arange(len(receivers)), receivers] = False
-    cells = np.flatnonzero(adopt)
-    if len(cells) == 0:
-        return
-    rows, cols = np.divmod(cells, dests)
-    flat = receivers[rows] * dests + cols
-    key.reshape(-1)[flat] = adv_key[cols]
-    next_hop.reshape(-1)[flat] = sender
+    adopt = receivers[key[receivers] < adv]
+    key[adopt] = adv
+    next_hop[adopt] = sender

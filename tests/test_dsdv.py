@@ -4,7 +4,7 @@ import numpy as np
 
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import US, EventKind, RandomStreams
-from mleachsim.kernels import NO_ROUTE, route_key
+from mleachsim.kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
 from mleachsim.simulation import run_simulation
 
 from conftest import small_config
@@ -19,13 +19,12 @@ def relay_pair(world_factory):
 
 def test_fresh_tables_know_only_self(world_factory):
     proto = DsdvProtocol(world_factory([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)]))
+    assert proto.known == [1 << 0, 1 << 1, 1 << 2]
     for i in range(3):
-        assert proto.key[i, i] == route_key(0, 0)
-        assert proto.next_hop[i, i] == i
-        for d in {0, 1, 2, 3} - {i}:
-            assert proto.key[i, d] == route_key(-1, NO_ROUTE)
-            assert proto.next_hop[i, d] == -1
-    # the data plane's sink-column views alias the tables
+        assert proto.key[i] == route_key(-1, NO_ROUTE)
+        assert proto.next_hop[i] == -1
+    assert proto.key.shape == proto.next_hop.shape == (3,)
+    # the data plane's views alias the sink-route arrays
     assert np.shares_memory(proto.sink_key, proto.key)
     assert np.shares_memory(proto.sink_hop, proto.next_hop)
 
@@ -39,10 +38,13 @@ def test_bs_dump_installs_one_hop_routes(world_factory):
     proto._bs_dump(0)
     bs = world.bs_id
     for i in (0, 1):
-        assert proto.key[i, bs] == route_key(2, 1)
-        assert proto.next_hop[i, bs] == bs
+        assert proto.key[i] == route_key(2, 1)
+        assert proto.next_hop[i] == bs
         assert world.ledger.consumed[i] == world.radio.rx_energy(64)
-    assert proto.key[2, bs] == route_key(-1, NO_ROUTE)
+    assert proto.key[2] == route_key(-1, NO_ROUTE)
+    assert proto.next_hop[2] == -1
+    # the sink advertises only itself: no sensor routes are learned
+    assert proto.known == [1 << 0, 1 << 1, 1 << 2]
     assert world.ledger.consumed[2] == 0.0
 
 
@@ -52,7 +54,13 @@ def test_bs_dump_sequence_marches_by_two(world_factory):
     for want in (2, 4, 6):
         proto._bs_dump(0)
         assert proto.bs_seq == want
-        assert proto.key[0, world.bs_id] == route_key(want, 1)
+        assert proto.key[0] == route_key(want, 1)
+
+
+def dump_energy(world, proto, i):
+    """tx cost of node i's dump: its known sensors plus a live sink entry."""
+    entries = proto.known[i].bit_count() + (proto.key[i] & ROUTE_BITS == LIVE)
+    return world.radio.tx_energy(entries * world.cfg.dsdv_entry_bits, world.cfg.radio_range_rr_m)
 
 
 def test_node_dump_advertises_only_valid_entries(world_factory):
@@ -62,8 +70,31 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
     proto._node_dump(0, 0, 0)
     bits = world.cfg.dsdv_entry_bits
     assert world.ledger.consumed[0] == world.radio.tx_energy(bits, 900.0)
-    assert proto.own_seq[0] == 2
-    assert proto.key[0, 0] == route_key(2, 0)
+    assert world.ledger.consumed[0] == dump_energy(world, proto, 0)
+    assert proto.known[0] == 1
+    # a live sink route is one entry more; an invalidated one is not advertised
+    for sink, entries in ((route_key(2, 1), 2), (route_key(3, NO_ROUTE), 1)):
+        proto.key[0] = sink
+        before = float(world.ledger.consumed[0])
+        want = dump_energy(world, proto, 0)
+        proto._node_dump(0, 0, 0)
+        assert want == world.radio.tx_energy(entries * bits, 900.0)
+        assert math.isclose(world.ledger.consumed[0] - before, want, rel_tol=1e-12)
+
+
+def test_node_dump_counts_every_known_sensor(world_factory):
+    # three nodes in a line, each hearing only its neighbours
+    world = world_factory([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], radio_range_rr_m=400.0)
+    proto = DsdvProtocol(world)
+    proto._node_dump(0, 0, 0)
+    proto._node_dump(0, 1, 0)  # node 1 now knows 0 and passes both to 2
+    assert proto.known == [0b011, 0b011, 0b111]
+    before = float(world.ledger.consumed[2])
+    want = dump_energy(world, proto, 2)
+    proto._node_dump(0, 2, 0)
+    assert want == world.radio.tx_energy(3 * world.cfg.dsdv_entry_bits, 400.0)
+    assert math.isclose(world.ledger.consumed[2] - before, want, rel_tol=1e-12)
+    assert proto.known == [0b011, 0b111, 0b111]
 
 
 def test_node_dump_spreads_routes_one_hop(world_factory):
@@ -71,15 +102,15 @@ def test_node_dump_spreads_routes_one_hop(world_factory):
     proto = DsdvProtocol(world)
     bs = world.bs_id
     proto._bs_dump(0)  # node 1 hears the sink (d=100); node 0 is too far (d=500)
-    assert proto.key[1, bs] == route_key(2, 1)
-    assert proto.key[0, bs] == route_key(-1, NO_ROUTE)
+    assert proto.key[1] == route_key(2, 1)
+    assert proto.key[0] == route_key(-1, NO_ROUTE)
     proto._node_dump(1, 1, 0)
     # node 1's sequence for the sink, one hop longer
-    assert proto.key[0, bs] == route_key(2, 2)
-    assert proto.next_hop[0, bs] == 1
-    # node 0 also learned a route to node 1 itself, at node 1's fresh sequence
-    assert proto.key[0, 1] == route_key(2, 1)
-    assert proto.next_hop[0, 1] == 1
+    assert proto.key[0] == route_key(2, 2)
+    assert proto.next_hop[0] == 1
+    assert proto.next_hop[1] == bs
+    # node 0 also learned a route to node 1 itself; node 1 heard nothing new
+    assert proto.known == [0b11, 0b10]
 
 
 def test_send_walks_next_hops_to_the_sink(world_factory):
@@ -121,13 +152,14 @@ def test_broken_next_hop_invalidates_route(world_factory):
     proto._bs_dump(0)
     proto._node_dump(1, 1, 0)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)  # relay dies
-    assert proto.key[0, bs] == route_key(2, 2)
+    assert proto.key[0] == route_key(2, 2)
     proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
     assert world.log.delivered == 0
     # the next (odd) sequence with no metric; the next hop is left as it was
-    assert proto.key[0, bs] == route_key(3, NO_ROUTE)
-    assert proto.next_hop[0, bs] == 1
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert proto.next_hop[0] == 1
+    assert proto.next_hop[0] != bs
     # an odd (invalidated) sequence refuses further sends without new info
     proto._send(0, 0)
     assert world.log.dropped_unreachable == 2
@@ -146,7 +178,8 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     world.dist = kernels.pairwise_distances(world.positions)
     proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
-    assert proto.key[0, bs] == route_key(3, NO_ROUTE)
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert proto.next_hop[0] == 1 and proto.next_hop[1] == bs
 
 
 def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
@@ -154,9 +187,10 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     proto = DsdvProtocol(world)
     bs = world.bs_id
     proto._bs_dump(0)
-    proto.key[0, bs] = route_key(3, NO_ROUTE)  # locally invalidated
+    proto.key[0] = route_key(3, NO_ROUTE)  # locally invalidated
     proto._bs_dump(0)  # newer even sequence wins over the odd local mark
-    assert proto.key[0, bs] == route_key(4, 1)
+    assert proto.key[0] == route_key(4, 1)
+    assert proto.next_hop[0] == bs
     proto._send(0, 0)
     assert world.log.delivered == 1
 

@@ -10,8 +10,13 @@ the sink broken marks that entry with the next odd sequence and no metric.
 
 It is driven by a real run: every route dump and data send that
 DsdvProtocol handles is replayed on the oracle with the same listeners and
-the same per-hop outcomes, and the protocol's packed tables must then decode
-to the oracle's entries cell for cell.
+the same per-hop outcomes. DsdvProtocol keeps only what a run can observe,
+and after every event that must match the oracle: the packed sink routes
+decode to the oracle's sink entries cell for cell, each node's ``known``
+bits are the sensors it holds an advertisable entry for, and each dump is
+as long as the oracle's advertised table. The oracle asserts the invariant
+that makes this reduction exact: an advertisable entry to a sensor never
+stops being advertisable.
 """
 
 import numpy as np
@@ -48,7 +53,7 @@ class Oracle:
         return {
             d: (seq, metric)
             for d, (seq, metric, _) in self.table[i].items()
-            if seq >= 0 and seq % 2 == 0 and metric < NO_ROUTE
+            if advertisable(seq, metric)
         }
 
     def merge(self, sender, adv, receivers):
@@ -63,6 +68,8 @@ class Oracle:
                     self.adopted["shorter"] += 1
                 else:
                     continue
+                if d != self.bs and advertisable(old_seq, old_metric):
+                    assert advertisable(seq, metric + 1), f"node {r} lost its route to {d}"
                 self.table[r][d] = (seq, metric + 1, sender)
 
     def bs_dump(self, survivors):
@@ -70,11 +77,12 @@ class Oracle:
         if survivors:
             self.merge(self.bs, {self.bs: (self.bs_seq, 0)}, survivors)
 
-    def node_dump(self, i, alive, survivors):
+    def node_dump(self, i, alive, survivors, bits, entry_bits):
         if not alive[i]:
             return
         self.own_seq[i] += 2
         self.table[i][i] = (self.own_seq[i], 0, i)
+        assert bits == len(self.advertised(i)) * entry_bits, f"dump size of node {i}"
         if survivors:
             self.merge(i, self.advertised(i), survivors)
 
@@ -105,14 +113,25 @@ class Oracle:
             cur = nh
 
 
+def advertisable(seq, metric):
+    return seq >= 0 and seq % 2 == 0 and metric < NO_ROUTE
+
+
 def assert_tables_match(proto, oracle, when):
     keys = proto.key.tolist()
     hops = proto.next_hop.tolist()
     for i in range(oracle.n):
-        for d in range(oracle.n + 1):
-            seq, metric = decode(keys[i][d])
-            want = oracle.entry(i, d)
-            assert (seq, metric, hops[i][d]) == want, f"node {i} dest {d} after {when}"
+        seq, metric = decode(keys[i])
+        want = oracle.entry(i, oracle.bs)
+        assert (seq, metric, hops[i]) == want, f"node {i} sink route after {when}"
+        sensors = {
+            d
+            for d, (seq, metric, _) in oracle.table[i].items()
+            if d != oracle.bs and advertisable(seq, metric)
+        }
+        bits = proto.known[i]
+        assert {d for d in range(oracle.n) if bits >> d & 1} == sensors, f"node {i} after {when}"
+        assert bits >> oracle.n == 0
 
 
 def replay(cfg):
@@ -124,9 +143,9 @@ def replay(cfg):
     heard = []
     sent = []
 
-    def broadcast(*args):
-        survivors = real_broadcast(*args)
-        heard.append(None if survivors is None else survivors.tolist())
+    def broadcast(src, bits, *args):
+        survivors = real_broadcast(src, bits, *args)
+        heard.append((None if survivors is None else survivors.tolist(), bits))
         return survivors
 
     def unicast(u, v, *args):
@@ -141,9 +160,10 @@ def replay(cfg):
         sent.clear()
         real_handle(kind, t_us, payload)
         if kind == EventKind.BS_ROUTE_DUMP:
-            oracle.bs_dump(heard[0])
+            oracle.bs_dump(heard[0][0])
         elif kind == EventKind.ROUTE_DUMP:
-            oracle.node_dump(payload[0], alive, heard[0] if heard else None)
+            survivors, bits = heard[0] if heard else (None, None)
+            oracle.node_dump(payload[0], alive, survivors, bits, cfg.dsdv_entry_bits)
         else:
             oracle.send(payload, alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
             assert sent == []

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from mleachsim.kernels import (
     LIVE,
     NO_ROUTE,
-    NOT_ADVERTISED,
     ROUTE_BITS,
     charge_uniform,
     dsdv_merge,
@@ -58,17 +57,14 @@ def scalar_charge(energy, consumed, comp, ids, amount):
     return ok, np.asarray(died, dtype=np.int64), np.asarray(burned, dtype=float)
 
 
-def scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric, adv_mask):
-    """The adoption rule on (seq, metric) pairs, one cell at a time."""
+def scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric):
+    """The adoption rule on (seq, metric) pairs, one receiver at a time."""
+    cand = adv_metric + 1
     for r in receivers:
-        for d in range(len(adv_metric)):
-            if not adv_mask[d] or d == r:
-                continue
-            cand = adv_metric[d] + 1
-            if adv_seq[d] > seq[r, d] or (adv_seq[d] == seq[r, d] and cand < metric[r, d]):
-                metric[r, d] = cand
-                seq[r, d] = adv_seq[d]
-                next_hop[r, d] = sender
+        if adv_seq > seq[r] or (adv_seq == seq[r] and cand < metric[r]):
+            metric[r] = cand
+            seq[r] = adv_seq
+            next_hop[r] = sender
 
 
 # -- pairwise_distances ----------------------------------------------------------
@@ -163,23 +159,29 @@ def route_pairs(rng, shape):
 def test_dsdv_merge_bit_identical_to_scalar_loop():
     assert NO_ROUTE == 2**30
     rng = np.random.default_rng(47)
-    for _ in range(200):
+    ties = 0
+    for _ in range(400):
         n = int(rng.integers(1, 30))
-        dests = n + 1
-        seq, metric = route_pairs(rng, (n, dests))
-        next_hop = rng.integers(-1, dests, size=(n, dests)).astype(np.int32)
-        sender = int(rng.integers(dests))
+        seq, metric = route_pairs(rng, n)
+        next_hop = rng.integers(-1, n + 1, size=n).astype(np.int32)
+        sender = int(rng.integers(n + 1))
         receivers = np.flatnonzero((rng.random(n) < 0.5) & (np.arange(n) != sender))
-        adv_seq, adv_metric = route_pairs(rng, dests)
-        adv_mask = rng.random(dests) < 0.7
+        adv_seq, adv_metric = int(rng.integers(-1, 12)), int(rng.choice(METRICS))
+        if len(receivers) and rng.random() < 0.3:
+            # the advertised route as long as a receiver's own: a tie
+            r = int(rng.choice(receivers))
+            if metric[r] > 0:
+                adv_seq, adv_metric = int(seq[r]), int(metric[r]) - 1
         key = route_key(seq, metric)
         hops = next_hop.copy()
-        adv_key = np.where(adv_mask, route_key(adv_seq, adv_metric + 1), NOT_ADVERTISED)
-        dsdv_merge(key, hops, adv_key, receivers, sender)
-        scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric, adv_mask)
+        adv = route_key(adv_seq, adv_metric + 1)
+        ties += int(np.count_nonzero(key[receivers] == adv))
+        dsdv_merge(key, hops, adv, receivers, sender)
+        scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric)
         assert key.dtype == np.int64 and hops.dtype == np.int32
         assert np.array_equal(key, route_key(seq, metric))
         assert np.array_equal(hops, next_hop)
+    assert ties > 50
 
 
 @settings(derandomize=True, database=None, max_examples=500)
@@ -198,40 +200,38 @@ def test_route_key_orders_as_seq_then_shorter_metric(a, b):
 
 
 def test_dsdv_merge_adoption_rules():
-    n = 3
-    key = np.full((n, n), route_key(-1, NO_ROUTE), dtype=np.int64)
-    next_hop = np.full((n, n), -1, dtype=np.int32)
-    key[1, 0] = route_key(2, 4)
-    next_hop[1, 0] = 2
-    # sender 0 advertises itself at seq 2 metric 0 and dest 2 at seq 4 metric 3
-    adv_key = np.array([route_key(2, 1), NOT_ADVERTISED, route_key(4, 4)], dtype=np.int64)
-    dsdv_merge(key, next_hop, adv_key, np.array([1, 2]), 0)
+    key = np.array([route_key(-1, NO_ROUTE), route_key(2, 4), route_key(-1, NO_ROUTE)])
+    next_hop = np.array([-1, 2, -1], dtype=np.int32)
+    # sender 0 advertises the sink at seq 2, metric 0, to receivers 1 and 2
+    dsdv_merge(key, next_hop, route_key(2, 1), np.array([1, 2]), 0)
     # equal seq, shorter metric: adopted
-    assert key[1, 0] == route_key(2, 1) and next_hop[1, 0] == 0
-    # entry not advertised: ignored
-    assert key[1, 1] == route_key(-1, NO_ROUTE) and next_hop[1, 1] == -1
+    assert key[1] == route_key(2, 1) and next_hop[1] == 0
     # newer seq: adopted
-    assert key[1, 2] == route_key(4, 4) and next_hop[1, 2] == 0
-    # receiver 2 never adopts a route to itself
-    assert key[2, 2] == route_key(-1, NO_ROUTE) and next_hop[2, 2] == -1
+    assert key[2] == route_key(2, 1) and next_hop[2] == 0
+    # not a receiver: untouched
+    assert key[0] == route_key(-1, NO_ROUTE) and next_hop[0] == -1
+    # no receivers: nothing changes
+    before = key.copy()
+    dsdv_merge(key, next_hop, route_key(8, 1), np.array([], dtype=np.int64), 0)
+    assert np.array_equal(key, before) and next_hop.tolist() == [-1, 0, 0]
 
 
 def test_dsdv_merge_keeps_stale_and_equal_longer():
-    key = np.array([[route_key(0, 0), route_key(6, 2)], [route_key(6, 3), route_key(0, 0)]])
-    next_hop = np.zeros((2, 2), dtype=np.int32)
+    key = np.array([route_key(6, 2), route_key(6, 2)])
+    next_hop = np.zeros(2, dtype=np.int32)
     before = key.copy()
-    for adv in ([route_key(4, 1), route_key(4, 1)],  # stale
-                [route_key(0, 0), route_key(6, 2)],  # equal: a tie keeps the old next hop
-                [route_key(0, 6), route_key(6, 6)]):  # equal seq, longer
-        dsdv_merge(key, next_hop, np.array(adv, dtype=np.int64), np.array([0]), 1)
+    for adv in (route_key(4, 1),  # stale
+                route_key(6, 2),  # equal: a tie keeps the old next hop
+                route_key(6, 6)):  # equal seq, longer
+        dsdv_merge(key, next_hop, adv, np.array([0, 1]), 1)
         assert np.array_equal(key, before)
         assert not next_hop.any()
 
 
 def test_dsdv_merge_beats_an_odd_invalidated_entry_only_with_a_newer_even_one():
-    key = np.array([[route_key(0, 0), route_key(5, NO_ROUTE)]])
-    next_hop = np.array([[0, 7]], dtype=np.int32)
-    dsdv_merge(key, next_hop, np.array([NOT_ADVERTISED, route_key(4, 1)]), np.array([0]), 1)
-    assert key[0, 1] == route_key(5, NO_ROUTE) and next_hop[0, 1] == 7
-    dsdv_merge(key, next_hop, np.array([NOT_ADVERTISED, route_key(6, 9)]), np.array([0]), 1)
-    assert key[0, 1] == route_key(6, 9) and next_hop[0, 1] == 1
+    key = np.array([route_key(5, NO_ROUTE)])
+    next_hop = np.array([7], dtype=np.int32)
+    dsdv_merge(key, next_hop, route_key(4, 1), np.array([0]), 1)
+    assert key[0] == route_key(5, NO_ROUTE) and next_hop[0] == 7
+    dsdv_merge(key, next_hop, route_key(6, 9), np.array([0]), 1)
+    assert key[0] == route_key(6, 9) and next_hop[0] == 1

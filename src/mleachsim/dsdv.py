@@ -41,21 +41,25 @@ class DsdvProtocol:
         self.known = [1 << i for i in range(n)]
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
+        self.handlers = {
+            EventKind.BS_ROUTE_DUMP: self._bs_dump,
+            EventKind.ROUTE_DUMP: self._node_dump,
+            EventKind.DATA_SEND: self._send,
+        }
 
     # -- scheduling ----------------------------------------------------------
 
     def start(self) -> None:
         world = self.world
         stream = world.streams.get("dsdv")
-        for t_us in range(0, world.cfg.sim_us, US):
-            world.queue.schedule(t_us, EventKind.BS_ROUTE_DUMP, None)
+        world.queue.schedule(0, EventKind.BS_ROUTE_DUMP, None)
         # first advertisement lands at a per-node jitter within the interval;
         # every node draws its jitter even when it falls past the horizon, so
         # the order of draws on the dsdv stream does not depend on the horizon
         for i in range(world.cfg.node_count):
             jitter = int(stream.random() * self.interval_us)
             if jitter < world.cfg.sim_us:
-                world.queue.schedule(jitter, EventKind.ROUTE_DUMP, (i, 0))
+                world.queue.schedule(jitter, EventKind.ROUTE_DUMP, i)
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
         # one draw call per batch: PCG64 yields the same doubles as a draw per reading
@@ -64,23 +68,17 @@ class DsdvProtocol:
         for u in offsets:
             schedule(t_us + int(u * US), EventKind.DATA_SEND, i)
 
-    def handle(self, kind: EventKind, t_us: int, payload) -> None:
-        if kind == EventKind.BS_ROUTE_DUMP:
-            self._bs_dump(t_us)
-        elif kind == EventKind.ROUTE_DUMP:
-            self._node_dump(t_us, *payload)
-        elif kind == EventKind.DATA_SEND:
-            self._send(t_us, payload)
-
     def finish(self, t_us: int) -> None:
         pass
 
     # -- control plane ---------------------------------------------------------
 
-    def _bs_dump(self, t_us: int) -> None:
-        """Sink advertises itself; one entry, nothing charged to the sink."""
+    def _bs_dump(self, t_us: int, _payload: None = None) -> None:
+        """Sink advertises itself once a second; one entry, nothing charged to the sink."""
         world = self.world
         cfg = self.cfg
+        if t_us + US < cfg.sim_us:
+            world.queue.schedule(t_us + US, EventKind.BS_ROUTE_DUMP, None)
         self.bs_seq += 2
         survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if len(survivors) == 0:
@@ -89,7 +87,7 @@ class DsdvProtocol:
         if world.strict:
             world.check_routes(self)
 
-    def _node_dump(self, t_us: int, i: int, interval: int) -> None:
+    def _node_dump(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
         if not world.ledger.alive_mv[i]:
@@ -108,11 +106,12 @@ class DsdvProtocol:
             if sink_live:
                 # one hop further via i, as the receivers would store it
                 dsdv_merge(self.key, self.next_hop, sink_key - 1, survivors, i)
+        # the jitter is under one interval, so t_us // interval_us is this dump's interval
         stream = world.streams.get("dsdv")
         jitter = int(stream.random() * self.interval_us)
-        next_t = (interval + 1) * self.interval_us + jitter
+        next_t = (t_us // self.interval_us + 1) * self.interval_us + jitter
         if next_t < world.cfg.sim_us:
-            world.queue.schedule(next_t, EventKind.ROUTE_DUMP, (i, interval + 1))
+            world.queue.schedule(next_t, EventKind.ROUTE_DUMP, i)
 
     # -- data plane ----------------------------------------------------------
 

@@ -154,31 +154,21 @@ class MleachProtocol:
         self.last_forwarded = [-math.inf] * n
         self.pending: list[list[float]] = [[] for _ in range(n)]
         self.ctx: RoundContext | None = None
+        self.handlers = {
+            EventKind.ROUND_START: self._round_start,
+            EventKind.SLOT_START: self._slot,
+            EventKind.ORPHAN_FLUSH: self._orphan_flush,
+            EventKind.ROUND_FINISH: self._round_finish,
+        }
 
     # -- scheduling ----------------------------------------------------------
 
     def start(self) -> None:
-        self._queue_round(0)
-
-    def _queue_round(self, r: int) -> None:
-        # each round start queues the next, so one is queued at a time
-        cfg = self.cfg
-        if r < cfg.sim_us // cfg.round_us:
-            self.world.queue.schedule(r * cfg.round_us, EventKind.ROUND_START, r)
+        # the horizon is a whole number of rounds, so round 0 always runs
+        self.world.queue.schedule(0, EventKind.ROUND_START, 0)
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
         self.pending[i].extend(readings)
-
-    def handle(self, kind: EventKind, t_us: int, payload) -> None:
-        if kind == EventKind.ROUND_START:
-            self._queue_round(payload + 1)
-            self._round_start(t_us, payload)
-        elif kind == EventKind.SLOT_START:
-            self._slot(t_us, *payload)
-        elif kind == EventKind.ORPHAN_FLUSH:
-            self._orphan_flush(t_us, payload)
-        elif kind == EventKind.ROUND_FINISH:
-            self._round_finish(t_us)
 
     def finish(self, t_us: int) -> None:
         # readings still queued when the run ends: a dead node's died with it,
@@ -198,6 +188,9 @@ class MleachProtocol:
         world = self.world
         cfg = self.cfg
         ledger = world.ledger
+        # each round start queues the next, so one is queued at a time
+        if r + 1 < cfg.sim_us // cfg.round_us:
+            world.queue.schedule((r + 1) * cfg.round_us, EventKind.ROUND_START, r + 1)
         self.ctx = ctx = RoundContext(r)
 
         alive = np.nonzero(ledger.alive)[0]
@@ -312,7 +305,8 @@ class MleachProtocol:
 
     # -- data plane ----------------------------------------------------------
 
-    def _slot(self, t_us: int, cm: int, ch: int) -> None:
+    def _slot(self, t_us: int, member_head: tuple[int, int]) -> None:
+        cm, ch = member_head
         world = self.world
         cfg = self.cfg
         if not world.ledger.alive[cm]:
@@ -380,7 +374,7 @@ class MleachProtocol:
                 return
             world.deliver_data(t_us, i, delta)
 
-    def _round_finish(self, t_us: int) -> None:
+    def _round_finish(self, t_us: int, _r: int) -> None:
         ctx = self.ctx
         world = self.world
         for ch in ctx.routes:

@@ -78,19 +78,15 @@ class EnergyLedger:
         self.death_time_us[i] = now_us
 
     def consume(self, i: int, j: float, now_us: int) -> bool:
-        """Charge node i. Returns True iff the paid-for action succeeds."""
-        if j < 0:
-            raise ValueError("charge must not be negative")
-        return self.charge(i, j, now_us)
-
-    def charge(self, i: int, j: float, now_us: int) -> bool:
-        """consume without the sign check, for charges priced from checked constants.
+        """Charge node i. Returns True iff the paid-for action succeeds.
 
         Works on Python floats read and written through the views: the
         clamp, then the node's Neumaier step, then the total's Kahan step,
         each the same IEEE operations as on numpy scalars, so the results
         are identical bit for bit.
         """
+        if j < 0:
+            raise ValueError("charge must not be negative")
         energy = self._energy_mv
         e = energy[i]
         ok = e >= j

@@ -3,12 +3,12 @@
 A run owns: node positions (base station as the final row), the energy
 ledger, random-waypoint mobility, On-Off traffic, a per-second pairwise
 distance matrix, and the event queue. Protocol objects plug into the loop
-through start/on_readings/handle/finish, keep their own per-node state, and
-pay for every frame through World.broadcast and World.unicast, which apply
-the first-order radio model and its liveness rules in one place. Deaths are
-read from the ledger; the world learns of none as they happen. Strict mode
-layers invariant checks over a run and raises InvariantViolation on the
-first breach.
+through start/on_readings/finish and a ``handlers`` table by event kind,
+keep their own per-node state, and pay for every frame through
+World.broadcast and World.unicast, which apply the first-order radio model
+and its liveness rules in one place. Deaths are read from the ledger; the
+world learns of none as they happen. Strict mode layers invariant checks
+over a run and raises InvariantViolation on the first breach.
 """
 
 from __future__ import annotations
@@ -154,11 +154,11 @@ class World:
         radio = self.radio
         d = self.dist.item(u, v)
         tx = radio.e_elec_j_per_bit * bits + radio.eps_amp_j_per_bit_m2 * bits * (d * d)
-        if not ledger.charge(u, tx, t_us):
+        if not ledger.consume(u, tx, t_us):
             return False
         if v == self.bs_id:
             return True
-        return alive[v] and ledger.charge(v, radio.e_elec_j_per_bit * bits, t_us)
+        return alive[v] and ledger.consume(v, radio.e_elec_j_per_bit * bits, t_us)
 
     def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say.
@@ -175,43 +175,62 @@ class World:
     # -- event loop ------------------------------------------------------------
 
     def run(self, protocol) -> None:
-        cfg = self.cfg
-        for t in range(cfg.sim_duration_s + 1):
-            self.queue.schedule(t * US, EventKind.METRIC_SAMPLE, t)
-        for t in range(1, cfg.sim_duration_s):
-            self.queue.schedule(t * US, EventKind.MOBILITY_STEP, None)
-        for t in range(cfg.sim_duration_s):
-            self.queue.schedule(t * US, EventKind.TRAFFIC_GEN, t)
-        self.queue.schedule(cfg.sim_us, EventKind.SIM_END, None)
+        """Run to SIM_END, calling ``handlers[kind](t_us, payload)`` per event.
+
+        The table joins the world's per-second kinds to ``protocol.handlers``.
+        A recurring event queues its own successor, so the queue holds the
+        next instance of each, never the whole horizon.
+        """
+        self.protocol = protocol
+        handlers = {
+            EventKind.METRIC_SAMPLE: self._sample,
+            EventKind.MOBILITY_STEP: self._move,
+            EventKind.TRAFFIC_GEN: self._generate,
+            **protocol.handlers,
+        }
+        queue = self.queue
+        queue.schedule(0, EventKind.METRIC_SAMPLE, 0)
+        if self.cfg.sim_duration_s > 1:
+            queue.schedule(US, EventKind.MOBILITY_STEP, None)
+        queue.schedule(0, EventKind.TRAFFIC_GEN, 0)
+        queue.schedule(self.cfg.sim_us, EventKind.SIM_END, None)
         protocol.start()
 
         while True:
-            t_us, kind, payload = self.queue.pop()
-            if kind == EventKind.METRIC_SAMPLE:
-                self.log.record_energy(
-                    payload, self.ledger.total_consumed(), self.ledger.max_consumed()
-                )
-            elif kind == EventKind.MOBILITY_STEP:
-                self.mobility.step(self.ledger.alive)
-                self.dist = kernels.pairwise_distances(self.positions)
-            elif kind == EventKind.TRAFFIC_GEN:
-                for i in np.flatnonzero(self.ledger.alive).tolist():
-                    readings = self.traffic.generate(i, payload)
-                    if readings:
-                        self.log.generated += len(readings)
-                        protocol.on_readings(i, readings, t_us)
-            elif kind == EventKind.SIM_END:
-                protocol.finish(t_us)
-                ledger = self.ledger
-                died = ledger.death_time_us[~ledger.alive]
-                if len(died):
-                    # a numpy scalar; summary.csv writes its repr, as the pins expect
-                    self.log.first_death_s = died.min() / US
-                if self.strict:
-                    self._check_final()
+            # looked up per event: a hook may replace pop on the instance
+            t_us, kind, payload = queue.pop()
+            if kind is EventKind.SIM_END:
                 break
-            else:
-                protocol.handle(kind, t_us, payload)
+            handlers[kind](t_us, payload)
+
+        protocol.finish(t_us)
+        ledger = self.ledger
+        died = ledger.death_time_us[~ledger.alive]
+        if len(died):
+            # a numpy scalar; summary.csv writes its repr, as the pins expect
+            self.log.first_death_s = died.min() / US
+        if self.strict:
+            self._check_final()
+
+    def _sample(self, t_us: int, t: int) -> None:
+        self.log.record_energy(t, self.ledger.total_consumed(), self.ledger.max_consumed())
+        if t < self.cfg.sim_duration_s:
+            self.queue.schedule(t_us + US, EventKind.METRIC_SAMPLE, t + 1)
+
+    def _move(self, t_us: int, _payload: None) -> None:
+        self.mobility.step(self.ledger.alive)
+        self.dist = kernels.pairwise_distances(self.positions)
+        if t_us + US < self.cfg.sim_us:
+            self.queue.schedule(t_us + US, EventKind.MOBILITY_STEP, None)
+
+    def _generate(self, t_us: int, t: int) -> None:
+        for i in np.flatnonzero(self.ledger.alive).tolist():
+            readings = self.traffic.generate(i, t)
+            if readings:
+                self.log.generated += len(readings)
+                self.protocol.on_readings(i, readings, t_us)
+        if t + 1 < self.cfg.sim_duration_s:
+            self.queue.schedule(t_us + US, EventKind.TRAFFIC_GEN, t + 1)
 
     # -- strict-mode invariants ------------------------------------------------
 

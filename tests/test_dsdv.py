@@ -35,7 +35,7 @@ def test_bs_dump_installs_one_hop_routes(world_factory):
         [(500.0, 600.0), (700.0, 600.0), (0.0, 0.0)], radio_range_rr_m=500.0
     )
     proto = DsdvProtocol(world)
-    proto._bs_dump(0)
+    proto._bs_dump(0, None)
     bs = world.bs_id
     for i in (0, 1):
         assert proto.key[i] == route_key(2, 1)
@@ -52,7 +52,7 @@ def test_bs_dump_sequence_marches_by_two(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
     for want in (2, 4, 6):
-        proto._bs_dump(0)
+        proto._bs_dump(0, None)
         assert proto.bs_seq == want
         assert proto.key[0] == route_key(want, 1)
 
@@ -67,7 +67,7 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
     # lone node: its table holds just itself, so the dump is one entry long
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
-    proto._node_dump(0, 0, 0)
+    proto._node_dump(0, 0)
     bits = world.cfg.dsdv_entry_bits
     assert world.ledger.consumed[0] == world.radio.tx_energy(bits, 900.0)
     assert world.ledger.consumed[0] == dump_energy(world, proto, 0)
@@ -77,7 +77,7 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
         proto.key[0] = sink
         before = float(world.ledger.consumed[0])
         want = dump_energy(world, proto, 0)
-        proto._node_dump(0, 0, 0)
+        proto._node_dump(0, 0)
         assert want == world.radio.tx_energy(entries * bits, 900.0)
         assert math.isclose(world.ledger.consumed[0] - before, want, rel_tol=1e-12)
 
@@ -86,12 +86,12 @@ def test_node_dump_counts_every_known_sensor(world_factory):
     # three nodes in a line, each hearing only its neighbours
     world = world_factory([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], radio_range_rr_m=400.0)
     proto = DsdvProtocol(world)
-    proto._node_dump(0, 0, 0)
-    proto._node_dump(0, 1, 0)  # node 1 now knows 0 and passes both to 2
+    proto._node_dump(0, 0)
+    proto._node_dump(0, 1)  # node 1 now knows 0 and passes both to 2
     assert proto.known == [0b011, 0b011, 0b111]
     before = float(world.ledger.consumed[2])
     want = dump_energy(world, proto, 2)
-    proto._node_dump(0, 2, 0)
+    proto._node_dump(0, 2)
     assert want == world.radio.tx_energy(3 * world.cfg.dsdv_entry_bits, 400.0)
     assert math.isclose(world.ledger.consumed[2] - before, want, rel_tol=1e-12)
     assert proto.known == [0b011, 0b111, 0b111]
@@ -101,10 +101,10 @@ def test_node_dump_spreads_routes_one_hop(world_factory):
     world = relay_pair(world_factory)
     proto = DsdvProtocol(world)
     bs = world.bs_id
-    proto._bs_dump(0)  # node 1 hears the sink (d=100); node 0 is too far (d=500)
+    proto._bs_dump(0, None)  # node 1 hears the sink (d=100); node 0 is too far (d=500)
     assert proto.key[1] == route_key(2, 1)
     assert proto.key[0] == route_key(-1, NO_ROUTE)
-    proto._node_dump(1, 1, 0)
+    proto._node_dump(1, 1)
     # node 1's sequence for the sink, one hop longer
     assert proto.key[0] == route_key(2, 2)
     assert proto.next_hop[0] == 1
@@ -117,8 +117,8 @@ def test_send_walks_next_hops_to_the_sink(world_factory):
     world = relay_pair(world_factory)
     proto = DsdvProtocol(world)
     bs = world.bs_id
-    proto._bs_dump(0)
-    proto._node_dump(1, 1, 0)
+    proto._bs_dump(0, None)
+    proto._node_dump(1, 1)
     base0 = float(world.ledger.consumed[0])
     base1 = float(world.ledger.consumed[1])
     proto._send(0, 0)
@@ -149,8 +149,8 @@ def test_broken_next_hop_invalidates_route(world_factory):
     world = relay_pair(world_factory)
     proto = DsdvProtocol(world)
     bs = world.bs_id
-    proto._bs_dump(0)
-    proto._node_dump(1, 1, 0)
+    proto._bs_dump(0, None)
+    proto._node_dump(1, 1)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)  # relay dies
     assert proto.key[0] == route_key(2, 2)
     proto._send(0, 0)
@@ -169,8 +169,8 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     world = relay_pair(world_factory)
     proto = DsdvProtocol(world)
     bs = world.bs_id
-    proto._bs_dump(0)
-    proto._node_dump(1, 1, 0)
+    proto._bs_dump(0, None)
+    proto._node_dump(1, 1)
     # relay wandered out of range of node 0 since the tables were built
     world.positions[1] = (100.0 + 1000.0, 600.0 + 900.0)
     from mleachsim import kernels
@@ -186,9 +186,9 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
     bs = world.bs_id
-    proto._bs_dump(0)
+    proto._bs_dump(0, None)
     proto.key[0] = route_key(3, NO_ROUTE)  # locally invalidated
-    proto._bs_dump(0)  # newer even sequence wins over the odd local mark
+    proto._bs_dump(0, None)  # newer even sequence wins over the odd local mark
     assert proto.key[0] == route_key(4, 1)
     assert proto.next_hop[0] == bs
     proto._send(0, 0)
@@ -230,11 +230,25 @@ def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):
     kinds = {}
     while len(world.queue):
         t_us, kind, payload = world.queue.pop()
-        kinds.setdefault(kind, []).append(t_us)
-    assert len(kinds[EventKind.BS_ROUTE_DUMP]) == world.cfg.sim_duration_s
-    assert kinds[EventKind.BS_ROUTE_DUMP][0] == 0
-    assert len(kinds[EventKind.ROUTE_DUMP]) == 2
-    assert all(0 <= t < proto.interval_us for t in kinds[EventKind.ROUTE_DUMP])
+        kinds.setdefault(kind, []).append((t_us, payload))
+    # one sink dump is queued at start, and each queues the next
+    assert kinds[EventKind.BS_ROUTE_DUMP] == [(0, None)]
+    assert sorted(i for _, i in kinds[EventKind.ROUTE_DUMP]) == [0, 1]
+    assert all(0 <= t < proto.interval_us for t, _ in kinds[EventKind.ROUTE_DUMP])
+    # a run still makes one sink dump per second
+    world = world_factory([(500.0, 600.0), (700.0, 600.0)])
+    proto = DsdvProtocol(world)
+    fired = []
+    real_dump = proto.handlers[EventKind.BS_ROUTE_DUMP]
+
+    def bs_dump(t_us, payload):
+        fired.append(t_us)
+        real_dump(t_us, payload)
+
+    proto.handlers[EventKind.BS_ROUTE_DUMP] = bs_dump
+    world.run(proto)
+    assert fired == [t * US for t in range(world.cfg.sim_duration_s)]
+    assert proto.bs_seq == 2 * world.cfg.sim_duration_s
 
 
 def test_small_run_is_loop_free_and_conserves_packets():
@@ -247,15 +261,19 @@ def test_small_run_is_loop_free_and_conserves_packets():
 def test_node_dump_reschedules_until_horizon(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
-    proto._node_dump(0, 0, 0)
+    proto._node_dump(0, 0)
     assert len(world.queue) == 1
     t_us, kind, payload = world.queue.pop()
     assert kind == EventKind.ROUTE_DUMP
-    assert payload == (0, 1)
+    assert payload == 0
     assert proto.interval_us <= t_us < 2 * proto.interval_us
+    # a jittered dump is rescheduled into the interval after its own
+    proto._node_dump(t_us, 0)
+    t_us, kind, payload = world.queue.pop()
+    assert 2 * proto.interval_us <= t_us < 3 * proto.interval_us
     # an interval whose successor would land past the end is not rescheduled
     last = world.cfg.sim_duration_s - 1
-    proto._node_dump(last * proto.interval_us, 0, last)
+    proto._node_dump(last * proto.interval_us, 0)
     assert len(world.queue) == 0
 
 

@@ -154,23 +154,28 @@ def replay(cfg):
         sent.append((u, v, ok, bool(alive[u]), v == world.bs_id or bool(alive[v])))
         return ok
 
-    def handle(kind, t_us, payload):
-        alive = world.ledger.alive.tolist()
-        heard.clear()
-        sent.clear()
-        real_handle(kind, t_us, payload)
-        if kind == EventKind.BS_ROUTE_DUMP:
-            oracle.bs_dump(heard[0][0])
-        elif kind == EventKind.ROUTE_DUMP:
-            survivors, bits = heard[0] if heard else (None, None)
-            oracle.node_dump(payload[0], alive, survivors, bits, cfg.dsdv_entry_bits)
-        else:
-            oracle.send(payload, alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
-            assert sent == []
-        assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
+    def replayed(kind, real_handler):
+        def handler(t_us, payload):
+            alive = world.ledger.alive.tolist()
+            heard.clear()
+            sent.clear()
+            real_handler(t_us, payload)
+            if kind == EventKind.BS_ROUTE_DUMP:
+                oracle.bs_dump(heard[0][0])
+            elif kind == EventKind.ROUTE_DUMP:
+                survivors, bits = heard[0] if heard else (None, None)
+                oracle.node_dump(payload, alive, survivors, bits, cfg.dsdv_entry_bits)
+            else:
+                oracle.send(payload, alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
+                assert sent == []
+            assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 
-    real_broadcast, real_unicast, real_handle = world.broadcast, world.unicast, proto.handle
-    world.broadcast, world.unicast, proto.handle = broadcast, unicast, handle
+        return handler
+
+    real_broadcast, real_unicast = world.broadcast, world.unicast
+    world.broadcast, world.unicast = broadcast, unicast
+    for kind, real_handler in proto.handlers.items():
+        proto.handlers[kind] = replayed(kind, real_handler)
     world.run(proto)
     return oracle
 

@@ -313,7 +313,7 @@ def relay_world(world_factory, **overrides):
 def test_slot_drains_all_pending_readings(world_factory):
     world, proto = relay_world(world_factory)
     proto.pending[1] = [1.0, 2.0, 3.0]
-    proto._slot(0, 1, 0)
+    proto._slot(0, (1, 0))
     assert proto.pending[1] == []
     assert world.log.delivered == 3
     assert world.log.bs_buckets[0] == 3
@@ -325,7 +325,7 @@ def test_slot_drains_all_pending_readings(world_factory):
 
 def test_empty_slot_sends_heartbeat(world_factory):
     world, proto = relay_world(world_factory)
-    proto._slot(0, 1, 0)
+    proto._slot(0, (1, 0))
     assert world.log.delivered == 0
     assert world.ledger.consumed[1] == world.radio.tx_energy(64, 50.0)
     assert world.ledger.consumed[0] == world.radio.rx_energy(64)
@@ -336,7 +336,7 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     tx = world.radio.tx_energy(4096, 50.0)
     world.ledger.energy[1] = 1.5 * tx
     proto.pending[1] = [1.0, 2.0, 3.0]
-    proto._slot(0, 1, 0)
+    proto._slot(0, (1, 0))
     assert world.log.delivered == 1
     assert world.log.dropped_dead == 2
     assert not world.ledger.alive[1]
@@ -348,7 +348,7 @@ def test_dead_member_slot_sends_nothing(world_factory):
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)
     proto.pending[1] = [1.0]
     spent = world.ledger.consumed.copy()
-    proto._slot(0, 1, 0)
+    proto._slot(0, (1, 0))
     assert np.array_equal(world.ledger.consumed, spent)
     assert world.log.delivered == world.log.dropped_dead == 0
     # the queue is left for finish, which counts it as lost with the node
@@ -460,7 +460,7 @@ def test_check_round_rejects_a_node_in_two_clusters():
 def test_round_finish_flushes_head_backlog(world_factory):
     world, proto = relay_world(world_factory)
     proto.pending[0] = [3.0, 3.05]
-    proto._round_finish(100)
+    proto._round_finish(100, 0)
     assert proto.pending[0] == []
     assert world.log.delivered == 1  # second reading fails the change filter
     assert world.log.dropped_filtered == 1
@@ -476,7 +476,8 @@ def test_full_round_single_member_delivers_one_packet(world_factory):
     assert len(proto.ctx.cluster_heads) >= 1
     while len(world.queue):
         t_us, kind, payload = world.queue.pop()
-        proto.handle(kind, t_us, payload)
+        if kind != EventKind.ROUND_START:  # this round only, not the next it queued
+            proto.handlers[kind](t_us, payload)
     assert world.log.delivered == 2
     assert world.log.conservation_residual() == -2  # nothing generated via traffic
 
@@ -488,7 +489,9 @@ def test_round_start_with_everyone_dead_is_a_noop(world_factory):
     proto._round_start(0, 0)
     assert world.log.alive_series == [(0, 0)]
     assert world.log.ch_count_series == [(0, 0)]
-    assert len(world.queue) == 0
+    # nothing is queued for this round; only the next round's start
+    assert len(world.queue) == 1
+    assert world.queue.pop() == (world.cfg.round_us, EventKind.ROUND_START, 1)
 
 
 def test_round_starts_are_queued_one_at_a_time(world_factory):

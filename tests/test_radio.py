@@ -162,7 +162,7 @@ def test_node_killed_by_charge_many_is_dead_to_charge_and_unicast():
     assert ledger.energy[1] == 0.0 and not ledger.alive[1]
     consumed = ledger.consumed.copy()
     # the scalar path reads the zero that the batched path wrote
-    assert not ledger.charge(1, rx, now_us=8)
+    assert not ledger.consume(1, rx, now_us=8)
     assert not world.unicast(1, 2, BITS, 8)
     assert not world.unicast(0, 1, BITS, 8)
     assert ledger.consumed[1] == consumed[1]
@@ -174,7 +174,7 @@ def test_node_killed_by_charge_many_is_dead_to_charge_and_unicast():
 def test_node_killed_by_charge_drops_out_of_the_next_broadcast():
     world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
     ledger = world.ledger
-    assert ledger.charge(2, world.cfg.initial_energy_j, now_us=4)
+    assert ledger.consume(2, world.cfg.initial_energy_j, now_us=4)
     assert ledger.energy[2] == 0.0 and not ledger.alive[2]
     assert world.alive_in_range(0, 250.0).tolist() == [1]
     assert world.broadcast(0, BITS, 250.0, 5).tolist() == [1]

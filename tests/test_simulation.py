@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mleachsim.config import ConfigError, SimConfig
+from mleachsim.config import ConfigError, SimConfig, validate_config
+from mleachsim.dsdv import DsdvProtocol
 from mleachsim.metrics import MetricsLog
 from mleachsim.mleach import MleachProtocol
 from mleachsim.simulation import (
@@ -256,3 +257,24 @@ def test_default_config_round_trip_runs():
     for protocol in ("mleach", "dsdv"):
         log = run_simulation(cfg, protocol, strict=True)
         assert log.conservation_residual() == 0
+
+
+class StopRun(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cls", [MleachProtocol, DsdvProtocol])
+def test_queue_is_bounded_by_the_node_count_not_the_horizon(cls):
+    cfg = validate_config(small_config(node_count=4, sim_duration_s=100_000))
+    world = World(cfg, MetricsLog("test", cfg.sim_duration_s, cfg.node_count))
+    depth = []
+
+    def first_pop():
+        depth.append(len(world.queue))
+        raise StopRun
+
+    world.queue.pop = first_pop
+    with pytest.raises(StopRun):
+        world.run(cls(world))
+    # the next instance of each recurring event, not one per second of the run
+    assert len(depth) == 1 and depth[0] <= cfg.node_count + 5

@@ -58,7 +58,7 @@ def breakdown(cfg, cls):
     activity = ["other"]
     frame = []  # (node, joules) charged by the data send in progress
 
-    def charge(f):
+    def consume(f):
         def wrapped(ledger, i, j, now):
             before = ledger.energy[i]
             ok = f(ledger, i, j, now)
@@ -99,8 +99,8 @@ def breakdown(cfg, cls):
     log = MetricsLog(cls.__name__, cfg.sim_duration_s, n)
     world = World(cfg, log)
     with ExitStack() as stack:
-        # every scalar charge, consume's included, goes through charge
-        wrap(stack, EnergyLedger, "charge", charge)
+        # every scalar charge goes through consume
+        wrap(stack, EnergyLedger, "consume", consume)
         wrap(stack, EnergyLedger, "charge_many", charge_many)
         names = set(ACTIVITY[cls])
         if cls is MleachProtocol:

@@ -213,16 +213,12 @@ class MleachProtocol:
 
         orphans = self._assign_members(ctx, chs)
         stranded = self._build_tdma(ctx, t_us)
-        # The flush spacing counts every stranded member still alive here
-        # twice. Counting each once would move mleach output in every run
-        # where a head dies announcing its schedule, so the double count stays.
-        double_counted = sum(1 for i in stranded if ledger.alive[i])
         self._build_graph_and_routes(ctx, t_us)
 
         round_start_us = r * cfg.round_us
         flush = sorted(set(orphans) | set(stranded))
         for rank, i in enumerate(flush):
-            offset = (rank + 1) * cfg.round_us // (len(flush) + double_counted + 1)
+            offset = (rank + 1) * cfg.round_us // (len(flush) + 1)
             world.queue.schedule(round_start_us + offset, EventKind.ORPHAN_FLUSH, i)
         world.queue.schedule(round_start_us + cfg.round_us - 1, EventKind.ROUND_FINISH, r)
 

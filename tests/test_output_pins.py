@@ -50,10 +50,10 @@ DRAINED_PINS = {
 }
 
 STRANDING_PINS = {
-    "energy.csv": "5d3fe7c763c8cb35928effd8e106b15df5f4cacdc4410b42c58fb599f0a5cb10",
-    "throughput.csv": "8b944981b502edb7a5658eab444b3180be5f2ab8e71b8524ff4405d20b2ed229",
-    "summary": "mleach,0.1798285339792644,0.20000000000000018,6.916666666666667,"
-    "np.float64(0.0),176,83,16,8,69,0",
+    "energy.csv": "fb0c3baa2af3b50ea659a428e76f6b4bca44bd4b2bbfc005c04feb76c1d6f842",
+    "throughput.csv": "25bf0a19c1d4cc12491e1a5899c33fe2084c0bf919a56c7b4c64f700705ff6f8",
+    "summary": "mleach,0.18093409692422477,0.20000000000000018,7.0,"
+    "np.float64(0.0),176,84,18,4,70,0",
 }
 
 

@@ -73,7 +73,7 @@ class DsdvProtocol:
 
     # -- control plane ---------------------------------------------------------
 
-    def _bs_dump(self, t_us: int, _payload: None = None) -> None:
+    def _bs_dump(self, t_us: int, _payload: None) -> None:
         """Sink advertises itself once a second; one entry, nothing charged to the sink."""
         world = self.world
         cfg = self.cfg

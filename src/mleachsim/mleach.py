@@ -188,9 +188,8 @@ class MleachProtocol:
         world = self.world
         cfg = self.cfg
         ledger = world.ledger
-        # each round start queues the next, so one is queued at a time
         if r + 1 < cfg.sim_us // cfg.round_us:
-            world.queue.schedule((r + 1) * cfg.round_us, EventKind.ROUND_START, r + 1)
+            world.queue.schedule(t_us + cfg.round_us, EventKind.ROUND_START, r + 1)
         self.ctx = ctx = RoundContext(r)
 
         alive = np.nonzero(ledger.alive)[0]
@@ -215,12 +214,11 @@ class MleachProtocol:
         stranded = self._build_tdma(ctx, t_us)
         self._build_graph_and_routes(ctx, t_us)
 
-        round_start_us = r * cfg.round_us
         flush = sorted(set(orphans) | set(stranded))
         for rank, i in enumerate(flush):
             offset = (rank + 1) * cfg.round_us // (len(flush) + 1)
-            world.queue.schedule(round_start_us + offset, EventKind.ORPHAN_FLUSH, i)
-        world.queue.schedule(round_start_us + cfg.round_us - 1, EventKind.ROUND_FINISH, r)
+            world.queue.schedule(t_us + offset, EventKind.ORPHAN_FLUSH, i)
+        world.queue.schedule(t_us + cfg.round_us - 1, EventKind.ROUND_FINISH, r)
 
         world.log.alive_series.append((r, int(np.count_nonzero(ledger.alive))))
         world.log.ch_count_series.append((r, len(ctx.cluster_heads)))
@@ -269,7 +267,6 @@ class MleachProtocol:
         world = self.world
         cfg = self.cfg
         stranded: list[int] = []
-        round_start_us = ctx.r * cfg.round_us
         for ch in ctx.cluster_heads:
             members = sorted(ctx.clusters[ch])
             ctx.clusters[ch] = members
@@ -286,9 +283,7 @@ class MleachProtocol:
                 if not world.ledger.alive[i]:
                     continue
                 ctx.tdma[i] = slot
-                world.queue.schedule(
-                    round_start_us + slot * slot_us, EventKind.SLOT_START, (i, ch)
-                )
+                world.queue.schedule(t_us + slot * slot_us, EventKind.SLOT_START, (i, ch))
         return stranded
 
     def _build_graph_and_routes(self, ctx: RoundContext, t_us: int) -> None:

@@ -188,17 +188,16 @@ class World:
             EventKind.TRAFFIC_GEN: self._generate,
             **protocol.handlers,
         }
-        queue = self.queue
-        queue.schedule(0, EventKind.METRIC_SAMPLE, 0)
+        self.queue.schedule(0, EventKind.METRIC_SAMPLE, 0)
         if self.cfg.sim_duration_s > 1:
-            queue.schedule(US, EventKind.MOBILITY_STEP, None)
-        queue.schedule(0, EventKind.TRAFFIC_GEN, 0)
-        queue.schedule(self.cfg.sim_us, EventKind.SIM_END, None)
+            self.queue.schedule(US, EventKind.MOBILITY_STEP, None)
+        self.queue.schedule(0, EventKind.TRAFFIC_GEN, 0)
+        self.queue.schedule(self.cfg.sim_us, EventKind.SIM_END, None)
         protocol.start()
 
         while True:
             # looked up per event: a hook may replace pop on the instance
-            t_us, kind, payload = queue.pop()
+            t_us, kind, payload = self.queue.pop()
             if kind is EventKind.SIM_END:
                 break
             handlers[kind](t_us, payload)

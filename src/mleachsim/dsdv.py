@@ -125,7 +125,8 @@ class DsdvProtocol:
             return
         sink_key = self.sink_key
         sink_hop = self.sink_hop
-        dist = world.dist
+        distance = world.distance
+        rr = cfg.radio_range_rr_m
         cur = i
         hops = 0
         while True:
@@ -138,12 +139,13 @@ class DsdvProtocol:
             if nh < 0 or hops > cfg.node_count + 1:
                 world.log.dropped_unreachable += 1
                 return
-            if dist.item(cur, nh) > cfg.radio_range_rr_m or (nh != bs and not alive[nh]):
+            # liveness first: it is the cheaper read, and either failure breaks the link
+            if (nh != bs and not alive[nh]) or (d := distance(cur, nh)) > rr:
                 # stale route: invalidate locally with the next odd sequence, packet is lost
                 sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
                 world.log.dropped_unreachable += 1
                 return
-            if not world.unicast(cur, nh, cfg.packet_size_bits, t_us):
+            if not world.unicast(cur, nh, d, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += 1
                 return
             if nh == bs:

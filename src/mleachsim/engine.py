@@ -73,7 +73,8 @@ class RandomStreams:
 
     Each name gets its own PCG64 seeded from (seed, crc32(name)), so drawing
     more from one stream never shifts any other. Streams in use: placement,
-    bs-placement, mobility, election, traffic, dsdv, channel.
+    bs-placement, mobility, election, dsdv, channel. Traffic draws from none
+    of them: OnOffTraffic seeds one substream per node from the seed itself.
     """
 
     def __init__(self, seed: int) -> None:

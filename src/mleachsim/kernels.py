@@ -1,4 +1,4 @@
-"""The numpy hot kernels: pairwise distances, batched charging, route merges.
+"""The numpy hot kernels: distance rows and matrices, batched charging, route merges.
 
 Vectorization does not change outcomes: every floating-point operation maps
 to the same IEEE-754 operation per element as a scalar loop would (multiply,
@@ -25,11 +25,32 @@ ROUTE_BITS = 3 << 30
 LIVE = 1 << 30
 
 
-def pairwise_distances(pos: np.ndarray) -> np.ndarray:
-    """Full symmetric Euclidean distance matrix for (M, 2) positions."""
-    dx = pos[:, 0:1] - pos[:, 0]
-    dy = pos[:, 1:2] - pos[:, 1]
-    # in place: the same operations per element, two (M, M) temporaries not five
+def distance_row(pos: np.ndarray, i: int, out: np.ndarray) -> None:
+    """Fill out, shape (M,), with the distances from point i to all M points.
+
+    The same operations per element as row i of ``pairwise_distances``, so
+    the two agree bit for bit; negation is exact, so they also agree with
+    column i.
+    """
+    np.subtract(pos[i, 0], pos[:, 0], out=out)
+    dy = pos[i, 1] - pos[:, 1]
+    out *= out
+    dy *= dy
+    out += dy
+    np.sqrt(out, out=out)
+
+
+def pairwise_distances(
+    pos: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """Full symmetric Euclidean distance matrix for (M, 2) positions.
+
+    Fills out in place and uses tmp as scratch when they are given, both
+    (M, M) float64; otherwise allocates them.
+    """
+    dx = np.subtract(pos[:, 0:1], pos[:, 0], out=out)
+    dy = np.subtract(pos[:, 1:2], pos[:, 1], out=tmp)
+    # in place: the same operations per element, two (M, M) arrays not five
     dx *= dx
     dy *= dy
     dx += dy

@@ -75,18 +75,19 @@ def run_election(
 
 
 def build_ch_graph(
-    dist: np.ndarray, chs: list[int], bs_id: int, rr: float
+    dist_row, chs: list[int], bs_id: int, rr: float
 ) -> dict[int, list[tuple[int, float]]]:
     """Adjacency over the given heads plus the base station; edges within rr.
 
-    Maps each vertex to its (neighbor, distance in meters) pairs, ascending
-    by neighbor id so traversal order is deterministic.
+    dist_row(u) gives vertex u's distances to every node by id, as
+    ``World.dist_row`` does. Maps each vertex to its (neighbor, distance in
+    meters) pairs, ascending by neighbor id so traversal order is
+    deterministic.
     """
     verts = sorted([*chs, bs_id])
-    rows = dist[np.ix_(verts, verts)].tolist()
     return {
-        u: [(v, w) for v, w in zip(verts, row) if v != u and w <= rr]
-        for u, row in zip(verts, rows)
+        u: [(v, w) for v, w in zip(verts, dist_row(u)[verts].tolist()) if v != u and w <= rr]
+        for u in verts
     }
 
 
@@ -247,9 +248,10 @@ class MleachProtocol:
         free = np.nonzero(alive)[0]
         if not chs:
             return free.tolist()
-        sub = world.dist[np.ix_(free, np.array(chs, dtype=np.int64))]
-        nearest = np.argmin(sub, axis=1)  # first minimum: smallest head id wins ties
-        near_d = sub[np.arange(len(free)), nearest]
+        # head rows, heads by free nodes: the heads' hellos filled them
+        sub = np.array([world.dist_row(ch) for ch in chs])[:, free]
+        nearest = np.argmin(sub, axis=0)  # first minimum: smallest head id wins ties
+        near_d = sub[nearest, np.arange(len(free))]
         orphans = []
         for k, i in enumerate(free.tolist()):
             if near_d[k] <= rc:
@@ -290,7 +292,7 @@ class MleachProtocol:
         world = self.world
         rr = self.cfg.radio_range_rr_m
         verts = self._hello(ctx.cluster_heads, rr, t_us)
-        ctx.ch_graph = build_ch_graph(world.dist, verts, world.bs_id, rr)
+        ctx.ch_graph = build_ch_graph(world.dist_row, verts, world.bs_id, rr)
         for ch in verts:
             ctx.routes[ch] = shortest_route(ctx.ch_graph, ch, world.bs_id)
 
@@ -303,12 +305,13 @@ class MleachProtocol:
         if not world.ledger.alive[cm]:
             return
         todo = self.pending[cm]
+        d = world.distance(cm, ch)
         if not todo:
-            world.unicast(cm, ch, cfg.heartbeat_bits, t_us)
+            world.unicast(cm, ch, d, cfg.heartbeat_bits, t_us)
             return
         self.pending[cm] = []
         for idx, reading in enumerate(todo):
-            if world.unicast(cm, ch, cfg.packet_size_bits, t_us):
+            if world.unicast(cm, ch, d, cfg.packet_size_bits, t_us):
                 self._head_accept(t_us, ch, cm, reading)
             elif not world.ledger.alive[cm]:
                 # a dead member loses the rest; a failed head loses this one
@@ -339,7 +342,7 @@ class MleachProtocol:
             world.log.dropped_unreachable += 1
             return
         for u, v in zip(path, path[1:]):
-            if not world.unicast(u, v, cfg.packet_size_bits, t_us):
+            if not world.unicast(u, v, world.distance(u, v), cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += 1
                 return
             if v == world.bs_id:
@@ -353,14 +356,15 @@ class MleachProtocol:
         if not world.ledger.alive[i] or not todo:
             return
         self.pending[i] = []
-        if world.dist[i, world.bs_id] > cfg.radio_range_rr_m:
+        d = world.distance(i, world.bs_id)
+        if d > cfg.radio_range_rr_m:
             world.log.dropped_unreachable += len(todo)
             return
         for idx, reading in enumerate(todo):
             delta = self._change(i, reading)
             if delta is None:
                 continue
-            if not world.unicast(i, world.bs_id, cfg.packet_size_bits, t_us):
+            if not world.unicast(i, world.bs_id, d, cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += len(todo) - idx
                 return
             world.deliver_data(t_us, i, delta)

@@ -1,14 +1,17 @@
 """World assembly and the event loop shared by both protocols.
 
 A run owns: node positions (base station as the final row), the energy
-ledger, random-waypoint mobility, On-Off traffic, a per-second pairwise
-distance matrix, and the event queue. Protocol objects plug into the loop
-through start/on_readings/finish and a ``handlers`` table by event kind,
-keep their own per-node state, and pay for every frame through
-World.broadcast and World.unicast, which apply the first-order radio model
-and its liveness rules in one place. Deaths are read from the ledger; the
-world learns of none as they happen. Strict mode layers invariant checks
-over a run and raises InvariantViolation on the first breach.
+ledger, random-waypoint mobility, On-Off traffic, distances between nodes,
+and the event queue. Distances live in one held (n+1) x (n+1) buffer whose
+rows are filled on demand, each stamped with the mobility step it was
+filled at, and read through World.dist_row and World.distance. Protocol
+objects plug into the loop through start/on_readings/finish and a
+``handlers`` table by event kind, keep their own per-node state, and pay
+for every frame through World.broadcast and World.unicast, which apply the
+first-order radio model and its liveness rules in one place. Deaths are
+read from the ledger; the world learns of none as they happen. Strict mode
+layers invariant checks over a run and raises InvariantViolation on the
+first breach.
 """
 
 from __future__ import annotations
@@ -43,28 +46,40 @@ class BsChannel:
     Control broadcasts are not affected; only unicast data at the sink.
     """
 
+    # uniforms drawn from the stream per call; it has no other reader, so
+    # blocks yield the same values in the same order as one draw per frame
+    DRAW_BLOCK = 1024
+
     def __init__(self, capacity_bps: float, collapse_k: float, stream) -> None:
         self.enabled = capacity_bps > 0.0
         self.capacity_bps = capacity_bps
         self.collapse_k = collapse_k
-        self.stream = stream
         self.load_ema = 0.0
         self._second = 0
         self._bits = 0.0
+        if self.enabled:
+            self._roll_to(0)
+            self._draw = self._uniforms(stream).__next__
+
+    def _uniforms(self, stream):
+        while True:
+            yield from stream.random(self.DRAW_BLOCK).tolist()
 
     def _roll_to(self, t_s: int) -> None:
         while self._second < t_s:
             self.load_ema = 0.5 * (self.load_ema + self._bits)
             self._bits = 0.0
             self._second += 1
+        # L changes once a second, so the pass probability does too
+        self.p_pass = math.exp(-((self.load_ema / self.capacity_bps) ** self.collapse_k))
 
     def admit(self, t_us: int, bits: int) -> bool:
         if not self.enabled:
             return True
-        self._roll_to(t_us // US)
+        if t_us // US > self._second:
+            self._roll_to(t_us // US)
         self._bits += bits
-        p_pass = math.exp(-((self.load_ema / self.capacity_bps) ** self.collapse_k))
-        return self.stream.random() < p_pass
+        return self._draw() < self.p_pass
 
 
 class World:
@@ -100,7 +115,16 @@ class World:
             cfg.mobility_speed_max_mps,
             cfg.mobility_pause_s,
         )
-        self.dist = kernels.pairwise_distances(self.positions)
+        # distances by row, on demand: row i holds the positions as of
+        # mobility step _row_step[i], and is fresh while that is _step
+        self._dist = np.empty((n + 1, n + 1))
+        self._dist_tmp = np.empty_like(self._dist)
+        self._row_step = [-1] * (n + 1)
+        self._step = 0
+        self._rows_filled = 0
+        # a step that has needed this many rows will likely need them all
+        # (DSDV dumps from every node): the rest are then filled in one go
+        self._row_budget = (n + 1) // 8
 
         self.ledger = EnergyLedger(n, cfg.initial_energy_j)
         self.traffic = OnOffTraffic(
@@ -112,12 +136,43 @@ class World:
             self.streams.get("channel") if cfg.bs_mac_capacity_bps > 0 else None,
         )
 
+    # -- distances -----------------------------------------------------------
+
+    def dist_row(self, i: int) -> np.ndarray:
+        """Distances from node i to every node, the sink last, as of now.
+
+        A view into the held buffer: valid until positions next change.
+        """
+        if self._row_step[i] != self._step:
+            if self._rows_filled < self._row_budget:
+                kernels.distance_row(self.positions, i, self._dist[i])
+                self._row_step[i] = self._step
+                self._rows_filled += 1
+            else:
+                kernels.pairwise_distances(self.positions, self._dist, self._dist_tmp)
+                self._row_step = [self._step] * len(self._row_step)
+        return self._dist[i]
+
+    def distance(self, u: int, v: int) -> float:
+        """Distance between nodes u and v, from whichever row is fresh.
+
+        Rows are exactly symmetric, so the choice never shows.
+        """
+        if self._row_step[u] == self._step:
+            return self._dist.item(u, v)
+        return self.dist_row(v).item(u)
+
+    def invalidate_distances(self) -> None:
+        """Mark every distance row stale; call whenever positions change."""
+        self._step += 1
+        self._rows_filled = 0
+
     # -- shared helpers ------------------------------------------------------
 
     def alive_in_range(self, center: int, radius: float) -> np.ndarray:
         """Alive sensor ids within radius of center (center excluded), ascending."""
         n = self.cfg.node_count
-        mask = (self.dist[center, :n] <= radius) & self.ledger.alive
+        mask = (self.dist_row(center)[:n] <= radius) & self.ledger.alive
         if center < n:
             mask[center] = False
         return np.nonzero(mask)[0]
@@ -140,10 +195,12 @@ class World:
         ok = ledger.charge_many(listeners, self.radio.rx_energy(bits), t_us)
         return listeners[ok]
 
-    def unicast(self, u: int, v: int, bits: int, t_us: int) -> bool:
-        """u sends bits to v. True iff v got the frame; the sink receives free.
+    def unicast(self, u: int, v: int, d: float, bits: int, t_us: int) -> bool:
+        """u sends bits to v, d meters away. True iff v got the frame.
 
-        A dead node neither sends nor receives, and pays nothing.
+        The sink receives free. A dead node neither sends nor receives, and
+        pays nothing. d is ``distance(u, v)``: a caller that range-checks
+        the link, or sends several frames over it, reads it once.
         """
         ledger = self.ledger
         alive = ledger.alive_mv
@@ -152,7 +209,6 @@ class World:
         # RadioModel's tx and rx formulas, in the same operation order; the
         # constants were validated positive, so the argument checks are skipped
         radio = self.radio
-        d = self.dist.item(u, v)
         tx = radio.e_elec_j_per_bit * bits + radio.eps_amp_j_per_bit_m2 * bits * (d * d)
         if not ledger.consume(u, tx, t_us):
             return False
@@ -218,7 +274,7 @@ class World:
 
     def _move(self, t_us: int, _payload: None) -> None:
         self.mobility.step(self.ledger.alive)
-        self.dist = kernels.pairwise_distances(self.positions)
+        self.invalidate_distances()
         if t_us + US < self.cfg.sim_us:
             self.queue.schedule(t_us + US, EventKind.MOBILITY_STEP, None)
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mleachsim import kernels
 from mleachsim.config import SimConfig, validate_config
 from mleachsim.metrics import MetricsLog
 from mleachsim.simulation import World
@@ -30,13 +29,13 @@ def make_world(positions, **overrides) -> World:
     """World with hand-placed sensor positions (base station from config).
 
     Used by protocol unit tests that need exact geometry: the world is
-    built normally, then positions are overwritten and distances refreshed.
+    built normally, then positions are overwritten and distances marked stale.
     """
     pos = np.asarray(positions, dtype=float)
     cfg = small_config(node_count=len(pos), **overrides)
     world = World(validate_config(cfg), MetricsLog("test", cfg.sim_duration_s, len(pos)))
     world.positions[: len(pos)] = pos
-    world.dist = kernels.pairwise_distances(world.positions)
+    world.invalidate_distances()
     return world
 
 

@@ -47,7 +47,7 @@ def random_graph(rng):
     pos = rng.uniform(0.0, 100.0, size=(k + 1, 2))
     reach = float(rng.uniform(25.0, 120.0))
     dist = kernels.pairwise_distances(pos)
-    return build_ch_graph(dist, list(range(k)), k, reach), k
+    return build_ch_graph(dist.__getitem__, list(range(k)), k, reach), k
 
 
 def check_graph(graph, k):
@@ -84,7 +84,7 @@ def test_router_matches_oracle_on_tie_heavy_grids():
         pos = np.vstack([pos, [[50.0, 50.0]]])  # sink at the center
         for reach in (40.0, 60.0, 80.0, 120.0):
             dist = kernels.pairwise_distances(pos)
-            graph = build_ch_graph(dist, list(range(k)), k, reach)
+            graph = build_ch_graph(dist.__getitem__, list(range(k)), k, reach)
             check_graph(graph, k)
 
 
@@ -92,14 +92,14 @@ def test_router_matches_oracle_on_a_line():
     pos = np.array([[0.0, 0.0], [10.0, 0.0], [20.0, 0.0], [30.0, 0.0]])
     dist = kernels.pairwise_distances(pos)
     for reach in (10.0, 15.0, 25.0, 100.0):
-        graph = build_ch_graph(dist, [0, 1, 2], 3, reach)
+        graph = build_ch_graph(dist.__getitem__, [0, 1, 2], 3, reach)
         check_graph(graph, 3)
 
 
 def test_disconnected_source_agrees_with_oracle():
     pos = np.array([[0.0, 0.0], [500.0, 0.0], [510.0, 0.0]])
     dist = kernels.pairwise_distances(pos)
-    graph = build_ch_graph(dist, [0, 1], 2, 50.0)
+    graph = build_ch_graph(dist.__getitem__, [0, 1], 2, 50.0)
     assert oracle_route(graph, 0, 2) is None
     assert shortest_route(graph, 0, 2) is None
     assert shortest_route(graph, 1, 2) == [1, 2]

@@ -173,9 +173,7 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     proto._node_dump(1, 1)
     # relay wandered out of range of node 0 since the tables were built
     world.positions[1] = (100.0 + 1000.0, 600.0 + 900.0)
-    from mleachsim import kernels
-
-    world.dist = kernels.pairwise_distances(world.positions)
+    world.invalidate_distances()
     proto._send(0, 0)
     assert world.log.dropped_unreachable == 1
     assert proto.key[0] == route_key(3, NO_ROUTE)

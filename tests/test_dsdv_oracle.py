@@ -19,6 +19,8 @@ that makes this reduction exact: an advertisable entry to a sensor never
 stops being advertisable.
 """
 
+import math
+
 import numpy as np
 
 from mleachsim.config import SimConfig, validate_config
@@ -86,8 +88,11 @@ class Oracle:
         if survivors:
             self.merge(i, self.advertised(i), survivors)
 
-    def send(self, i, alive, dist, radio_range, hops_sent):
-        """Walk i's route to the sink; hops_sent replays the real unicasts."""
+    def send(self, i, alive, pos, radio_range, hops_sent):
+        """Walk i's route to the sink; hops_sent replays the real unicasts.
+
+        pos holds every node's (x, y), the sink last, as the send saw them.
+        """
         if not alive[i]:
             return
         alive = list(alive)
@@ -99,7 +104,8 @@ class Oracle:
             hops += 1
             if nh < 0 or hops > self.n + 1:
                 return
-            if dist[cur][nh] > radio_range or (nh != self.bs and not alive[nh]):
+            dx, dy = pos[cur][0] - pos[nh][0], pos[cur][1] - pos[nh][1]
+            if math.sqrt(dx * dx + dy * dy) > radio_range or (nh != self.bs and not alive[nh]):
                 self.table[cur][self.bs] = (seq + 1, int(NO_ROUTE), nh)
                 self.invalidated += 1
                 return
@@ -166,7 +172,8 @@ def replay(cfg):
                 survivors, bits = heard[0] if heard else (None, None)
                 oracle.node_dump(payload, alive, survivors, bits, cfg.dsdv_entry_bits)
             else:
-                oracle.send(payload, alive, world.dist.tolist(), cfg.radio_range_rr_m, sent)
+                pos = world.positions.tolist()
+                oracle.send(payload, alive, pos, cfg.radio_range_rr_m, sent)
                 assert sent == []
             assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 

@@ -11,6 +11,7 @@ from mleachsim.kernels import (
     NO_ROUTE,
     ROUTE_BITS,
     charge_uniform,
+    distance_row,
     dsdv_merge,
     pairwise_distances,
     route_key,
@@ -90,6 +91,27 @@ def test_pairwise_bit_identical_to_scalar_loop():
         d = pairwise_distances(pos)
         assert d.shape == (n, n)
         assert np.array_equal(d, scalar_pairwise(pos))
+
+
+def test_in_place_fill_matches_a_fresh_matrix():
+    rng = np.random.default_rng(29)
+    pos = rng.uniform(0.0, 7500.0, size=(65, 2))
+    out = np.full((65, 65), np.nan)
+    tmp = np.empty((65, 65))
+    assert pairwise_distances(pos, out, tmp) is out
+    assert np.array_equal(out, scalar_pairwise(pos))
+
+
+def test_distance_row_is_the_matrix_row_and_column_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 7, 64, 200):
+        pos = rng.uniform(0.0, 7500.0, size=(n, 2))
+        d = scalar_pairwise(pos)
+        row = np.empty(n)
+        for i in range(n):
+            distance_row(pos, i, row)
+            assert np.array_equal(row, d[i])
+            assert np.array_equal(row, d[:, i])
 
 
 # -- charge_uniform --------------------------------------------------------------

@@ -172,7 +172,7 @@ def test_route_source_is_sink():
 
 def test_build_ch_graph_respects_radio_range(world_factory):
     world = world_factory([(0.0, 600.0), (600.0, 600.0), (2000.0, 600.0)])
-    g = build_ch_graph(world.dist, [0, 1, 2], world.bs_id, 900.0)
+    g = build_ch_graph(world.dist_row, [0, 1, 2], world.bs_id, 900.0)
     assert list(g) == [0, 1, 2, 3]
     # both directions of every edge, each list ascending by neighbor id
     assert g == {

@@ -89,10 +89,12 @@ def test_world_validates_config():
 def test_mobility_reshapes_distances_between_seconds():
     cfg = small_config(sim_duration_s=4)
     world = World(cfg, MetricsLog("mleach", 4, cfg.node_count))
-    before = world.dist.copy()
+    rows = range(cfg.node_count + 1)
+    before = np.array([world.dist_row(i) for i in rows])
     world.run(MleachProtocol(world))
-    assert not np.array_equal(world.dist, before)
-    assert world.dist.shape == before.shape
+    after = np.array([world.dist_row(i) for i in rows])
+    assert not np.array_equal(after, before)
+    assert after.shape == before.shape
 
 
 # -- alive_in_range -----------------------------------------------------------
@@ -126,8 +128,9 @@ def test_sink_sends_and_receives_for_free():
     assert world.ledger.consumed.tolist() == [rx, 0.0, rx, rx]
     assert world.ledger.total_consumed() == 3 * rx
     before = world.ledger.total_consumed()
-    assert world.unicast(1, world.bs_id, BITS, 0)
-    tx = world.radio.tx_energy(BITS, float(world.dist[1, world.bs_id]))
+    d = world.distance(1, world.bs_id)
+    assert world.unicast(1, world.bs_id, d, BITS, 0)
+    tx = world.radio.tx_energy(BITS, d)
     assert world.ledger.consumed[1] == tx
     assert world.ledger.total_consumed() == before + tx
 
@@ -138,8 +141,8 @@ def test_dead_sender_is_silent_and_pays_nothing():
     consumed = world.ledger.consumed.copy()
     total = world.ledger.total_consumed()
     assert world.broadcast(0, BITS, 250.0, 0) is None
-    assert world.unicast(0, 1, BITS, 0) is False
-    assert world.unicast(0, world.bs_id, BITS, 0) is False
+    assert world.unicast(0, 1, 100.0, BITS, 0) is False
+    assert world.unicast(0, world.bs_id, world.distance(0, world.bs_id), BITS, 0) is False
     assert np.array_equal(world.ledger.consumed, consumed)
     assert world.ledger.total_consumed() == total
 
@@ -156,7 +159,7 @@ def test_dead_receiver_is_not_charged():
     world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)
     spent_1 = world.ledger.consumed[1]
-    assert world.unicast(0, 1, BITS, 0) is False
+    assert world.unicast(0, 1, 100.0, BITS, 0) is False
     assert world.ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)
     assert world.broadcast(0, BITS, 250.0, 0).tolist() == [2]
     assert world.ledger.consumed[1] == spent_1
@@ -171,7 +174,7 @@ def test_listener_that_cannot_pay_dies_and_is_left_out():
     assert heard.tolist() == [2, 3]
     assert world.ledger.alive.tolist() == [True, False, False, True]
     world.ledger.energy[3] = rx / 2
-    assert world.unicast(0, 3, BITS, 0) is False
+    assert world.unicast(0, 3, 150.0, BITS, 0) is False
     assert not world.ledger.alive[3]
 
 
@@ -206,6 +209,47 @@ def test_channel_below_capacity_is_mostly_clean():
     ch = BsChannel(1e9, 4.0, np.random.default_rng(3))
     admitted = sum(ch.admit(t * 1_000_000, 4096) for t in range(200))
     assert admitted == 200
+
+
+class ScalarChannel:
+    """The sink channel spelled out per frame: roll the EMA, then one exp and one draw."""
+
+    def __init__(self, capacity_bps, collapse_k, stream):
+        self.capacity_bps = capacity_bps
+        self.collapse_k = collapse_k
+        self.stream = stream
+        self.load_ema = 0.0
+        self.second = 0
+        self.bits = 0.0
+
+    def admit(self, t_us, bits):
+        while self.second < t_us // 1_000_000:
+            self.load_ema = 0.5 * (self.load_ema + self.bits)
+            self.bits = 0.0
+            self.second += 1
+        self.bits += bits
+        p_pass = math.exp(-((self.load_ema / self.capacity_bps) ** self.collapse_k))
+        return self.stream.random() < p_pass
+
+
+def test_channel_decisions_match_the_per_frame_reference():
+    rng = np.random.default_rng(41)
+    frames = []
+    for second in range(120):
+        if rng.random() < 0.3:
+            continue  # an idle second: the EMA still halves across it
+        count = int(rng.integers(1, 80))
+        offsets = sorted(rng.integers(0, 1_000_000, count).tolist())
+        frames += [(second * 1_000_000 + t, 4096) for t in offsets]
+    busy = {t // 1_000_000 for t, _ in frames}
+    assert len(busy) < 120 and len(frames) > 3 * BsChannel.DRAW_BLOCK
+    ch = BsChannel(1.2e5, 4.0, np.random.default_rng(7))
+    ref = ScalarChannel(1.2e5, 4.0, np.random.default_rng(7))
+    got = [ch.admit(t, bits) for t, bits in frames]
+    want = [ref.admit(t, bits) for t, bits in frames]
+    assert got == want
+    assert 0 < sum(got) < len(got)
+    assert ch.load_ema == ref.load_ema
 
 
 # -- strict-mode guards ---------------------------------------------------------

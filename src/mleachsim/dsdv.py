@@ -25,6 +25,7 @@ import numpy as np
 
 from .engine import US, EventKind
 from .kernels import LIVE, NO_ROUTE, ROUTE_BITS, dsdv_merge, route_key
+from .simulation import REACHED, UNREACHABLE
 
 
 class DsdvProtocol:
@@ -117,38 +118,14 @@ class DsdvProtocol:
 
     def _send(self, t_us: int, i: int) -> None:
         world = self.world
-        cfg = self.cfg
-        bs = world.bs_id
-        alive = world.ledger.alive_mv
-        if not alive[i]:
-            world.log.dropped_dead += 1
+        log = world.log
+        if not world.ledger.alive_mv[i]:
+            log.dropped_dead += 1
             return
-        sink_key = self.sink_key
-        sink_hop = self.sink_hop
-        distance = world.distance
-        rr = cfg.radio_range_rr_m
-        cur = i
-        hops = 0
-        while True:
-            key = sink_key[cur]
-            if key & ROUTE_BITS != LIVE:
-                world.log.dropped_unreachable += 1
-                return
-            nh = sink_hop[cur]
-            hops += 1
-            if nh < 0 or hops > cfg.node_count + 1:
-                world.log.dropped_unreachable += 1
-                return
-            # liveness first: it is the cheaper read, and either failure breaks the link
-            if (nh != bs and not alive[nh]) or (d := distance(cur, nh)) > rr:
-                # stale route: invalidate locally with the next odd sequence, packet is lost
-                sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
-                world.log.dropped_unreachable += 1
-                return
-            if not world.unicast(cur, nh, d, cfg.packet_size_bits, t_us):
-                world.log.dropped_dead += 1
-                return
-            if nh == bs:
-                world.deliver_data(t_us, i, None)
-                return
-            cur = nh
+        outcome = world.forward(i, self.sink_key, self.sink_hop, self.cfg.packet_size_bits, t_us)
+        if outcome == REACHED:
+            world.deliver_data(t_us, i, None)
+        elif outcome == UNREACHABLE:
+            log.dropped_unreachable += 1
+        else:
+            log.dropped_dead += 1

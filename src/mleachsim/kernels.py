@@ -67,11 +67,11 @@ def charge_uniform(
     """Charge the same amount to every listed node, clamping at zero.
 
     ids must be sorted and refer to nodes that are still alive. Returns
-    (ok, died, burned): ok[i] tells whether node ids[i] could pay in full
-    (its action succeeds), died lists ids that hit zero energy, in id
-    order, and burned holds the residuals that the nodes which could not
-    pay in full gave up, in id order. A node that pays exactly its
-    residual succeeds and then dies.
+    (paid, died, burned): paid lists the ids that could pay in full (their
+    action succeeds), and is ids itself when nobody falls short; died lists
+    ids that hit zero energy, in id order; burned holds the residuals that
+    the nodes which could not pay in full gave up, in id order. A node that
+    pays exactly its residual succeeds and then dies.
 
     Per-node consumed totals use Neumaier compensation (comp holds the
     low-order bits) so subtotal drift stays at ulp scale over millions of
@@ -81,17 +81,23 @@ def charge_uniform(
     def add_compensated(idx: np.ndarray, x) -> None:
         s = consumed[idx]
         t = s + x
-        corr = np.where(s >= x, (s - t) + x, (x - t) + s)
-        comp[idx] += corr
+        # (s - t) + x where s >= x, else (x - t) + s, on two temporaries
+        a = s - t
+        a += x
+        b = x - t
+        b += s
+        np.copyto(a, b, where=s < x)
+        comp[idx] += a
         consumed[idx] = t
 
     e = energy[ids]
     if len(e) and e.min() > amount:
         # the common case: everyone pays in full and, as e - amount > 0 for
         # e > amount, nobody reaches zero; no partial payers, no death scan
-        energy[ids] = e - amount
+        e -= amount
+        energy[ids] = e
         add_compensated(ids, amount)
-        return np.ones(len(ids), dtype=bool), ids[:0], e[:0]
+        return ids, ids[:0], e[:0]
     ok = e >= amount
     full = ids[ok]
     energy[full] -= amount
@@ -101,7 +107,7 @@ def charge_uniform(
     add_compensated(part, burned)
     energy[part] = 0.0
     died = ids[energy[ids] == 0.0]
-    return ok, died, burned
+    return full, died, burned
 
 
 def route_key(seq, metric):

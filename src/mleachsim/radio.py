@@ -1,10 +1,11 @@
 """First-order radio energy model and the energy ledger.
 
 Transmitting k bits over distance d costs E_elec*k + eps_amp*k*d^2; receiving
-costs E_elec*k. Both protocols pay for frames through World.broadcast and
-World.unicast, which price them with RadioModel and charge EnergyLedger, so
-totals, clamping, and death bookkeeping live in one place. The base station
-is infrastructure: it is never charged.
+costs E_elec*k. Both protocols pay for frames through World.broadcast,
+World.unicast and World.forward, which price them with RadioModel and
+charge EnergyLedger, so totals, clamping, and death bookkeeping live in one
+place; forward repeats ``consume``'s steps inline, operation for operation.
+The base station is infrastructure: it is never charged.
 """
 
 from __future__ import annotations
@@ -105,18 +106,21 @@ class EnergyLedger:
         return ok
 
     def charge_many(self, ids: np.ndarray, amount: float, now_us: int) -> np.ndarray:
-        """Charge every node in ids (sorted, alive). Returns success mask."""
+        """Charge every node in ids (sorted, alive). Returns the ids that paid in full.
+
+        When nobody falls short that is ids itself, not a copy.
+        """
         if len(ids) == 0:
-            return np.zeros(0, dtype=bool)
-        ok, died, burned = kernels.charge_uniform(
+            return ids
+        paid, died, burned = kernels.charge_uniform(
             self.energy, self.consumed, self.consumed_comp, ids, amount
         )
-        self._total_add(amount * int(np.count_nonzero(ok)))
+        self._total_add(amount * len(paid))
         if len(burned):
             self._total_add(math.fsum(burned.tolist()))
         for i in died.tolist():
             self._mark_dead(i, now_us)
-        return ok
+        return paid
 
     def node_consumed(self) -> np.ndarray:
         """Per-node consumed energy with the correction terms folded in."""

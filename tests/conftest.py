@@ -3,6 +3,7 @@ import pytest
 
 from mleachsim.config import SimConfig, validate_config
 from mleachsim.metrics import MetricsLog
+from mleachsim.radio import EnergyLedger
 from mleachsim.simulation import World
 
 
@@ -42,3 +43,23 @@ def make_world(positions, **overrides) -> World:
 @pytest.fixture
 def world_factory():
     return make_world
+
+
+LEDGER_ARRAYS = ("energy", "consumed", "consumed_comp", "alive", "death_time_us")
+
+
+def copy_ledger(ledger: EnergyLedger) -> EnergyLedger:
+    """An independent ledger in the same state, arrays and running totals."""
+    copy = EnergyLedger(len(ledger.energy), 0.0)
+    for name in LEDGER_ARRAYS:
+        getattr(copy, name)[:] = getattr(ledger, name)
+    copy._total, copy._total_comp = ledger._total, ledger._total_comp
+    return copy
+
+
+def assert_ledgers_equal(a: EnergyLedger, b: EnergyLedger, when: str = "") -> None:
+    """Every array and both running totals equal, bit for bit."""
+    for name in LEDGER_ARRAYS:
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), f"{name} {when}"
+    for name in ("_total", "_total_comp"):
+        assert getattr(a, name).hex() == getattr(b, name).hex(), f"{name} {when}"

@@ -7,7 +7,7 @@ from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
 from mleachsim.simulation import run_simulation
 
-from conftest import small_config
+from conftest import assert_ledgers_equal, copy_ledger, small_config
 
 
 def relay_pair(world_factory):
@@ -191,6 +191,93 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     assert proto.next_hop[0] == bs
     proto._send(0, 0)
     assert world.log.delivered == 1
+
+
+# -- World.forward at the edges: each send against the same charges made
+# one consume at a time on a copy of the ledger
+
+BITS = 4096  # small_config's packet size
+
+
+def routed_relay_pair(world_factory):
+    """relay_pair with its routes built: node 0 sends via node 1."""
+    world = relay_pair(world_factory)
+    proto = DsdvProtocol(world)
+    proto._bs_dump(0, None)
+    proto._node_dump(1, 1)
+    return world, proto
+
+
+def charged(ledger, charges, t_us):
+    """A copy of ledger after the (node, joules) charges, in order, through consume."""
+    copy = copy_ledger(ledger)
+    for i, j in charges:
+        copy.consume(i, j, t_us)
+    return copy
+
+
+def test_source_that_cannot_pay_tx_dies_and_charges_no_rx(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    tx = world.radio.tx_energy(BITS, 400.0)
+    ledger.energy[0] = tx / 2
+    want = charged(ledger, [(0, tx)], 5)
+    proto._send(5, 0)
+    assert world.log.dropped_dead == 1 and world.log.delivered == 0
+    assert not ledger.alive[0] and ledger.death_time_us[0] == 5
+    assert_ledgers_equal(ledger, want)
+
+
+def test_relay_that_cannot_pay_rx_stops_the_frame(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    rx = world.radio.rx_energy(BITS)
+    ledger.energy[1] = rx / 2
+    want = charged(ledger, [(0, world.radio.tx_energy(BITS, 400.0)), (1, rx)], 5)
+    proto._send(5, 0)
+    assert world.log.dropped_dead == 1 and world.log.delivered == 0
+    assert ledger.alive[0] and not ledger.alive[1]
+    assert_ledgers_equal(ledger, want)
+
+
+def test_relay_paying_its_exact_residual_receives_then_cannot_send(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    rx = world.radio.rx_energy(BITS)
+    ledger.energy[1] = rx
+    # the rx succeeds and kills the relay; its own tx is never charged
+    want = charged(ledger, [(0, world.radio.tx_energy(BITS, 400.0)), (1, rx)], 5)
+    assert want.alive[0] and not want.alive[1]
+    proto._send(5, 0)
+    assert world.log.dropped_dead == 1 and world.log.delivered == 0
+    assert ledger.death_time_us[1] == 5
+    assert_ledgers_equal(ledger, want)
+
+
+def test_sink_hop_charges_tx_only(world_factory):
+    world = world_factory([(500.0, 600.0)])
+    proto = DsdvProtocol(world)
+    proto._bs_dump(0, None)
+    want = charged(world.ledger, [(0, world.radio.tx_energy(BITS, 100.0))], 5)
+    proto._send(5, 0)
+    assert world.log.delivered == 1
+    assert_ledgers_equal(world.ledger, want)
+
+
+def test_planted_routing_loop_ends_unreachable_at_the_hop_limit(world_factory):
+    world = relay_pair(world_factory)
+    proto = DsdvProtocol(world)
+    proto.key[:] = route_key(2, 2)
+    proto.next_hop[:] = [1, 0]
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    # node_count + 1 = 3 hops are sent and paid for; the fourth is refused
+    hops = [(0, 1), (1, 0), (0, 1)]
+    want = charged(world.ledger, [c for u, v in hops for c in ((u, tx), (v, rx))], 5)
+    proto._send(5, 0)
+    assert world.log.dropped_unreachable == 1 and world.log.dropped_dead == 0
+    assert_ledgers_equal(world.ledger, want)
+    # the hop limit drops the frame without invalidating a route
+    assert proto.key.tolist() == [route_key(2, 2)] * 2
 
 
 def test_readings_become_jittered_send_events(world_factory):

@@ -8,15 +8,19 @@ sender, iff its sequence is strictly newer, or equal with a strictly
 shorter metric, and never for itself; a sender that finds its next hop to
 the sink broken marks that entry with the next odd sequence and no metric.
 
-It is driven by a real run: every route dump and data send that
-DsdvProtocol handles is replayed on the oracle with the same listeners and
-the same per-hop outcomes. DsdvProtocol keeps only what a run can observe,
-and after every event that must match the oracle: the packed sink routes
-decode to the oracle's sink entries cell for cell, each node's ``known``
-bits are the sensors it holds an advertisable entry for, and each dump is
-as long as the oracle's advertised table. The oracle asserts the invariant
-that makes this reduction exact: an advertisable entry to a sensor never
-stops being advertisable.
+It is driven by a real run: every route dump that DsdvProtocol handles is
+replayed on the oracle with the same listeners, and every data send is
+walked again on a copy of the ledger taken just before it, charging each
+hop through EnergyLedger.consume. That copy must then equal the run's
+ledger bit for bit, arrays and totals, and the send must end the same
+way, so World.forward is held to a per-hop consume walk, clamped charges
+and deaths on the path included. DsdvProtocol keeps only what a run can
+observe, and after every event that must match the oracle: the packed sink
+routes decode to the oracle's sink entries cell for cell, each node's
+``known`` bits are the sensors it holds an advertisable entry for, and each
+dump is as long as the oracle's advertised table. The oracle asserts the
+invariant that makes this reduction exact: an advertisable entry to a
+sensor never stops being advertisable.
 """
 
 import math
@@ -29,6 +33,8 @@ from mleachsim.engine import EventKind
 from mleachsim.kernels import NO_ROUTE
 from mleachsim.metrics import MetricsLog
 from mleachsim.simulation import World
+
+from conftest import assert_ledgers_equal, copy_ledger
 
 NO_ENTRY = (-1, int(NO_ROUTE), -1)
 
@@ -47,6 +53,7 @@ class Oracle:
         self.bs_seq = 0
         self.adopted = {"newer": 0, "shorter": 0}
         self.invalidated = 0
+        self.died_on_path = 0
 
     def entry(self, i, d):
         return self.table[i].get(d, NO_ENTRY)
@@ -88,34 +95,36 @@ class Oracle:
         if survivors:
             self.merge(i, self.advertised(i), survivors)
 
-    def send(self, i, alive, pos, radio_range, hops_sent):
-        """Walk i's route to the sink; hops_sent replays the real unicasts.
+    def send(self, i, ledger, pos, radio, radio_range, bits, t_us):
+        """Walk i's route to the sink, charging each hop to ledger.
 
         pos holds every node's (x, y), the sink last, as the send saw them.
+        Returns which log counter the send moves.
         """
-        if not alive[i]:
-            return
-        alive = list(alive)
+        if not ledger.alive[i]:
+            return "dropped_dead"
         cur, hops = i, 0
         while True:
             seq, metric, nh = self.entry(cur, self.bs)
             if seq < 0 or seq % 2 == 1 or metric >= NO_ROUTE:
-                return
+                return "dropped_unreachable"
             hops += 1
             if nh < 0 or hops > self.n + 1:
-                return
+                return "dropped_unreachable"
             dx, dy = pos[cur][0] - pos[nh][0], pos[cur][1] - pos[nh][1]
-            if math.sqrt(dx * dx + dy * dy) > radio_range or (nh != self.bs and not alive[nh]):
+            d = math.sqrt(dx * dx + dy * dy)
+            if d > radio_range or (nh != self.bs and not ledger.alive[nh]):
                 self.table[cur][self.bs] = (seq + 1, int(NO_ROUTE), nh)
                 self.invalidated += 1
-                return
-            u, v, ok, alive_u, alive_v = hops_sent.pop(0)
-            assert (u, v) == (cur, nh)
-            alive[u] = alive_u
-            if v != self.bs:
-                alive[v] = alive_v
-            if not ok or nh == self.bs:
-                return
+                return "dropped_unreachable"
+            if not (ledger.alive[cur] and ledger.consume(cur, radio.tx_energy(bits, d), t_us)):
+                self.died_on_path += 1
+                return "dropped_dead"
+            if nh == self.bs:
+                return "reached"
+            if not (ledger.alive[nh] and ledger.consume(nh, radio.rx_energy(bits), t_us)):
+                self.died_on_path += 1
+                return "dropped_dead"
             cur = nh
 
 
@@ -140,6 +149,15 @@ def assert_tables_match(proto, oracle, when):
         assert bits >> oracle.n == 0
 
 
+SEND_OUTCOMES = ("dropped_dead", "dropped_unreachable", "reached")
+
+
+def send_counters(log):
+    """The log counters of SEND_OUTCOMES; a frame that reached the sink's radio
+    is delivered or congested."""
+    return [log.dropped_dead, log.dropped_unreachable, log.delivered + log.dropped_congested]
+
+
 def replay(cfg):
     """Run DSDV over cfg, checking every table after each dump and send."""
     n = cfg.node_count
@@ -147,24 +165,18 @@ def replay(cfg):
     proto = DsdvProtocol(world)
     oracle = Oracle(n)
     heard = []
-    sent = []
 
     def broadcast(src, bits, *args):
         survivors = real_broadcast(src, bits, *args)
         heard.append((None if survivors is None else survivors.tolist(), bits))
         return survivors
 
-    def unicast(u, v, *args):
-        ok = real_unicast(u, v, *args)
-        alive = world.ledger.alive
-        sent.append((u, v, ok, bool(alive[u]), v == world.bs_id or bool(alive[v])))
-        return ok
-
     def replayed(kind, real_handler):
         def handler(t_us, payload):
             alive = world.ledger.alive.tolist()
+            shadow = copy_ledger(world.ledger) if kind == EventKind.DATA_SEND else None
+            counters = send_counters(world.log)
             heard.clear()
-            sent.clear()
             real_handler(t_us, payload)
             if kind == EventKind.BS_ROUTE_DUMP:
                 oracle.bs_dump(heard[0][0])
@@ -173,14 +185,19 @@ def replay(cfg):
                 oracle.node_dump(payload, alive, survivors, bits, cfg.dsdv_entry_bits)
             else:
                 pos = world.positions.tolist()
-                oracle.send(payload, alive, pos, cfg.radio_range_rr_m, sent)
-                assert sent == []
+                ended = oracle.send(
+                    payload, shadow, pos, world.radio, cfg.radio_range_rr_m,
+                    cfg.packet_size_bits, t_us,
+                )
+                moved = [b - a for a, b in zip(counters, send_counters(world.log))]
+                assert moved == [int(o == ended) for o in SEND_OUTCOMES], f"send at {t_us} us"
+                assert_ledgers_equal(world.ledger, shadow, f"after the send at {t_us} us")
             assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 
         return handler
 
-    real_broadcast, real_unicast = world.broadcast, world.unicast
-    world.broadcast, world.unicast = broadcast, unicast
+    real_broadcast = world.broadcast
+    world.broadcast = broadcast
     for kind, real_handler in proto.handlers.items():
         proto.handlers[kind] = replayed(kind, real_handler)
     world.run(proto)
@@ -215,12 +232,16 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     rng = np.random.default_rng(1994)
     adopted = {"newer": 0, "shorter": 0}
     invalidated = 0
+    died_on_path = 0
     for _ in range(100):
         oracle = replay(draw_config(rng))
         for rule, count in oracle.adopted.items():
             adopted[rule] += count
         invalidated += oracle.invalidated
-    # the draws reach both adoption rules and the local invalidation
+        died_on_path += oracle.died_on_path
+    # the draws reach both adoption rules, the local invalidation, and sends
+    # whose sender or receiver could not pay (the 0.05 J budgets)
     assert adopted["newer"] > 1000
     assert adopted["shorter"] > 100
     assert invalidated > 20
+    assert died_on_path > 20

@@ -32,19 +32,18 @@ def scalar_pairwise(pos):
 
 
 def scalar_charge(energy, consumed, comp, ids, amount):
-    ok = np.empty(len(ids), dtype=bool)
+    paid = []
     died = []
     burned = []
-    for idx, i in enumerate(ids):
+    for i in ids:
         if energy[i] >= amount:
             energy[i] = energy[i] - amount
             x = amount
-            ok[idx] = True
+            paid.append(i)
         else:
             x = energy[i]
             burned.append(x)
             energy[i] = 0.0
-            ok[idx] = False
         # Neumaier-compensated subtotal: true value is consumed[i] + comp[i]
         s = consumed[i]
         t = s + x
@@ -55,7 +54,11 @@ def scalar_charge(energy, consumed, comp, ids, amount):
         consumed[i] = t
         if energy[i] == 0.0:
             died.append(i)
-    return ok, np.asarray(died, dtype=np.int64), np.asarray(burned, dtype=float)
+    return (
+        np.asarray(paid, dtype=np.int64),
+        np.asarray(died, dtype=np.int64),
+        np.asarray(burned, dtype=float),
+    )
 
 
 def scalar_merge(seq, metric, next_hop, receivers, sender, adv_seq, adv_metric):
@@ -135,9 +138,9 @@ def test_charge_uniform_bit_identical_to_scalar_loop():
         amount = float(rng.uniform(0.0, 0.01))
         state_a = (energy.copy(), consumed.copy(), comp.copy())
         state_b = (energy.copy(), consumed.copy(), comp.copy())
-        ok_a, died_a, burned_a = charge_uniform(*state_a, ids, amount)
-        ok_b, died_b, burned_b = scalar_charge(*state_b, ids, amount)
-        assert np.array_equal(ok_a, ok_b)
+        paid_a, died_a, burned_a = charge_uniform(*state_a, ids, amount)
+        paid_b, died_b, burned_b = scalar_charge(*state_b, ids, amount)
+        assert np.array_equal(paid_a, paid_b)
         assert np.array_equal(np.asarray(died_a), died_b)
         assert np.array_equal(burned_a, burned_b)
         for x, y in zip(state_a, state_b):
@@ -148,8 +151,8 @@ def test_charge_uniform_exact_residual_and_partial():
     energy = np.array([1.0, 0.5, 0.5, 0.2])
     consumed = np.zeros(4)
     comp = np.zeros(4)
-    ok, died, burned = charge_uniform(energy, consumed, comp, np.arange(4), 0.5)
-    assert ok.tolist() == [True, True, True, False]
+    paid, died, burned = charge_uniform(energy, consumed, comp, np.arange(4), 0.5)
+    assert paid.tolist() == [0, 1, 2]
     assert np.asarray(died).tolist() == [1, 2, 3]
     assert burned.tolist() == [0.2]
     assert energy.tolist() == [0.5, 0.0, 0.0, 0.0]
@@ -158,10 +161,10 @@ def test_charge_uniform_exact_residual_and_partial():
 
 def test_charge_uniform_empty_ids():
     energy = np.array([1.0])
-    ok, died, burned = charge_uniform(
+    paid, died, burned = charge_uniform(
         energy, np.zeros(1), np.zeros(1), np.zeros(0, dtype=np.int64), 0.3
     )
-    assert len(ok) == 0 and len(died) == 0 and len(burned) == 0
+    assert len(paid) == 0 and len(died) == 0 and len(burned) == 0
     assert energy[0] == 1.0
 
 

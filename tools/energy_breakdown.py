@@ -6,9 +6,9 @@ charge by the activity that made it: control (hellos, schedules, route
 dumps) or data (member uplink, relaying, sends to the sink). For DSDV it
 also sums the energy paid for frames that the sink channel then rejects;
 for mleach it splits the unreachable drops by where they happen. The split
-is taken by wrapping the ledger and the protocol handlers from outside, so
-the run itself is unchanged: the printed ratio is the one acceptance
-criterion 2 checks.
+is taken by wrapping the ledger, World.forward and the protocol handlers
+from outside, so the run itself is unchanged: the printed ratio is the one
+acceptance criterion 2 checks.
 
 Usage: PYTHONPATH=src python3 tools/energy_breakdown.py
 
@@ -71,9 +71,22 @@ def breakdown(cfg, cls):
     def charge_many(f):
         def wrapped(ledger, ids, amount, now):
             before = ledger.energy[ids].copy()
-            ok = f(ledger, ids, amount, now)
-            np.add.at(spent[activity[0]], ids, np.where(ok, amount, before))
-            return ok
+            paid = f(ledger, ids, amount, now)
+            np.add.at(spent[activity[0]], ids, np.where(np.isin(ids, paid), amount, before))
+            return paid
+        return wrapped
+
+    def forward(f):
+        # forward charges every hop of a frame inline: credit each node the
+        # energy it lost over the call
+        def wrapped(world, *args):
+            before = world.ledger.energy.copy()
+            outcome = f(world, *args)
+            drop = before - world.ledger.energy
+            for i in np.flatnonzero(drop).tolist():
+                spent[activity[0]][i] += drop[i]
+                frame.append((i, drop[i]))
+            return outcome
         return wrapped
 
     def tagged(name):
@@ -99,9 +112,10 @@ def breakdown(cfg, cls):
     log = MetricsLog(cls.__name__, cfg.sim_duration_s, n)
     world = World(cfg, log)
     with ExitStack() as stack:
-        # every scalar charge goes through consume
+        # every other scalar charge goes through consume
         wrap(stack, EnergyLedger, "consume", consume)
         wrap(stack, EnergyLedger, "charge_many", charge_many)
+        wrap(stack, World, "forward", forward)
         names = set(ACTIVITY[cls])
         if cls is MleachProtocol:
             names |= set(UNREACHABLE_AT)

@@ -119,6 +119,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: invalid config {args.config}:\n{exc}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
+        return 2
     if args.seed is not None:
         base_cfg = replace(base_cfg, rng_seed=args.seed)
 

@@ -157,6 +157,12 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         if getattr(cfg, name) < 0:
             e.append(f"{name} must not be negative")
 
+    # NaN passes every comparison below, and NaN or inf breaks the rounding
+    # to microseconds, so non-finite floats are rejected before either
+    finite = {
+        f.name: math.isfinite(getattr(cfg, f.name)) for f in fields(SimConfig) if f.type == "float"
+    }
+    e.extend(f"{name} must be finite" for name, ok in finite.items() if not ok)
     if cfg.node_count <= 0:
         e.append("node_count must be positive")
     for name in (
@@ -198,12 +204,16 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         e.append("mobility_speed_max_mps must be >= mobility_speed_min_mps")
     if cfg.traffic_on_s == 0 and cfg.traffic_off_s == 0:
         e.append("traffic_on_s and traffic_off_s cannot both be zero")
-    if cfg.round_duration_s > 0:
+    if cfg.round_duration_s > 0 and finite["round_duration_s"]:
         if cfg.round_us <= 0:
             e.append("round_duration_s too small to represent in microseconds")
         elif cfg.sim_duration_s > 0 and cfg.sim_us % cfg.round_us != 0:
             e.append("sim_duration_s must be an integer multiple of round_duration_s")
-    if cfg.dsdv_update_interval_s > 0 and cfg.dsdv_interval_us <= 0:
+    if (
+        cfg.dsdv_update_interval_s > 0
+        and finite["dsdv_update_interval_s"]
+        and cfg.dsdv_interval_us <= 0
+    ):
         e.append("dsdv_update_interval_s too small to represent in microseconds")
     if not 0 <= cfg.rng_seed < 2**64:
         e.append("rng_seed must fit in 64 bits")

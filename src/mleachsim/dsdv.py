@@ -25,7 +25,6 @@ import numpy as np
 
 from .engine import US, EventKind
 from .kernels import LIVE, NO_ROUTE, ROUTE_BITS, dsdv_merge, route_key
-from .simulation import REACHED, UNREACHABLE
 
 
 class DsdvProtocol:
@@ -117,15 +116,117 @@ class DsdvProtocol:
     # -- data plane ----------------------------------------------------------
 
     def _send(self, t_us: int, i: int) -> None:
+        """Send a data frame from sensor i hop by hop along its route to the sink.
+
+        A dead source drops the frame. Then, per hop, in order: the route
+        must be live and the hop count at most node_count + 1; a next hop
+        that is dead or out of range breaks the link, which is invalidated
+        with the next odd sequence; then the sender, which must be alive,
+        pays tx and, unless the next hop is the sink, the receiver pays rx,
+        each as ``World.unicast`` would. Each outcome bumps its log counter,
+        or hands the frame to ``World.deliver_data``, where it is decided.
+
+        Each charge repeats ``EnergyLedger.consume``'s clamp, Neumaier and
+        Kahan steps inline, on views and totals bound once per frame: a
+        frame makes about four charges, and the per-call overhead of
+        ``unicast`` and ``consume`` was most of its cost. For the same
+        reason it reads ``World._dist``, ``_row_step`` and ``_step``
+        directly, saving a call per hop: row ``cur`` is fresh iff
+        ``_row_step[cur] == _step``, and ``World.distance`` serves a stale
+        one. ``tests/test_dsdv_oracle.py`` replays every send as per-hop
+        ``consume`` calls on a copy of the ledger and holds the two equal
+        bit for bit.
+        """
         world = self.world
         log = world.log
-        if not world.ledger.alive_mv[i]:
+        ledger = world.ledger
+        alive = ledger.alive_mv
+        if not alive[i]:
             log.dropped_dead += 1
             return
-        outcome = world.forward(i, self.sink_key, self.sink_hop, self.cfg.packet_size_bits, t_us)
-        if outcome == REACHED:
-            world.deliver_data(t_us, i, None)
-        elif outcome == UNREACHABLE:
-            log.dropped_unreachable += 1
-        else:
-            log.dropped_dead += 1
+        energy = ledger._energy_mv
+        consumed = ledger._consumed_mv
+        comp = ledger._comp_mv
+        total = ledger._total
+        total_comp = ledger._total_comp
+        # rx + amp * (d * d) is unicast's tx formula, operation for operation
+        radio = world.radio
+        bits = self.cfg.packet_size_bits
+        rx = radio.e_elec_j_per_bit * bits
+        amp = radio.eps_amp_j_per_bit_m2 * bits
+        # dist_row refreshes _row_step in place, so this binding outlives a full fill
+        item = world._dist.item
+        row_step = world._row_step
+        step = world._step
+        distance = world.distance
+        sink_key = self.sink_key
+        sink_hop = self.sink_hop
+        bs = world.bs_id
+        rr = self.cfg.radio_range_rr_m
+        max_hops = self.cfg.node_count + 1
+        cur = i
+        hops = 0
+        while True:
+            key = sink_key[cur]
+            hops += 1
+            if key & ROUTE_BITS != LIVE or hops > max_hops:
+                log.dropped_unreachable += 1
+                break
+            # dsdv_merge writes the next hop with every live key, so nh >= 0
+            nh = sink_hop[cur]
+            # liveness first: it is the cheaper read, and either failure breaks the link
+            if (nh != bs and not alive[nh]) or (
+                d := item(cur, nh) if row_step[cur] == step else distance(cur, nh)
+            ) > rr:
+                sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
+                log.dropped_unreachable += 1
+                break
+            if not alive[cur]:
+                log.dropped_dead += 1
+                break
+            # consume's steps for the sender's tx
+            j = rx + amp * (d * d)
+            e = energy[cur]
+            ok = e >= j
+            x = j if ok else e
+            e = e - j if ok else 0.0
+            energy[cur] = e
+            s = consumed[cur]
+            t = s + x
+            comp[cur] += (s - t) + x if s >= x else (x - t) + s
+            consumed[cur] = t
+            y = x - total_comp
+            t = total + y
+            total_comp = (t - total) - y
+            total = t
+            if e == 0.0:
+                ledger._mark_dead(cur, t_us)
+            if not ok:
+                log.dropped_dead += 1
+                break
+            if nh == bs:
+                world.deliver_data(t_us, i, None)
+                break
+            # and for the receiver's rx: nh was alive at the link check, and
+            # only cur, never nh, has paid since
+            e = energy[nh]
+            ok = e >= rx
+            x = rx if ok else e
+            e = e - rx if ok else 0.0
+            energy[nh] = e
+            s = consumed[nh]
+            t = s + x
+            comp[nh] += (s - t) + x if s >= x else (x - t) + s
+            consumed[nh] = t
+            y = x - total_comp
+            t = total + y
+            total_comp = (t - total) - y
+            total = t
+            if e == 0.0:
+                ledger._mark_dead(nh, t_us)
+            if not ok:
+                log.dropped_dead += 1
+                break
+            cur = nh
+        ledger._total = total
+        ledger._total_comp = total_comp

@@ -2,9 +2,9 @@
 
 Transmitting k bits over distance d costs E_elec*k + eps_amp*k*d^2; receiving
 costs E_elec*k. Both protocols pay for frames through World.broadcast,
-World.unicast and World.forward, which price them with RadioModel and
+World.unicast and DsdvProtocol._send, which price them with RadioModel and
 charge EnergyLedger, so totals, clamping, and death bookkeeping live in one
-place; forward repeats ``consume``'s steps inline, operation for operation.
+place; _send repeats ``consume``'s steps inline, operation for operation.
 The base station is infrastructure: it is never charged.
 """
 

@@ -7,9 +7,10 @@ rows are filled on demand, each stamped with the mobility step it was
 filled at, and read through World.dist_row and World.distance. Protocol
 objects plug into the loop through start/on_readings/finish and a
 ``handlers`` table by event kind, keep their own per-node state, and pay
-for every frame through World.broadcast, World.unicast and, for DSDV's
-hop-by-hop data, World.forward, which apply the first-order radio model
-and its liveness rules in one place. Deaths are read from the ledger; the
+for every frame through World.broadcast and World.unicast, which apply the
+first-order radio model and its liveness rules in one place. The one other
+charging point is DsdvProtocol._send, which walks DSDV's data hop by hop
+and repeats unicast's charges inline. Deaths are read from the ledger; the
 world learns of none as they happen. Strict mode layers invariant checks
 over a run and raises InvariantViolation on the first breach.
 """
@@ -23,15 +24,10 @@ import numpy as np
 from . import kernels
 from .config import SimConfig, validate_config
 from .engine import US, EventKind, EventQueue, RandomStreams
-from .kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
 from .metrics import MetricsLog
 from .mobility import MobilityField
 from .radio import EnergyLedger, RadioModel
 from .traffic import OnOffTraffic
-
-
-# World.forward's outcomes
-REACHED, UNREACHABLE, DEAD = range(3)
 
 
 class InvariantViolation(RuntimeError):
@@ -185,7 +181,7 @@ class World:
             mask[center] = False
         return np.nonzero(mask)[0]
 
-    # -- charging primitives: the only way a frame is paid for ---------------
+    # -- charging primitives shared by both protocols ------------------------
 
     def broadcast(self, src: int, bits: int, radius: float, t_us: int) -> np.ndarray | None:
         """src sends bits to everything within radius; every listener pays rx.
@@ -222,115 +218,6 @@ class World:
         if v == self.bs_id:
             return True
         return alive[v] and ledger.consume(v, radio.e_elec_j_per_bit * bits, t_us)
-
-    def forward(self, i: int, sink_key, sink_hop, bits: int, t_us: int) -> int:
-        """Send a data frame from sensor i hop by hop along its route to the sink.
-
-        sink_key and sink_hop are DSDV's per-node sink routes, as
-        memoryviews. Per hop, in order: the route must be live and the hop
-        count at most node_count + 1; a next hop that is dead or out of
-        range breaks the link, which is invalidated with the next odd
-        sequence; then the sender pays tx and, unless the next hop is the
-        sink, the receiver pays rx, each as ``unicast`` would. Returns
-        REACHED (the sink's radio got the frame), UNREACHABLE or DEAD (a
-        sender or receiver was dead or could not pay).
-
-        Each charge repeats ``EnergyLedger.consume``'s clamp, Neumaier and
-        Kahan steps inline, on views and totals bound once per frame: a
-        frame makes about four charges, and the per-call overhead of
-        ``unicast`` and ``consume`` was most of its cost.
-        ``tests/test_dsdv_oracle.py`` replays every send as per-hop
-        ``consume`` calls on a copy of the ledger and holds the two equal
-        bit for bit.
-        """
-        ledger = self.ledger
-        alive = ledger.alive_mv
-        energy = ledger._energy_mv
-        consumed = ledger._consumed_mv
-        comp = ledger._comp_mv
-        total = ledger._total
-        total_comp = ledger._total_comp
-        # rx + amp * (d * d) is unicast's tx formula, operation for operation
-        radio = self.radio
-        rx = radio.e_elec_j_per_bit * bits
-        amp = radio.eps_amp_j_per_bit_m2 * bits
-        # dist_row refreshes _row_step in place, so this binding outlives a full fill
-        item = self._dist.item
-        row_step = self._row_step
-        step = self._step
-        distance = self.distance
-        bs = self.bs_id
-        rr = self.cfg.radio_range_rr_m
-        max_hops = self.cfg.node_count + 1
-        outcome = UNREACHABLE
-        cur = i
-        hops = 0
-        while True:
-            key = sink_key[cur]
-            if key & ROUTE_BITS != LIVE:
-                break
-            nh = sink_hop[cur]
-            hops += 1
-            if nh < 0 or hops > max_hops:
-                break
-            # liveness first: it is the cheaper read, and either failure breaks the link
-            if (nh != bs and not alive[nh]) or (
-                d := item(cur, nh) if row_step[cur] == step else distance(cur, nh)
-            ) > rr:
-                sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
-                break
-            if not alive[cur]:
-                outcome = DEAD
-                break
-            # consume's steps for the sender's tx
-            j = rx + amp * (d * d)
-            e = energy[cur]
-            ok = e >= j
-            x = j if ok else e
-            e = e - j if ok else 0.0
-            energy[cur] = e
-            s = consumed[cur]
-            t = s + x
-            comp[cur] += (s - t) + x if s >= x else (x - t) + s
-            consumed[cur] = t
-            y = x - total_comp
-            t = total + y
-            total_comp = (t - total) - y
-            total = t
-            if e == 0.0:
-                ledger._mark_dead(cur, t_us)
-            if not ok:
-                outcome = DEAD
-                break
-            if nh == bs:
-                outcome = REACHED
-                break
-            if not alive[nh]:
-                outcome = DEAD
-                break
-            # and for the receiver's rx
-            e = energy[nh]
-            ok = e >= rx
-            x = rx if ok else e
-            e = e - rx if ok else 0.0
-            energy[nh] = e
-            s = consumed[nh]
-            t = s + x
-            comp[nh] += (s - t) + x if s >= x else (x - t) + s
-            consumed[nh] = t
-            y = x - total_comp
-            t = total + y
-            total_comp = (t - total) - y
-            total = t
-            if e == 0.0:
-                ledger._mark_dead(nh, t_us)
-            if not ok:
-                outcome = DEAD
-                break
-            cur = nh
-        ledger._total = total
-        ledger._total_comp = total_comp
-        return outcome
 
     def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say.

@@ -29,6 +29,14 @@ def test_missing_config_exits_2(capsys):
     assert "config not found" in capsys.readouterr().err
 
 
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    undecodable = tmp_path / "latin.cfg"
+    undecodable.write_bytes(b"\xff")
+    for path in (tmp_path, undecodable):
+        assert main(["--config", str(path)]) == 2
+        assert f"cannot read config {path}: " in capsys.readouterr().err
+
+
 def test_invalid_config_names_key_and_line(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("node_count = 24\nwarp_speed = 9\n")

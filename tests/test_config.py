@@ -81,6 +81,33 @@ def test_validate_rejects_nonpositive_node_count():
     assert "node_count must be positive" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("field_width_m", 0.0, "field_width_m must be positive"),
+        ("mobility_pause_s", -1.0, "mobility_pause_s must not be negative"),
+        ("p_ch_fraction", 1.0, "p_ch_fraction must be in (0, 1)"),
+        ("mobility_speed_max_mps", 0.25, "mobility_speed_max_mps must be >= mobility_speed_min_mps"),
+        ("round_duration_s", 1e-7, "round_duration_s too small to represent in microseconds"),
+        ("bs_position", "corner", "bs_position must be 'random' or a concrete point"),
+        # non-finite floats would crash a run, break strict invariants, or deliver nothing
+        ("traffic_rate_pps", math.nan, "traffic_rate_pps must be finite"),
+        ("traffic_rate_pps", math.inf, "traffic_rate_pps must be finite"),
+        ("round_duration_s", math.nan, "round_duration_s must be finite"),
+        ("round_duration_s", math.inf, "round_duration_s must be finite"),
+        ("dsdv_update_interval_s", math.inf, "dsdv_update_interval_s must be finite"),
+        ("initial_energy_j", math.nan, "initial_energy_j must be finite"),
+        ("radio_range_rr_m", math.nan, "radio_range_rr_m must be finite"),
+        ("filter_threshold", math.nan, "filter_threshold must be finite"),
+        ("field_height_m", -math.inf, "field_height_m must be finite"),
+    ],
+)
+def test_validate_rejection_names_its_field(field, value, message):
+    with pytest.raises(ConfigError) as exc:
+        validate_config(small_config(**{field: value}))
+    assert message in exc.value.errors
+
+
 def test_validate_rejects_rc_above_rr():
     with pytest.raises(ConfigError) as exc:
         validate_config(SimConfig(cluster_radius_rc_m=2000.0, radio_range_rr_m=1500.0))

@@ -193,8 +193,8 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     assert world.log.delivered == 1
 
 
-# -- World.forward at the edges: each send against the same charges made
-# one consume at a time on a copy of the ledger
+# -- DsdvProtocol._send's hop walk at the edges: each send against the same
+# charges made one consume at a time on a copy of the ledger
 
 BITS = 4096  # small_config's packet size
 

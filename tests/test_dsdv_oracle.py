@@ -13,12 +13,13 @@ replayed on the oracle with the same listeners, and every data send is
 walked again on a copy of the ledger taken just before it, charging each
 hop through EnergyLedger.consume. That copy must then equal the run's
 ledger bit for bit, arrays and totals, and the send must end the same
-way, so World.forward is held to a per-hop consume walk, clamped charges
-and deaths on the path included. DsdvProtocol keeps only what a run can
-observe, and after every event that must match the oracle: the packed sink
-routes decode to the oracle's sink entries cell for cell, each node's
-``known`` bits are the sensors it holds an advertisable entry for, and each
-dump is as long as the oracle's advertised table. The oracle asserts the
+way, so DsdvProtocol._send's inline charges are held to a per-hop consume
+walk, clamped charges and deaths on the path included. DsdvProtocol keeps
+only what a run can observe, and after every event that must match the
+oracle: the packed sink routes decode to the oracle's sink entries cell
+for cell, each node's ``known`` bits are the sensors it holds an
+advertisable entry for, and each dump is as long as the oracle's
+advertised table. The oracle asserts the
 invariant that makes this reduction exact: an advertisable entry to a
 sensor never stops being advertisable.
 """

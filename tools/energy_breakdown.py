@@ -6,9 +6,9 @@ charge by the activity that made it: control (hellos, schedules, route
 dumps) or data (member uplink, relaying, sends to the sink). For DSDV it
 also sums the energy paid for frames that the sink channel then rejects;
 for mleach it splits the unreachable drops by where they happen. The split
-is taken by wrapping the ledger, World.forward and the protocol handlers
-from outside, so the run itself is unchanged: the printed ratio is the one
-acceptance criterion 2 checks.
+is taken by wrapping the ledger and the protocol handlers from outside, so
+the run itself is unchanged: the printed ratio is the one acceptance
+criterion 2 checks.
 
 Usage: PYTHONPATH=src python3 tools/energy_breakdown.py
 
@@ -56,7 +56,6 @@ def breakdown(cfg, cls):
     rejected = np.zeros(n)
     unreachable = defaultdict(int)
     activity = ["other"]
-    frame = []  # (node, joules) charged by the data send in progress
 
     def consume(f):
         def wrapped(ledger, i, j, now):
@@ -64,7 +63,6 @@ def breakdown(cfg, cls):
             ok = f(ledger, i, j, now)
             paid = j if ok else before
             spent[activity[0]][i] += paid
-            frame.append((i, paid))
             return ok
         return wrapped
 
@@ -76,19 +74,6 @@ def breakdown(cfg, cls):
             return paid
         return wrapped
 
-    def forward(f):
-        # forward charges every hop of a frame inline: credit each node the
-        # energy it lost over the call
-        def wrapped(world, *args):
-            before = world.ledger.energy.copy()
-            outcome = f(world, *args)
-            drop = before - world.ledger.energy
-            for i in np.flatnonzero(drop).tolist():
-                spent[activity[0]][i] += drop[i]
-                frame.append((i, drop[i]))
-            return outcome
-        return wrapped
-
     def tagged(name):
         def make(f):
             def wrapped(proto, *args):
@@ -96,26 +81,31 @@ def breakdown(cfg, cls):
                 activity[0] = ACTIVITY[cls].get(name, outer)
                 log = proto.world.log
                 dropped, congested = log.dropped_unreachable, log.dropped_congested
-                frame.clear()
+                ledger = proto.world.ledger
+                before = ledger.energy.copy() if name == "_send" else None
                 try:
                     return f(proto, *args)
                 finally:
+                    if name == "_send":
+                        # _send charges every hop of a frame inline: credit each
+                        # node the energy it lost over the call
+                        drop = before - ledger.energy
+                        for i in np.flatnonzero(drop).tolist():
+                            spent[activity[0]][i] += drop[i]
+                            if log.dropped_congested > congested:
+                                rejected[i] += drop[i]
                     activity[0] = outer
                     if name in UNREACHABLE_AT:
                         unreachable[UNREACHABLE_AT[name]] += log.dropped_unreachable - dropped
-                    if name == "_send" and log.dropped_congested > congested:
-                        for i, paid in frame:
-                            rejected[i] += paid
             return wrapped
         return make
 
     log = MetricsLog(cls.__name__, cfg.sim_duration_s, n)
     world = World(cfg, log)
     with ExitStack() as stack:
-        # every other scalar charge goes through consume
+        # every scalar charge outside DSDV's _send goes through consume
         wrap(stack, EnergyLedger, "consume", consume)
         wrap(stack, EnergyLedger, "charge_many", charge_many)
-        wrap(stack, World, "forward", forward)
         names = set(ACTIVITY[cls])
         if cls is MleachProtocol:
             names |= set(UNREACHABLE_AT)

@@ -72,7 +72,12 @@ class BsChannel:
             self._bits = 0.0
             self._second += 1
         # L changes once a second, so the pass probability does too
-        self.p_pass = math.exp(-((self.load_ema / self.capacity_bps) ** self.collapse_k))
+        try:
+            excess = (self.load_ema / self.capacity_bps) ** self.collapse_k
+        except OverflowError:
+            # past the largest float exp(-x) is 0.0 anyway: nothing passes
+            excess = math.inf
+        self.p_pass = math.exp(-excess)
 
     def admit(self, t_us: int, bits: int) -> bool:
         if not self.enabled:

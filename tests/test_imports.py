@@ -1,6 +1,6 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module or a script under tools/ imports is used in it.
 
-No linter ships with the project's dependencies, so this walks each module's
+No linter ships with the project's dependencies, so this walks each file's
 syntax tree: an imported name that never appears as a name or as the root of
 an attribute access is reported.
 """
@@ -10,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mleachsim"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+MODULES = sorted(p for p in (ROOT / "src" / "mleachsim").glob("*.py") if p.name != "__init__.py")
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,6 +35,6 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: b"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -211,6 +211,22 @@ def test_channel_below_capacity_is_mostly_clean():
     assert admitted == 200
 
 
+def test_channel_admits_nothing_once_the_load_power_overflows():
+    ch = BsChannel(100.0, 400.0, np.random.default_rng(3))
+    assert ch.admit(0, 4096)  # first second: EMA still zero
+    # (2048 / 100) ** 400 is past the largest float: exp(-inf) passes nothing
+    assert not any(ch.admit(1_000_000 + k, 4096) for k in range(50))
+    assert ch.p_pass == 0.0
+
+
+@pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
+def test_overflowing_channel_power_runs_strict_to_the_end(protocol):
+    cfg = small_config(bs_mac_capacity_bps=100.0, bs_mac_collapse_k=200.0, sim_duration_s=4)
+    log = run_simulation(cfg, protocol, strict=True)
+    assert log.dropped_congested > 0
+    assert log.conservation_residual() == 0
+
+
 class ScalarChannel:
     """The sink channel spelled out per frame: roll the EMA, then one exp and one draw."""
 

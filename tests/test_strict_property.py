@@ -1,11 +1,12 @@
 """Strict mode holds for small valid configs, not only for the reference one.
 
 Draws cover tiny energy budgets (most runs have deaths), a sink out of radio
-range, the sink channel on, high mobility and update intervals up to twice
-the horizon. Strict mode raises InvariantViolation on the first breach.
-Draws of 1-16 nodes over 2-6 s cover the corners; draws of 17-64 nodes
-over 2-12 s reach multi-hop routes, several elections per run and deaths
-late in a run, which the small draws rarely do.
+range, the sink channel on with collapse exponents of 0.5 to 1000 (high
+enough that the channel's power overflows), high mobility and update
+intervals up to twice the horizon. Strict mode raises InvariantViolation
+on the first breach. Draws of 1-16 nodes over 2-6 s cover the corners;
+draws of 17-64 nodes over 2-12 s reach multi-hop routes, several elections
+per run and deaths late in a run, which the small draws rarely do.
 """
 
 from hypothesis import given, settings
@@ -52,6 +53,7 @@ def small_configs(draw, nodes=(1, 16), horizons=(2, 6)):
         traffic_rate_pps=draw(st.floats(0.5, 10.0)),
         dsdv_update_interval_s=draw(st.floats(0.1, 2.0 * horizon)),
         bs_mac_capacity_bps=draw(st.sampled_from([0.0, 500.0, 5000.0, 50000.0])),
+        bs_mac_collapse_k=draw(st.sampled_from([0.5, 4.0, 50.0, 1000.0])),
         rng_seed=draw(st.integers(0, 2**32)),
     )
 

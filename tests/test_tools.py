@@ -38,6 +38,33 @@ def test_energy_breakdown_accounts_for_every_joule(cls):
         assert 0.0 < rejected.sum() < spent["data"].sum()
 
 
+def test_energy_breakdown_splits_every_unreachable_drop(capsys):
+    tool = load_tool("energy_breakdown")
+    # a wide field with the sink in a corner: orphans out of range, heads
+    # with no route to it, and readings still queued when the run ends
+    cfg = validate_config(
+        small_config(
+            sim_duration_s=6,
+            field_width_m=3000.0,
+            field_height_m=3000.0,
+            bs_position=(0.0, 0.0),
+            node_count=40,
+        )
+    )
+    result = tool.breakdown(cfg, MleachProtocol)
+    log, unreachable = result[0], result[4]
+    assert list(unreachable) == [
+        "heads with no route",
+        "orphans out of sink range",
+        "still queued at the end",
+    ]
+    assert all(v > 0 for v in unreachable.values())
+    assert sum(unreachable.values()) == log.dropped_unreachable
+    tool.report("mleach", *result)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2] == "   unreachable at: " + ", ".join(f"{k} {v}" for k, v in unreachable.items())
+
+
 def test_digest_sweep_smoke(tmp_path, capsys):
     tool = load_tool("digest_sweep")
     out = tmp_path / "digests.json"

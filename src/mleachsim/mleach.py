@@ -331,23 +331,19 @@ class MleachProtocol:
 
     def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
         delta = self._change(origin, reading)
-        if delta is not None:
-            self._route(t_us, ch, origin, delta)
-
-    def _route(self, t_us: int, ch: int, origin: int, delta: float) -> None:
+        if delta is None:
+            return
         world = self.world
-        cfg = self.cfg
         path = self.ctx.routes.get(ch)
         if path is None:
             world.log.dropped_unreachable += 1
             return
+        # every route ends at the sink
         for u, v in zip(path, path[1:]):
-            if not world.unicast(u, v, world.distance(u, v), cfg.packet_size_bits, t_us):
+            if not world.unicast(u, v, world.distance(u, v), self.cfg.packet_size_bits, t_us):
                 world.log.dropped_dead += 1
                 return
-            if v == world.bs_id:
-                world.deliver_data(t_us, origin, delta)
-                return
+        world.deliver_data(t_us, origin, delta)
 
     def _orphan_flush(self, t_us: int, i: int) -> None:
         world = self.world

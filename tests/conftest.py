@@ -1,3 +1,5 @@
+import importlib.util
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,14 @@ from mleachsim.config import SimConfig, validate_config
 from mleachsim.metrics import MetricsLog
 from mleachsim.radio import EnergyLedger
 from mleachsim.simulation import World
+
+
+def load_module(path, name):
+    """Import the script at ``path`` as a module named ``name``."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def small_config(**overrides) -> SimConfig:

@@ -8,7 +8,6 @@ under ``src/`` would break tracing and fail nothing in tier-1. Neither
 for the whole process.
 """
 
-import importlib.util
 import inspect
 import json
 import re
@@ -20,27 +19,21 @@ import mleachsim.mleach
 from mleachsim.engine import EventKind
 from mleachsim.simulation import World, run_simulation
 
-from conftest import small_config
+from conftest import load_module, small_config
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 
 
-def load_bench_module(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_timed_point_resolves():
-    spans = load_bench_module("spans")
+    spans = load_module(PERFBENCH / "spans.py", "perfbench_spans")
     for name, owner, attr in spans.timed_points(mleachsim):
         assert callable(getattr(owner, attr, None)), name
 
 
 def test_every_name_counts_reads_resolves():
-    source = inspect.getsource(load_bench_module("spans").Counts.install)
+    spans = load_module(PERFBENCH / "spans.py", "perfbench_spans")
+    source = inspect.getsource(spans.Counts.install)
     dotted = set(re.findall(r"\bpkg((?:\.\w+)+)", source))
     queue_attrs = set(re.findall(r"\bqueue_cls\.(\w+)", source))
     assert ".radio.EnergyLedger.consume" in dotted
@@ -62,7 +55,7 @@ def test_every_name_counts_reads_resolves():
 
 
 def test_hook_run_sees_the_first_event_and_the_end(monkeypatch):
-    child = load_bench_module("child")
+    child = load_module(PERFBENCH / "child.py", "perfbench_child")
     monkeypatch.setattr(World, "run", World.run)  # restored after the test
     seen = {}
     child.hook_run(World, seen)

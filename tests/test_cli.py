@@ -1,12 +1,17 @@
 import csv
 import math
+import os
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import mleachsim
 from mleachsim.cli import main
-from mleachsim.config import serialize_config
+from mleachsim.config import load_config, serialize_config
 from mleachsim.simulation import run_simulation
 
 from conftest import small_config
@@ -166,3 +171,21 @@ def test_unwritable_output_exits_1(config_file, tmp_path, capsys):
     )
     assert code == 1
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_a_fresh_interpreter_writes_the_same_bytes(config_file, tmp_path):
+    # state shared across runs in one interpreter cannot hide a difference
+    out = tmp_path / "cli"
+    src = str(Path(mleachsim.__file__).resolve().parent.parent)
+    subprocess.run(
+        [sys.executable, "-m", "mleachsim.cli", "--config", config_file, "--out", str(out)],
+        check=True,
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    cfg = load_config(config_file)
+    for proto in ("mleach", "dsdv"):
+        run_simulation(cfg, proto).export_csv(str(tmp_path / "here" / proto))
+        for name in ("energy.csv", "throughput.csv", "summary.csv"):
+            here = (tmp_path / "here" / proto / name).read_bytes()
+            assert (out / proto / name).read_bytes() == here, f"{proto}/{name}"

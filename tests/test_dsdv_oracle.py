@@ -205,6 +205,7 @@ def replay(cfg):
     return oracle
 
 
+# not digest_sweep.draw_config: the coverage floors below need this fixed, dense 1000 m field
 def draw_config(rng):
     horizon = int(rng.integers(2, 7))
     rr = float(rng.uniform(150.0, 700.0))

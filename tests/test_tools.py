@@ -1,31 +1,25 @@
 """The scripts under tools/ on small configs."""
 
-import importlib.util
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mleachsim.config import validate_config
+from mleachsim.config import SimConfig, validate_config
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.mleach import MleachProtocol
 
-from conftest import small_config
+from conftest import load_module, small_config
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("cls", [MleachProtocol, DsdvProtocol])
 def test_energy_breakdown_accounts_for_every_joule(cls):
-    tool = load_tool("energy_breakdown")
+    tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
     # the sink channel on, so that DSDV pays for frames the sink rejects
     cfg = validate_config(small_config(bs_mac_capacity_bps=5000.0, sim_duration_s=6))
     log, world, spent, rejected, _ = tool.breakdown(cfg, cls)
@@ -39,7 +33,7 @@ def test_energy_breakdown_accounts_for_every_joule(cls):
 
 
 def test_energy_breakdown_splits_every_unreachable_drop(capsys):
-    tool = load_tool("energy_breakdown")
+    tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
     # a wide field with the sink in a corner: orphans out of range, heads
     # with no route to it, and readings still queued when the run ends
     cfg = validate_config(
@@ -66,7 +60,7 @@ def test_energy_breakdown_splits_every_unreachable_drop(capsys):
 
 
 def test_digest_sweep_smoke(tmp_path, capsys):
-    tool = load_tool("digest_sweep")
+    tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
     out = tmp_path / "digests.json"
     assert tool.main(["--n", "2", "--out", str(out)]) == 0
     digests = json.loads(out.read_text())
@@ -83,3 +77,10 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "changed 1:mleach:plain" in report
     assert "1 of 8 digests changed, 0 unmatched" in report
+
+
+def test_digest_sweep_draws_every_config_field():
+    tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
+    draws = [tool.draw_config(np.random.default_rng([0, k])) for k in range(50)]
+    for field in fields(SimConfig):
+        assert len({getattr(cfg, field.name) for cfg in draws}) > 1, field.name

@@ -1,18 +1,24 @@
 #!/usr/bin/env python3
 """Digest both protocols' output over many seeded random valid configs.
 
-Run mode draws N configs from a seed (8-64 nodes, budgets from 1e-4 J to
-1e3 J, horizons of 2-20 s, the sink channel off or on, the sink at random
-or placed, fast mobility, short and long DSDV update intervals) and runs
-each with both protocols, plain and strict. The budgets reach past what a
+Run mode draws N configs from a seed and runs each with both protocols,
+plain and strict. ``draw_config`` draws every ``SimConfig`` field: 8-64
+nodes over 2-20 s, budgets of 1e-4 to 1e3 J, frame sizes of 1 to 1e6
+bits, radio constants of 1e-20 to 1e-3, the sink channel off or on with
+its collapse exponent, the sink at random or placed, speeds up to 80 m/s,
+and short and long DSDV update intervals. ``tests/test_strict_property.py``
+draws its configs from the same function. The budgets reach past what a
 run can spend, so many runs keep every sensor alive to the end: elections
-across epochs, waypoint arrivals and long-lived routes show only there. Per run it writes one sha256 over the three
-CSVs and the ledger's ``consumed``, ``consumed_comp``, ``energy`` and
-``death_time_us`` arrays and its total; a run that raises is digested by
-its exception. Compare mode diffs two digest files, so that a change meant
-to keep output bytes can be checked against its parent on every draw:
+across epochs, waypoint arrivals and long-lived routes show only there. Per
+run it writes one sha256 over the three CSVs and the ledger's
+``consumed``, ``consumed_comp``, ``energy`` and ``death_time_us`` arrays
+and its total; a run that raises is digested by its exception. Compare
+mode diffs two digest files, so that a change meant to keep output bytes
+can be checked against its parent on every draw. Both sides run this one
+copy of the tool, so that they draw the same configs; only the simulator
+under ``PYTHONPATH`` differs:
 
-    PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out before.json
+    PYTHONPATH=../parent/src python3 tools/digest_sweep.py --n 600 --out before.json
     PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out after.json
     PYTHONPATH=src python3 tools/digest_sweep.py --compare before.json after.json
 
@@ -46,32 +52,39 @@ from mleachsim.simulation import World
 PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
 
 
-def draw_config(rng: np.random.Generator):
-    """One valid config; every field that shapes the run is drawn."""
-    horizon = int(rng.integers(2, 21))
+def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
+    """One valid config, every ``SimConfig`` field drawn; ``nodes`` and
+    ``horizons`` are inclusive ranges. ``rng`` needs only a ``Generator``'s
+    scalar ``integers``, ``uniform`` and ``choice``: the strict tests pass
+    hypothesis draws."""
+    horizon = int(rng.integers(horizons[0], horizons[1] + 1))
     rounds = [r for r in (0.5, 1.0, 2.0, float(horizon)) if horizon % r == 0]
-    width, height = (float(x) for x in rng.uniform(200.0, 3000.0, 2))
+    width = float(rng.uniform(200.0, 3000.0))
+    height = float(rng.uniform(200.0, 3000.0))
     rr = float(rng.uniform(50.0, 1500.0))
-    if rng.random() < 0.5:
+    if rng.integers(0, 2):
         bs = "random"
     else:
         bs = (float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
     speed_min = float(rng.uniform(0.0, 40.0))
-    if rng.random() < 0.5:
+    if rng.integers(0, 2):
         interval = float(rng.uniform(0.05, 0.5))
     else:
         interval = float(rng.uniform(0.5, 2.0 * horizon))
     cfg = SimConfig(
         field_width_m=width,
         field_height_m=height,
-        node_count=int(rng.integers(8, 65)),
+        node_count=int(rng.integers(nodes[0], nodes[1] + 1)),
         bs_position=bs,
+        packet_size_bits=int(10.0 ** rng.uniform(0.0, 6.0)),
         initial_energy_j=float(10.0 ** rng.uniform(-4.0, 3.0)),
         sim_duration_s=horizon,
         round_duration_s=float(rng.choice(rounds)),
         p_ch_fraction=float(rng.uniform(0.05, 0.5)),
         cluster_radius_rc_m=rr * float(rng.uniform(0.1, 1.0)),
         radio_range_rr_m=rr,
+        e_elec_j_per_bit=float(10.0 ** rng.uniform(-20.0, -3.0)),
+        eps_amp_j_per_bit_m2=float(10.0 ** rng.uniform(-20.0, -3.0)),
         ch_exclusion_rounds=int(rng.integers(0, 5)),
         filter_threshold=float(rng.uniform(0.0, 0.5)),
         mobility_speed_min_mps=speed_min,
@@ -80,8 +93,13 @@ def draw_config(rng: np.random.Generator):
         traffic_on_s=float(rng.uniform(0.5, 5.0)),
         traffic_off_s=float(rng.uniform(0.0, 5.0)),
         traffic_rate_pps=float(rng.uniform(0.5, 10.0)),
+        hello_bits=int(10.0 ** rng.uniform(0.0, 6.0)),
+        schedule_bits_per_cm=int(10.0 ** rng.uniform(0.0, 6.0)),
+        heartbeat_bits=int(10.0 ** rng.uniform(0.0, 6.0)),
+        dsdv_entry_bits=int(10.0 ** rng.uniform(0.0, 6.0)),
         dsdv_update_interval_s=interval,
-        bs_mac_capacity_bps=float(rng.choice([0.0, 0.0, 500.0, 5000.0, 50000.0])),
+        bs_mac_capacity_bps=float(rng.choice([0.0, 500.0, 5000.0, 50000.0])),
+        bs_mac_collapse_k=float(rng.choice([0.5, 4.0, 50.0, 1000.0])),
         rng_seed=int(rng.integers(0, 2**32)),
     )
     return validate_config(cfg)

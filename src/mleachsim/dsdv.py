@@ -126,16 +126,17 @@ class DsdvProtocol:
         each as ``World.unicast`` would. Each outcome bumps its log counter,
         or hands the frame to ``World.deliver_data``, where it is decided.
 
-        Each charge repeats ``EnergyLedger.consume``'s clamp, Neumaier and
-        Kahan steps inline, on views and totals bound once per frame: a
-        frame makes about four charges, and the per-call overhead of
-        ``unicast`` and ``consume`` was most of its cost. For the same
-        reason it reads ``World._dist``, ``_row_step`` and ``_step``
-        directly, saving a call per hop: row ``cur`` is fresh iff
-        ``_row_step[cur] == _step``, and ``World.distance`` serves a stale
-        one. ``tests/test_dsdv_oracle.py`` replays every send as per-hop
-        ``consume`` calls on a copy of the ledger and holds the two equal
-        bit for bit.
+        A hop's tx and rx charges run one inline copy of
+        ``EnergyLedger.consume``'s clamp, Neumaier and Kahan steps, on views
+        and totals bound once per frame: a frame makes about four charges, and
+        the per-call overhead of ``consume`` was most of its cost. A path walk
+        shared with ``World.unicast``'s callers cost flood-dsdv 10-12% in each
+        of three designs measured. For the same reason the walk reads
+        ``World._dist``, ``_row_step`` and ``_step`` directly, saving a call
+        per hop: row ``cur`` is fresh iff ``_row_step[cur] == _step``, and
+        ``World.distance`` serves a stale one. ``tests/test_dsdv_oracle.py``
+        replays every send as per-hop ``consume`` calls on a copy of the
+        ledger and holds the two equal bit for bit.
         """
         world = self.world
         log = world.log
@@ -184,48 +185,34 @@ class DsdvProtocol:
             if not alive[cur]:
                 log.dropped_dead += 1
                 break
-            # consume's steps for the sender's tx
-            j = rx + amp * (d * d)
-            e = energy[cur]
-            ok = e >= j
-            x = j if ok else e
-            e = e - j if ok else 0.0
-            energy[cur] = e
-            s = consumed[cur]
-            t = s + x
-            comp[cur] += (s - t) + x if s >= x else (x - t) + s
-            consumed[cur] = t
-            y = x - total_comp
-            t = total + y
-            total_comp = (t - total) - y
-            total = t
-            if e == 0.0:
-                ledger._mark_dead(cur, t_us)
+            # consume's steps, once for the sender's tx and, unless nh is the
+            # sink, once for the receiver's rx: nh was alive at the link check,
+            # and only cur, never nh, has paid since
+            payer, j = cur, rx + amp * (d * d)
+            while True:
+                e = energy[payer]
+                ok = e >= j
+                x = j if ok else e
+                e = e - j if ok else 0.0
+                energy[payer] = e
+                s = consumed[payer]
+                t = s + x
+                comp[payer] += (s - t) + x if s >= x else (x - t) + s
+                consumed[payer] = t
+                y = x - total_comp
+                t = total + y
+                total_comp = (t - total) - y
+                total = t
+                if e == 0.0:
+                    ledger._mark_dead(payer, t_us)
+                if not ok or payer == nh or nh == bs:
+                    break
+                payer, j = nh, rx
             if not ok:
                 log.dropped_dead += 1
                 break
             if nh == bs:
                 world.deliver_data(t_us, i, None)
-                break
-            # and for the receiver's rx: nh was alive at the link check, and
-            # only cur, never nh, has paid since
-            e = energy[nh]
-            ok = e >= rx
-            x = rx if ok else e
-            e = e - rx if ok else 0.0
-            energy[nh] = e
-            s = consumed[nh]
-            t = s + x
-            comp[nh] += (s - t) + x if s >= x else (x - t) + s
-            consumed[nh] = t
-            y = x - total_comp
-            t = total + y
-            total_comp = (t - total) - y
-            total = t
-            if e == 0.0:
-                ledger._mark_dead(nh, t_us)
-            if not ok:
-                log.dropped_dead += 1
                 break
             cur = nh
         ledger._total = total

@@ -36,12 +36,9 @@ def ch_threshold(p: float, r: int) -> float:
     Rises over an epoch of ceil(1/p) rounds as the eligible set shrinks,
     reaching 1.0 in the final round so every remaining eligible node is
     elected. The raw formula can exceed 1 by a few ulps at the epoch's last
-    round, so the result is clamped into (0, 1].
+    round, so the result is clamped into (0, 1]. p is a validated
+    ``p_ch_fraction``, in (0, 1), and r counts rounds from 0.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must be in (0, 1)")
-    if r < 0:
-        raise ValueError("round index must not be negative")
     epoch = math.ceil(1.0 / p)
     return min(1.0, p / (1.0 - p * (r % epoch)))
 

@@ -4,8 +4,9 @@ Transmitting k bits over distance d costs E_elec*k + eps_amp*k*d^2; receiving
 costs E_elec*k. Both protocols pay for frames through World.broadcast,
 World.unicast and DsdvProtocol._send, which price them with RadioModel and
 charge EnergyLedger, so totals, clamping, and death bookkeeping live in one
-place; _send repeats ``consume``'s steps inline, operation for operation.
-The base station is infrastructure: it is never charged.
+place; _send runs ``consume``'s steps in one inline block, operation for
+operation. Arguments come from a validated config and are not checked
+again. The base station is infrastructure: it is never charged.
 """
 
 from __future__ import annotations
@@ -25,16 +26,10 @@ class RadioModel:
 
     def tx_energy(self, k: int, d: float) -> float:
         """Energy to transmit k bits over d meters."""
-        if k < 0:
-            raise ValueError("bit count must not be negative")
-        if d < 0:
-            raise ValueError("distance must not be negative")
         return self.e_elec_j_per_bit * k + self.eps_amp_j_per_bit_m2 * k * (d * d)
 
     def rx_energy(self, k: int) -> float:
         """Energy to receive k bits."""
-        if k < 0:
-            raise ValueError("bit count must not be negative")
         return self.e_elec_j_per_bit * k
 
 
@@ -86,8 +81,6 @@ class EnergyLedger:
         each the same IEEE operations as on numpy scalars, so the results
         are identical bit for bit.
         """
-        if j < 0:
-            raise ValueError("charge must not be negative")
         energy = self._energy_mv
         e = energy[i]
         ok = e >= j

@@ -214,8 +214,8 @@ class World:
         alive = ledger.alive_mv
         if not alive[u]:
             return False
-        # RadioModel's tx and rx formulas, in the same operation order; the
-        # constants were validated positive, so the argument checks are skipped
+        # RadioModel's tx and rx formulas, in the same operation order,
+        # written out to save a call per charge
         radio = self.radio
         tx = radio.e_elec_j_per_bit * bits + radio.eps_amp_j_per_bit_m2 * bits * (d * d)
         if not ledger.consume(u, tx, t_us):

@@ -32,10 +32,6 @@ class OnOffTraffic:
         rate_pps: float,
         seed: int,
     ) -> None:
-        if on_s < 0 or off_s < 0 or on_s + off_s <= 0:
-            raise ValueError("phase durations must be non-negative and not both zero")
-        if rate_pps <= 0:
-            raise ValueError("rate_pps must be positive")
         self.on_s = on_s
         self.cycle_s = on_s + off_s
         self.rate_pps = rate_pps

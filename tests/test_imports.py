@@ -1,4 +1,4 @@
-"""Every name a package module or a script under tools/ imports is used in it.
+"""Every name a package module, a tools/ script or a test file imports is used in it.
 
 No linter ships with the project's dependencies, so this walks each file's
 syntax tree: an imported name that never appears as a name or as the root of
@@ -13,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "mleachsim").glob("*.py") if p.name != "__init__.py")
 TOOLS = sorted((ROOT / "tools").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,6 +36,6 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(source) == ["line 1: math", "line 3: b"]
 
 
-@pytest.mark.parametrize("path", MODULES + TOOLS, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TOOLS + TESTS, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,7 +1,6 @@
 import math
 
 import numpy as np
-import pytest
 
 from mleachsim.engine import RandomStreams
 from mleachsim.mobility import MobilityField

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -77,6 +80,25 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     report = capsys.readouterr().out
     assert "changed 1:mleach:plain" in report
     assert "1 of 8 digests changed, 0 unmatched" in report
+
+
+def test_digest_sweep_compares_without_the_simulator(tmp_path):
+    # compare mode only reads JSON, so it must run with no src/ on the path
+    digests = {f"0:{p}:{m}": p + m for p in ("dsdv", "mleach") for m in ("plain", "strict")}
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps(digests))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def compare(other):
+        b.write_text(json.dumps(other))
+        cmd = [sys.executable, str(TOOLS / "digest_sweep.py"), "--compare", str(a), str(b)]
+        return subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    same = compare(digests)
+    assert same.returncode == 0, same.stderr
+    changed = compare(dict(digests, **{"0:dsdv:strict": "x"}))
+    assert changed.returncode == 1, changed.stderr
+    assert "changed 0:dsdv:strict" in changed.stdout
 
 
 def test_digest_sweep_draws_every_config_field():

@@ -1,20 +1,10 @@
 import numpy as np
-import pytest
 
 from mleachsim.traffic import OnOffTraffic
 
 
 def always_on(n=4, rate=2.5, seed=3):
     return OnOffTraffic(n, on_s=60.0, off_s=0.0, rate_pps=rate, seed=seed)
-
-
-def test_invalid_parameters_rejected():
-    with pytest.raises(ValueError):
-        OnOffTraffic(2, on_s=0.0, off_s=0.0, rate_pps=1.0, seed=1)
-    with pytest.raises(ValueError):
-        OnOffTraffic(2, on_s=-1.0, off_s=2.0, rate_pps=1.0, seed=1)
-    with pytest.raises(ValueError):
-        OnOffTraffic(2, on_s=1.0, off_s=1.0, rate_pps=0.0, seed=1)
 
 
 def test_always_on_rate_is_exact_over_time():

@@ -22,7 +22,8 @@ under ``PYTHONPATH`` differs:
     PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out after.json
     PYTHONPATH=src python3 tools/digest_sweep.py --compare before.json after.json
 
-Compare mode exits with status 1 when any digest differs or is missing.
+Compare mode reads only the two files, so it runs without ``PYTHONPATH``.
+It exits with status 1 when any digest differs or is missing.
 
 The sweep cannot reach every branch. A waypoint arrival tie, a speed equal
 to the remaining distance, needs a node standing on its target at speed 0,
@@ -43,13 +44,9 @@ import tempfile
 
 import numpy as np
 
-from mleachsim.config import SimConfig, validate_config
-from mleachsim.dsdv import DsdvProtocol
-from mleachsim.metrics import MetricsLog
-from mleachsim.mleach import MleachProtocol
-from mleachsim.simulation import World
-
-PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
+# the simulator is imported only where a config is drawn or run, so that
+# compare mode, which reads two JSON files, needs no PYTHONPATH
+PROTOCOLS = ("mleach", "dsdv")
 
 
 def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
@@ -57,6 +54,8 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
     ``horizons`` are inclusive ranges. ``rng`` needs only a ``Generator``'s
     scalar ``integers``, ``uniform`` and ``choice``: the strict tests pass
     hypothesis draws."""
+    from mleachsim.config import SimConfig, validate_config
+
     horizon = int(rng.integers(horizons[0], horizons[1] + 1))
     rounds = [r for r in (0.5, 1.0, 2.0, float(horizon)) if horizon % r == 0]
     width = float(rng.uniform(200.0, 3000.0))
@@ -107,11 +106,16 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
 
 def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
     """sha256 of one run's CSVs and ledger state."""
+    from mleachsim.dsdv import DsdvProtocol
+    from mleachsim.metrics import MetricsLog
+    from mleachsim.mleach import MleachProtocol
+    from mleachsim.simulation import World
+
     h = hashlib.sha256()
     try:
         log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
         world = World(cfg, log, strict=strict)
-        world.run(PROTOCOLS[protocol](world))
+        world.run({"mleach": MleachProtocol, "dsdv": DsdvProtocol}[protocol](world))
     except Exception as exc:  # a run that now raises must show as a change
         h.update(f"{type(exc).__name__}: {exc}".encode())
         return h.hexdigest()

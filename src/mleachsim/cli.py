@@ -158,7 +158,11 @@ def main(argv=None) -> int:
 
 
 def _write_batch_summary(out_dir: str, batch_rows: dict[str, list[list]]) -> None:
-    """Mean and sample stddev of every numeric summary column across seeds."""
+    """Mean and sample stddev of every numeric summary column across seeds.
+
+    first_death_s is taken over the seeds that had a death; it is -1.0, with
+    stddev 0.0, when none did, as a run without one writes it.
+    """
     path = os.path.join(out_dir, "batch_summary.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -166,6 +170,8 @@ def _write_batch_summary(out_dir: str, batch_rows: dict[str, list[list]]) -> Non
         for proto, rows in batch_rows.items():
             for col, name in enumerate(SUMMARY_FIELDS[1:]):
                 values = [float(r[col]) for r in rows]
+                if name == "first_death_s":
+                    values = [v for v in values if v >= 0.0] or [-1.0]
                 spread = statistics.stdev(values) if len(values) > 1 else 0.0
                 w.writerow([proto, name, repr(statistics.fmean(values)), repr(spread)])
     print(f"batch summary: {path}")

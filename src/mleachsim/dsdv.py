@@ -41,6 +41,7 @@ class DsdvProtocol:
         self.known = [1 << i for i in range(n)]
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
+        self.stream = world.streams.get("dsdv")
         self.handlers = {
             EventKind.BS_ROUTE_DUMP: self._bs_dump,
             EventKind.ROUTE_DUMP: self._node_dump,
@@ -51,19 +52,18 @@ class DsdvProtocol:
 
     def start(self) -> None:
         world = self.world
-        stream = world.streams.get("dsdv")
         world.queue.schedule(0, EventKind.BS_ROUTE_DUMP, None)
         # first advertisement lands at a per-node jitter within the interval;
         # every node draws its jitter even when it falls past the horizon, so
         # the order of draws on the dsdv stream does not depend on the horizon
         for i in range(world.cfg.node_count):
-            jitter = int(stream.random() * self.interval_us)
+            jitter = int(self.stream.random() * self.interval_us)
             if jitter < world.cfg.sim_us:
                 world.queue.schedule(jitter, EventKind.ROUTE_DUMP, i)
 
     def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
         # one draw call per batch: PCG64 yields the same doubles as a draw per reading
-        offsets = self.world.streams.get("dsdv").random(len(readings)).tolist()
+        offsets = self.stream.random(len(readings)).tolist()
         schedule = self.world.queue.schedule
         for u in offsets:
             schedule(t_us + int(u * US), EventKind.DATA_SEND, i)
@@ -81,8 +81,6 @@ class DsdvProtocol:
             world.queue.schedule(t_us + US, EventKind.BS_ROUTE_DUMP, None)
         self.bs_seq += 2
         survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
-        if len(survivors) == 0:
-            return
         dsdv_merge(self.key, self.next_hop, route_key(self.bs_seq, 1), survivors, world.bs_id)
         if world.strict:
             world.check_routes(self)
@@ -90,8 +88,6 @@ class DsdvProtocol:
     def _node_dump(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
-        if not world.ledger.alive_mv[i]:
-            return
         bits = self.known[i]
         sink_key = self.sink_key[i]
         sink_live = sink_key & ROUTE_BITS == LIVE
@@ -99,16 +95,14 @@ class DsdvProtocol:
         survivors = world.broadcast(i, entries * cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if survivors is None:
             return
-        if len(survivors):
-            known = self.known
-            for r in survivors.tolist():
-                known[r] |= bits
-            if sink_live:
-                # one hop further via i, as the receivers would store it
-                dsdv_merge(self.key, self.next_hop, sink_key - 1, survivors, i)
+        known = self.known
+        for r in survivors.tolist():
+            known[r] |= bits
+        if sink_live:
+            # one hop further via i, as the receivers would store it
+            dsdv_merge(self.key, self.next_hop, sink_key - 1, survivors, i)
         # the jitter is under one interval, so t_us // interval_us is this dump's interval
-        stream = world.streams.get("dsdv")
-        jitter = int(stream.random() * self.interval_us)
+        jitter = int(self.stream.random() * self.interval_us)
         next_t = (t_us // self.interval_us + 1) * self.interval_us + jitter
         if next_t < world.cfg.sim_us:
             world.queue.schedule(next_t, EventKind.ROUTE_DUMP, i)

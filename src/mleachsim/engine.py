@@ -39,15 +39,11 @@ class EventKind(IntEnum):
     SIM_END = 10
 
 
-# kind value -> member, so a pop looks its kind up rather than building it
-_KINDS = tuple(EventKind)
-
-
 class EventQueue:
     """Min-heap of (time_us, kind, seq) with opaque payloads."""
 
     def __init__(self) -> None:
-        self._heap: list[tuple[int, int, int, Any]] = []
+        self._heap: list[tuple[int, EventKind, int, Any]] = []
         self._seq = 0
         self.now_us = 0
 
@@ -59,13 +55,13 @@ class EventQueue:
             raise ValueError(
                 f"cannot schedule {kind.name} at {fire_at_us} us; clock is {self.now_us} us"
             )
-        heapq.heappush(self._heap, (fire_at_us, int(kind), self._seq, payload))
+        heapq.heappush(self._heap, (fire_at_us, kind, self._seq, payload))
         self._seq += 1
 
     def pop(self) -> tuple[int, EventKind, Any]:
         fire_at_us, kind, _, payload = heapq.heappop(self._heap)
         self.now_us = fire_at_us
-        return fire_at_us, _KINDS[kind], payload
+        return fire_at_us, kind, payload
 
 
 class RandomStreams:

@@ -279,8 +279,6 @@ class MleachProtocol:
                 continue
             slot_us = cfg.round_us // m
             for slot, i in enumerate(members):
-                if not world.ledger.alive[i]:
-                    continue
                 ctx.tdma[i] = slot
                 world.queue.schedule(t_us + slot * slot_us, EventKind.SLOT_START, (i, ch))
         return stranded
@@ -299,6 +297,8 @@ class MleachProtocol:
         cm, ch = member_head
         world = self.world
         cfg = self.cfg
+        # dead since its slot was queued (hearing a schedule or a hello can
+        # drain it): the queue is left for finish
         if not world.ledger.alive[cm]:
             return
         todo = self.pending[cm]
@@ -307,13 +307,10 @@ class MleachProtocol:
             world.unicast(cm, ch, d, cfg.heartbeat_bits, t_us)
             return
         self.pending[cm] = []
-        for idx, reading in enumerate(todo):
+        # once the member dies, unicast fails at no charge, so the rest drop one by one
+        for reading in todo:
             if world.unicast(cm, ch, d, cfg.packet_size_bits, t_us):
                 self._head_accept(t_us, ch, cm, reading)
-            elif not world.ledger.alive[cm]:
-                # a dead member loses the rest; a failed head loses this one
-                world.log.dropped_dead += len(todo) - idx
-                return
             else:
                 world.log.dropped_dead += 1
 

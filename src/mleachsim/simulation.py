@@ -140,7 +140,7 @@ class World:
         self.channel = BsChannel(
             cfg.bs_mac_capacity_bps,
             cfg.bs_mac_collapse_k,
-            self.streams.get("channel") if cfg.bs_mac_capacity_bps > 0 else None,
+            self.streams.get("channel"),
         )
 
     # -- distances -----------------------------------------------------------

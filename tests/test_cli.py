@@ -156,6 +156,23 @@ def test_repeat_with_deaths_averages_first_death(tmp_path):
         assert means[(proto, "first_death_s")] == statistics.fmean(deaths)
 
 
+def test_repeat_averages_first_death_over_the_seeds_with_one(tmp_path):
+    # seeds 3 and 4 lose no sensor in 4 s on 2 J, seed 5 does
+    cfg = small_config(initial_energy_j=2.0, sim_duration_s=4)
+    deaths = [
+        run_simulation(replace(cfg, rng_seed=seed), "mleach").first_death_s for seed in (3, 4, 5)
+    ]
+    assert deaths[:2] == [-1.0, -1.0] and deaths[2] > 0.0
+    path = tmp_path / "mixed.cfg"
+    path.write_text(serialize_config(cfg))
+    for repeat, mean in (("3", deaths[2]), ("2", -1.0)):
+        out = tmp_path / f"batch-{repeat}"
+        argv = ["--config", str(path), "--out", str(out), "--repeat", repeat]
+        assert main([*argv, "--protocol", "mleach"]) == 0
+        rows = read_rows(out / "batch_summary.csv")
+        assert ["mleach", "first_death_s", repr(float(mean)), "0.0"] in rows
+
+
 def test_out_default_comes_from_environment(config_file, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("MLEACH_SIM_OUT", str(target))

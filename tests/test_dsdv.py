@@ -82,6 +82,32 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
         assert math.isclose(world.ledger.consumed[0] - before, want, rel_tol=1e-12)
 
 
+def test_dumps_nobody_hears_change_no_route(world_factory):
+    # the lone sensor is out of the sink's range, and no other sensor hears it
+    world = world_factory([(0.0, 0.0)], radio_range_rr_m=500.0)
+    world.strict = True
+    checked = []
+    world.check_routes = checked.append
+    proto = DsdvProtocol(world)
+    proto._bs_dump(0, None)
+    assert proto.bs_seq == 2
+    assert proto.key[0] == route_key(-1, NO_ROUTE)
+    assert proto.next_hop[0] == -1
+    assert world.ledger.consumed[0] == 0.0
+    assert checked == [proto]  # strict mode checks the routes after every sink dump
+    # with a live sink route to advertise, the sensor pays for a dump nobody hears
+    proto.key[0] = route_key(2, 1)
+    proto.next_hop[0] = world.bs_id
+    want = dump_energy(world, proto, 0)
+    proto._node_dump(0, 0)
+    assert world.ledger.consumed[0] == want
+    assert proto.key[0] == route_key(2, 1)
+    assert proto.known == [1]
+    # both dumps queued their successors
+    kinds = sorted(world.queue.pop()[1] for _ in range(2))
+    assert kinds == [EventKind.BS_ROUTE_DUMP, EventKind.ROUTE_DUMP]
+
+
 def test_node_dump_counts_every_known_sensor(world_factory):
     # three nodes in a line, each hearing only its neighbours
     world = world_factory([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], radio_range_rr_m=400.0)

@@ -327,12 +327,25 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     world, proto = relay_world(world_factory)
     tx = world.radio.tx_energy(4096, 50.0)
     world.ledger.energy[1] = 1.5 * tx
+    charges = []
+    consume = world.ledger.consume
+
+    def recording_consume(i, j, now_us):
+        charges.append((i, j))
+        return consume(i, j, now_us)
+
+    world.ledger.consume = recording_consume
     proto.pending[1] = [1.0, 2.0, 3.0]
     proto._slot(0, (1, 0))
     assert world.log.delivered == 1
     assert world.log.dropped_dead == 2
     assert not world.ledger.alive[1]
     assert world.ledger.energy[1] == 0.0
+    # the second frame's tx kills the member, and the third charges nobody
+    assert [j for i, j in charges if i == 1] == [tx, tx]
+    # the head heard the first frame only, and forwarded it to the sink
+    rx = world.radio.rx_energy(4096)
+    assert [j for i, j in charges if i == 0] == [rx, world.radio.tx_energy(4096, 100.0)]
 
 
 def test_dead_member_slot_sends_nothing(world_factory):

@@ -3,12 +3,13 @@
 Configs come from ``tools/digest_sweep.py::draw_config``, the digest
 sweep's sampler, with hypothesis drawing each value so that its boundary
 values and shrinking apply. Every ``SimConfig`` field is drawn: tiny
-budgets (most small runs have deaths), frame sizes and radio constants
-over many decades, a sink out of range, the sink channel with collapse
-exponents high enough that its power overflows, high mobility and long
-update intervals. Strict mode raises InvariantViolation on the first
-breach. Draws of 1-16 nodes over 2-6 s cover the corners; on them a plain
-and a strict run of each protocol must give one digest of CSVs and ledger.
+budgets (about a fifth of the small runs have deaths), frame sizes and
+radio constants over many decades, a sink out of range, the sink channel
+with collapse exponents high enough that its power overflows, high
+mobility and long update intervals. Strict mode raises InvariantViolation
+on the first breach. Draws of 1-16 nodes over 2-6 s cover the corners; on
+them a plain and a strict run of each protocol must give one digest of
+CSVs and ledger.
 Draws of 17-64 nodes over 2-12 s reach multi-hop routes, several elections
 per run and deaths late in a run, which the small draws rarely do.
 """

@@ -4,12 +4,16 @@
 Run mode draws N configs from a seed and runs each with both protocols,
 plain and strict. ``draw_config`` draws every ``SimConfig`` field: 8-64
 nodes over 2-20 s, budgets of 1e-4 to 1e3 J, frame sizes of 1 to 1e6
-bits, radio constants of 1e-20 to 1e-3, the sink channel off or on with
-its collapse exponent, the sink at random or placed, speeds up to 80 m/s,
-and short and long DSDV update intervals. ``tests/test_strict_property.py``
-draws its configs from the same function. The budgets reach past what a
-run can spend, so many runs keep every sensor alive to the end: elections
-across epochs, waypoint arrivals and long-lived routes show only there. Per
+bits, radio constants from 1e-20 up to the price at which one 1e4-bit
+frame sent across the radio range costs the whole budget (at most 1e-3),
+the sink channel off or on with its collapse exponent, the sink at random
+or placed, speeds up to 80 m/s, and short and long DSDV update intervals.
+Every 50th draw is a network of 65-512 nodes over 2-4 s.
+``tests/test_strict_property.py`` draws its configs from the same
+function. The budgets reach past what a run can spend, so many runs keep
+every sensor alive to the end: elections across epochs, waypoint arrivals
+and long-lived routes show only there. Runs whose larger frames drain the
+sensors at once still come up, so start-up deaths stay covered. Per
 run it writes one sha256 over the three CSVs and the ledger's
 ``consumed``, ``consumed_comp``, ``energy`` and ``death_time_us`` arrays
 and its total; a run that raises is digested by its exception. Compare
@@ -38,6 +42,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -57,6 +62,7 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
     from mleachsim.config import SimConfig, validate_config
 
     horizon = int(rng.integers(horizons[0], horizons[1] + 1))
+    budget = float(10.0 ** rng.uniform(-4.0, 3.0))
     rounds = [r for r in (0.5, 1.0, 2.0, float(horizon)) if horizon % r == 0]
     width = float(rng.uniform(200.0, 3000.0))
     height = float(rng.uniform(200.0, 3000.0))
@@ -65,6 +71,11 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
         bs = "random"
     else:
         bs = (float(rng.uniform(0.0, width)), float(rng.uniform(0.0, height)))
+    # the top decade of each radio constant prices one 1e4-bit frame sent
+    # across the radio range at the budget, so that few runs lose every
+    # sensor to their first frames
+    e_top = min(-3.0, math.log10(budget) - 4.0)
+    amp_top = min(-3.0, math.log10(budget) - 4.0 - 2.0 * math.log10(rr))
     speed_min = float(rng.uniform(0.0, 40.0))
     if rng.integers(0, 2):
         interval = float(rng.uniform(0.05, 0.5))
@@ -76,14 +87,14 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
         node_count=int(rng.integers(nodes[0], nodes[1] + 1)),
         bs_position=bs,
         packet_size_bits=int(10.0 ** rng.uniform(0.0, 6.0)),
-        initial_energy_j=float(10.0 ** rng.uniform(-4.0, 3.0)),
+        initial_energy_j=budget,
         sim_duration_s=horizon,
         round_duration_s=float(rng.choice(rounds)),
         p_ch_fraction=float(rng.uniform(0.05, 0.5)),
         cluster_radius_rc_m=rr * float(rng.uniform(0.1, 1.0)),
         radio_range_rr_m=rr,
-        e_elec_j_per_bit=float(10.0 ** rng.uniform(-20.0, -3.0)),
-        eps_amp_j_per_bit_m2=float(10.0 ** rng.uniform(-20.0, -3.0)),
+        e_elec_j_per_bit=float(10.0 ** rng.uniform(-20.0, e_top)),
+        eps_amp_j_per_bit_m2=float(10.0 ** rng.uniform(-20.0, amp_top)),
         ch_exclusion_rounds=int(rng.integers(0, 5)),
         filter_threshold=float(rng.uniform(0.0, 0.5)),
         mobility_speed_min_mps=speed_min,
@@ -134,7 +145,9 @@ def sweep(n: int, seed: int) -> dict[str, str]:
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
         for k in range(n):
-            cfg = draw_config(np.random.default_rng([seed, k]))
+            rng = np.random.default_rng([seed, k])
+            # every 50th draw is a large network, over a short horizon to stay fast
+            cfg = draw_config(rng, (65, 512), (2, 4)) if k % 50 == 49 else draw_config(rng)
             for protocol in PROTOCOLS:
                 for strict in (False, True):
                     mode = "strict" if strict else "plain"

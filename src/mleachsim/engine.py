@@ -1,4 +1,5 @@
-"""Deterministic discrete-event core: queue, clock, named random streams.
+"""Deterministic discrete-event core: queue, clock, named random streams,
+and the error a strict-mode run raises.
 
 Time is a 64-bit count of microseconds. Events at equal timestamps are
 ordered by kind (the enum value doubles as the same-instant priority), then
@@ -16,6 +17,10 @@ from typing import Any
 import numpy as np
 
 US = 1_000_000  # microseconds per second
+
+
+class InvariantViolation(RuntimeError):
+    """A structural invariant failed during a strict-mode run."""
 
 
 class EventKind(IntEnum):

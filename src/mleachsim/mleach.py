@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import EventKind
-from .simulation import InvariantViolation
+from .engine import EventKind, InvariantViolation
 
 
 def ch_threshold(p: float, r: int) -> float:
@@ -118,7 +117,6 @@ def shortest_route(
 
 @dataclass
 class RoundContext:
-    r: int
     cluster_heads: list[int] = field(default_factory=list)
     clusters: dict[int, list[int]] = field(default_factory=dict)
     tdma: dict[int, int] = field(default_factory=dict)
@@ -188,7 +186,7 @@ class MleachProtocol:
         ledger = world.ledger
         if r + 1 < cfg.sim_us // cfg.round_us:
             world.queue.schedule(t_us + cfg.round_us, EventKind.ROUND_START, r + 1)
-        self.ctx = ctx = RoundContext(r)
+        self.ctx = ctx = RoundContext()
 
         alive = np.nonzero(ledger.alive)[0]
         if len(alive) == 0:

@@ -1,4 +1,8 @@
-"""World assembly and the event loop shared by both protocols.
+"""World assembly, the event loop shared by both protocols, and PROTOCOLS.
+
+A run is one scenario with one protocol named in PROTOCOLS. World(cfg,
+name) validates the config, once, and builds the run's log; World.run
+runs PROTOCOLS[name](world).
 
 A run owns: node positions (base station as the final row), the energy
 ledger, random-waypoint mobility, On-Off traffic, distances between nodes,
@@ -23,15 +27,16 @@ import numpy as np
 
 from . import kernels
 from .config import SimConfig, validate_config
-from .engine import US, EventKind, EventQueue, RandomStreams
+from .dsdv import DsdvProtocol
+from .engine import US, EventKind, EventQueue, InvariantViolation, RandomStreams
 from .metrics import MetricsLog
+from .mleach import MleachProtocol
 from .mobility import MobilityField
 from .radio import EnergyLedger, RadioModel
 from .traffic import OnOffTraffic
 
-
-class InvariantViolation(RuntimeError):
-    """A structural invariant failed during a strict-mode run."""
+# protocol name -> class, in the order the CLI runs "both"
+PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
 
 
 class BsChannel:
@@ -91,15 +96,10 @@ class BsChannel:
 class World:
     """Everything a protocol needs to run, plus the loop itself."""
 
-    def __init__(
-        self,
-        cfg: SimConfig,
-        log: MetricsLog,
-        strict: bool = False,
-    ) -> None:
-        cfg = validate_config(cfg)
-        self.cfg = cfg
-        self.log = log
+    def __init__(self, cfg: SimConfig, protocol: str, strict: bool = False) -> None:
+        """``protocol`` labels the run's log: summary.csv's first column."""
+        self.cfg = cfg = validate_config(cfg)
+        self.log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
         self.strict = strict
         n = cfg.node_count
         self.bs_id = cfg.bs_id
@@ -336,17 +336,8 @@ class World:
 
 def run_simulation(cfg: SimConfig, protocol: str, strict: bool = False) -> MetricsLog:
     """Run one protocol over one scenario and return its metrics."""
-    from .dsdv import DsdvProtocol
-    from .mleach import MleachProtocol
-
-    cfg = validate_config(cfg)
-    log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
-    world = World(cfg, log, strict=strict)
-    if protocol == "mleach":
-        proto = MleachProtocol(world)
-    elif protocol == "dsdv":
-        proto = DsdvProtocol(world)
-    else:
+    if protocol not in PROTOCOLS:
         raise ValueError(f"unknown protocol {protocol!r}")
-    world.run(proto)
-    return log
+    world = World(cfg, protocol, strict)
+    world.run(PROTOCOLS[protocol](world))
+    return world.log

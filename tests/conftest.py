@@ -3,8 +3,7 @@ import importlib.util
 import numpy as np
 import pytest
 
-from mleachsim.config import SimConfig, validate_config
-from mleachsim.metrics import MetricsLog
+from mleachsim.config import SimConfig
 from mleachsim.radio import EnergyLedger
 from mleachsim.simulation import World
 
@@ -44,7 +43,7 @@ def make_world(positions, **overrides) -> World:
     """
     pos = np.asarray(positions, dtype=float)
     cfg = small_config(node_count=len(pos), **overrides)
-    world = World(validate_config(cfg), MetricsLog("test", cfg.sim_duration_s, len(pos)))
+    world = World(cfg, "test")
     world.positions[: len(pos)] = pos
     world.invalidate_distances()
     return world

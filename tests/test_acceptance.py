@@ -17,7 +17,6 @@ import pytest
 from mleachsim.config import load_config, validate_config
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import RandomStreams
-from mleachsim.metrics import MetricsLog
 from mleachsim.mleach import (
     MleachProtocol,
     build_ch_graph,
@@ -54,8 +53,8 @@ def table1():
     cfg = load_reference_config()
     runs = {}
     for name, cls in (("mleach", MleachProtocol), ("dsdv", DsdvProtocol)):
-        log = MetricsLog(name, cfg.sim_duration_s, cfg.node_count)
-        world = World(cfg, log, strict=True)
+        world = World(cfg, name, strict=True)
+        log = world.log
         started = time.perf_counter()
         world.run(cls(world))
         runs[name] = {

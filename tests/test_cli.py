@@ -173,6 +173,17 @@ def test_repeat_averages_first_death_over_the_seeds_with_one(tmp_path):
         assert ["mleach", "first_death_s", repr(float(mean)), "0.0"] in rows
 
 
+def test_a_late_seed_that_fails_validation_exits_2(config_file, tmp_path, capsys):
+    last = 2**64 - 1  # the second seed, 2**64, does not fit in 64 bits
+    out = tmp_path / "late"
+    argv = ["--config", config_file, "--out", str(out), "--seed", str(last), "--repeat", "2"]
+    assert main(argv) == 2
+    assert "rng_seed" in capsys.readouterr().err
+    # the first seed's run is written; no second seed, no batch summary
+    assert [p.name for p in out.iterdir()] == [f"seed-{last}"]
+    assert (out / f"seed-{last}" / "comparison.csv").is_file()
+
+
 def test_out_default_comes_from_environment(config_file, tmp_path, monkeypatch):
     target = tmp_path / "from-env"
     monkeypatch.setenv("MLEACH_SIM_OUT", str(target))

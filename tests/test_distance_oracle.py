@@ -18,14 +18,9 @@ import math
 import pytest
 
 from mleachsim import kernels
-from mleachsim.dsdv import DsdvProtocol
-from mleachsim.metrics import MetricsLog
-from mleachsim.mleach import MleachProtocol
-from mleachsim.simulation import World
+from mleachsim.simulation import PROTOCOLS, World
 
 from conftest import small_config
-
-PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
 
 
 def scalar_distance(pos, u, v):
@@ -36,7 +31,7 @@ def scalar_distance(pos, u, v):
 
 def checked_run(cfg, protocol, monkeypatch):
     """Run with every distance read checked; what the reads and fills covered."""
-    world = World(cfg, MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count), strict=True)
+    world = World(cfg, protocol, strict=True)
     seen = {"rows": 0, "pairs": 0, "sink": 0, "dead": 0, "paused": 0, "full_fills": 0}
     real_row, real_distance = world.dist_row, world.distance
     real_fill = kernels.pairwise_distances

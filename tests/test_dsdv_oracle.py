@@ -28,11 +28,10 @@ import math
 
 import numpy as np
 
-from mleachsim.config import SimConfig, validate_config
+from mleachsim.config import SimConfig
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import EventKind
 from mleachsim.kernels import NO_ROUTE
-from mleachsim.metrics import MetricsLog
 from mleachsim.simulation import World
 
 from conftest import assert_ledgers_equal, copy_ledger
@@ -162,7 +161,7 @@ def send_counters(log):
 def replay(cfg):
     """Run DSDV over cfg, checking every table after each dump and send."""
     n = cfg.node_count
-    world = World(cfg, MetricsLog("dsdv", cfg.sim_duration_s, n))
+    world = World(cfg, "dsdv")
     proto = DsdvProtocol(world)
     oracle = Oracle(n)
     heard = []
@@ -210,23 +209,21 @@ def draw_config(rng):
     horizon = int(rng.integers(2, 7))
     rr = float(rng.uniform(150.0, 700.0))
     speed = float(rng.uniform(0.0, 60.0))
-    return validate_config(
-        SimConfig(
-            field_width_m=1000.0,
-            field_height_m=1000.0,
-            node_count=int(rng.integers(2, 13)),
-            bs_position=(float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 1000.0))),
-            initial_energy_j=float(rng.choice([0.05, 0.5, 50.0])),
-            sim_duration_s=horizon,
-            round_duration_s=1.0,
-            cluster_radius_rc_m=rr / 2,
-            radio_range_rr_m=rr,
-            mobility_speed_min_mps=speed,
-            mobility_speed_max_mps=speed * 2,
-            traffic_rate_pps=float(rng.uniform(1.0, 6.0)),
-            dsdv_update_interval_s=float(rng.uniform(0.05, 1.5)),
-            rng_seed=int(rng.integers(0, 2**32)),
-        )
+    return SimConfig(
+        field_width_m=1000.0,
+        field_height_m=1000.0,
+        node_count=int(rng.integers(2, 13)),
+        bs_position=(float(rng.uniform(0.0, 1000.0)), float(rng.uniform(0.0, 1000.0))),
+        initial_energy_j=float(rng.choice([0.05, 0.5, 50.0])),
+        sim_duration_s=horizon,
+        round_duration_s=1.0,
+        cluster_radius_rc_m=rr / 2,
+        radio_range_rr_m=rr,
+        mobility_speed_min_mps=speed,
+        mobility_speed_max_mps=speed * 2,
+        traffic_rate_pps=float(rng.uniform(1.0, 6.0)),
+        dsdv_update_interval_s=float(rng.uniform(0.05, 1.5)),
+        rng_seed=int(rng.integers(0, 2**32)),
     )
 
 

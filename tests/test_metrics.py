@@ -104,12 +104,11 @@ def test_conservation_residual_arithmetic():
 def test_first_death_keeps_the_earliest():
     assert MetricsLog("x", 10, 1).first_death_s == -1.0
     cfg = small_config(initial_energy_j=0.5, bs_mac_capacity_bps=8000.0)
-    log = MetricsLog("dsdv", cfg.sim_duration_s, cfg.node_count)
-    world = World(cfg, log)
+    world = World(cfg, "dsdv")
     world.run(DsdvProtocol(world))
     died = world.ledger.death_time_us[~world.ledger.alive]
     assert len(set(died.tolist())) > 1
-    assert log.first_death_s == died.min() / 1e6
+    assert world.log.first_death_s == died.min() / 1e6
 
 
 def test_avg_and_max_from_final_sample():

@@ -189,7 +189,7 @@ def test_hello_liveness_is_read_after_every_head_has_spoken(world_factory):
         world.radio.tx_energy(bits, cfg.radio_range_rr_m) + world.radio.rx_energy(bits) / 2
     )
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     ctx.cluster_heads = [0, 1]
     proto._build_graph_and_routes(ctx, 0)
     assert list(ctx.routes) == [1]
@@ -212,7 +212,7 @@ def formation_world(world_factory):
 def test_members_join_nearest_head_smaller_id_on_tie(world_factory):
     world = formation_world(world_factory)
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     orphans = proto._assign_members(ctx, [4, 9])
     # node 0 is exactly 100 m from both heads; the smaller id wins, and
     # node 3 sits exactly at the cluster radius: the boundary is inclusive
@@ -224,7 +224,7 @@ def test_dead_nodes_neither_join_nor_orphan(world_factory):
     world = formation_world(world_factory)
     for i in (0, 5):
         world.ledger.consume(i, world.cfg.initial_energy_j, 0)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     orphans = MleachProtocol(world)._assign_members(ctx, [4, 9])
     assert ctx.clusters == {4: [3], 9: [1]}
     assert orphans == [2, 6, 7, 8]
@@ -233,7 +233,7 @@ def test_dead_nodes_neither_join_nor_orphan(world_factory):
 def test_no_heads_means_everyone_is_orphaned(world_factory):
     world = world_factory([(0.0, 0.0), (50.0, 0.0)])
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     assert proto._assign_members(ctx, []) == [0, 1]
     assert ctx.clusters == {}
 
@@ -245,7 +245,7 @@ def test_tdma_slots_are_id_ordered(world_factory):
     pos[9] = (100.0, 100.0)
     world = world_factory(pos)
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: [7, 3, 9]}
     assert proto._build_tdma(ctx, 0) == []
@@ -265,7 +265,7 @@ def test_tdma_slots_are_id_ordered(world_factory):
 def test_empty_cluster_skips_schedule_broadcast(world_factory):
     world = world_factory([(0.0, 0.0), (50.0, 0.0)])
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: []}
     proto._build_tdma(ctx, 0)
@@ -278,7 +278,7 @@ def test_schedule_death_strands_members(world_factory):
         [(0.0, 0.0), (100.0, 0.0), (0.0, 100.0)], initial_energy_j=1e-6
     )
     proto = MleachProtocol(world)
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: [1, 2]}
     stranded = proto._build_tdma(ctx, 0)
@@ -296,7 +296,7 @@ def relay_world(world_factory, **overrides):
     """Head 0 within sink range, member 1 close to the head."""
     world = world_factory([(500.0, 600.0), (450.0, 600.0)], **overrides)
     proto = MleachProtocol(world)
-    proto.ctx = ctx = RoundContext(0)
+    proto.ctx = ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.routes = {0: [0, world.bs_id]}
     return world, proto
@@ -410,7 +410,7 @@ def test_routeless_head_drops_as_unreachable(world_factory):
 def test_multi_hop_route_charges_every_relay(world_factory):
     world = world_factory([(500.0, 600.0), (100.0, 600.0)])
     proto = MleachProtocol(world)
-    proto.ctx = ctx = RoundContext(0)
+    proto.ctx = ctx = RoundContext()
     ctx.routes = {1: [1, 0, world.bs_id]}
     proto._head_accept(0, 1, 1, 42.0)
     assert world.log.delivered == 1
@@ -454,7 +454,7 @@ def test_dead_orphan_flush_sends_nothing(world_factory):
 
 
 def test_check_round_rejects_a_node_in_two_clusters():
-    ctx = RoundContext(0)
+    ctx = RoundContext()
     ctx.clusters = {0: [2, 3], 1: [3]}
     with pytest.raises(InvariantViolation, match="two clusters"):
         check_round(ctx, 500.0)

@@ -1,18 +1,13 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from mleachsim.config import ConfigError, SimConfig, validate_config
 from mleachsim.dsdv import DsdvProtocol
-from mleachsim.metrics import MetricsLog
 from mleachsim.mleach import MleachProtocol
-from mleachsim.simulation import (
-    BsChannel,
-    InvariantViolation,
-    World,
-    run_simulation,
-)
+from mleachsim.simulation import BsChannel, InvariantViolation, World, run_simulation
 
 from conftest import make_world, small_config
 
@@ -83,12 +78,27 @@ def test_unknown_protocol_rejected():
 
 def test_world_validates_config():
     with pytest.raises(ConfigError):
-        World(small_config(node_count=0), MetricsLog("x", 12, 0))
+        World(small_config(node_count=0), "x")
+
+
+@pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
+def test_a_run_validates_its_config_once(protocol, monkeypatch):
+    counted = mock.Mock(wraps=validate_config)
+    monkeypatch.setattr("mleachsim.simulation.validate_config", counted)
+    run_simulation(small_config(), protocol)
+    assert counted.call_count == 1
+
+
+def test_world_builds_its_log_from_the_config():
+    cfg = small_config()
+    log = World(cfg, "x").log
+    assert log.protocol == "x"
+    assert (log.duration_s, log.node_count) == (cfg.sim_duration_s, cfg.node_count)
 
 
 def test_mobility_reshapes_distances_between_seconds():
     cfg = small_config(sim_duration_s=4)
-    world = World(cfg, MetricsLog("mleach", 4, cfg.node_count))
+    world = World(cfg, "mleach")
     rows = range(cfg.node_count + 1)
     before = np.array([world.dist_row(i) for i in rows])
     world.run(MleachProtocol(world))
@@ -325,8 +335,8 @@ class StopRun(Exception):
 
 @pytest.mark.parametrize("cls", [MleachProtocol, DsdvProtocol])
 def test_queue_is_bounded_by_the_node_count_not_the_horizon(cls):
-    cfg = validate_config(small_config(node_count=4, sim_duration_s=100_000))
-    world = World(cfg, MetricsLog("test", cfg.sim_duration_s, cfg.node_count))
+    cfg = small_config(node_count=4, sim_duration_s=100_000)
+    world = World(cfg, "test")
     depth = []
 
     def first_pop():

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mleachsim.config import SimConfig, validate_config
+from mleachsim import simulation
+from mleachsim.config import SimConfig
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.mleach import MleachProtocol
 
@@ -24,7 +25,7 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 def test_energy_breakdown_accounts_for_every_joule(cls):
     tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
     # the sink channel on, so that DSDV pays for frames the sink rejects
-    cfg = validate_config(small_config(bs_mac_capacity_bps=5000.0, sim_duration_s=6))
+    cfg = small_config(bs_mac_capacity_bps=5000.0, sim_duration_s=6)
     log, world, spent, rejected, _ = tool.breakdown(cfg, cls)
     total = world.ledger.total_consumed()
     assert set(spent) == {"control", "data"}
@@ -39,14 +40,12 @@ def test_energy_breakdown_splits_every_unreachable_drop(capsys):
     tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
     # a wide field with the sink in a corner: orphans out of range, heads
     # with no route to it, and readings still queued when the run ends
-    cfg = validate_config(
-        small_config(
-            sim_duration_s=6,
-            field_width_m=3000.0,
-            field_height_m=3000.0,
-            bs_position=(0.0, 0.0),
-            node_count=40,
-        )
+    cfg = small_config(
+        sim_duration_s=6,
+        field_width_m=3000.0,
+        field_height_m=3000.0,
+        bs_position=(0.0, 0.0),
+        node_count=40,
     )
     result = tool.breakdown(cfg, MleachProtocol)
     log, unreachable = result[0], result[4]
@@ -70,6 +69,9 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     assert sorted(digests) == [
         f"{k}:{p}:{m}" for k in range(2) for p in ("dsdv", "mleach") for m in ("plain", "strict")
     ]
+    # the tool keeps its own copy of the names, as compare mode imports no
+    # simulator; a protocol added to the registry must still be swept
+    assert tool.PROTOCOLS == tuple(simulation.PROTOCOLS)
     # strict mode checks a run without changing it
     assert digests["0:dsdv:plain"] == digests["0:dsdv:strict"]
     assert tool.main(["--compare", str(out), str(out)]) == 0

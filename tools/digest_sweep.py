@@ -26,6 +26,10 @@ under ``PYTHONPATH`` differs:
     PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out after.json
     PYTHONPATH=src python3 tools/digest_sweep.py --compare before.json after.json
 
+A compare across a change to ``World``'s constructor runs each side's own
+copy of the tool, so such a change touches only ``run_digest``'s
+construction lines: ``draw_config`` and the digest recipe stay identical.
+
 Compare mode reads only the two files, so it runs without ``PYTHONPATH``.
 It exits with status 1 when any digest differs or is missing.
 
@@ -117,20 +121,16 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
 
 def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
     """sha256 of one run's CSVs and ledger state."""
-    from mleachsim.dsdv import DsdvProtocol
-    from mleachsim.metrics import MetricsLog
-    from mleachsim.mleach import MleachProtocol
-    from mleachsim.simulation import World
+    from mleachsim import simulation
 
     h = hashlib.sha256()
     try:
-        log = MetricsLog(protocol, cfg.sim_duration_s, cfg.node_count)
-        world = World(cfg, log, strict=strict)
-        world.run({"mleach": MleachProtocol, "dsdv": DsdvProtocol}[protocol](world))
+        world = simulation.World(cfg, protocol, strict)
+        world.run(simulation.PROTOCOLS[protocol](world))
     except Exception as exc:  # a run that now raises must show as a change
         h.update(f"{type(exc).__name__}: {exc}".encode())
         return h.hexdigest()
-    log.export_csv(scratch)
+    world.log.export_csv(scratch)
     for name in ("energy", "throughput", "summary"):
         with open(os.path.join(scratch, name + ".csv"), "rb") as fh:
             h.update(fh.read())

@@ -20,12 +20,9 @@ from importlib import resources
 
 import numpy as np
 
-from mleachsim.config import load_config, validate_config
-from mleachsim.dsdv import DsdvProtocol
+from mleachsim.config import load_config
 from mleachsim.engine import EventKind
-from mleachsim.metrics import MetricsLog
-from mleachsim.mleach import MleachProtocol
-from mleachsim.simulation import World
+from mleachsim.simulation import PROTOCOLS, World
 
 CONTROL = {EventKind.ROUND_START, EventKind.BS_ROUTE_DUMP, EventKind.ROUTE_DUMP}
 # mleach's unreachable drops by the event that makes them, printed in the
@@ -40,8 +37,8 @@ NO_PATH = {
 def breakdown(cfg, cls):
     """Run one protocol; return its log, world and the energy split."""
     n = cfg.node_count
-    log = MetricsLog(cls.__name__, cfg.sim_duration_s, n)
-    world = World(cfg, log)
+    world = World(cfg, cls.__name__)
+    log = world.log
     proto = cls(world)
     energy = world.ledger.energy
     spent = {"control": np.zeros(n), "data": np.zeros(n)}
@@ -94,9 +91,9 @@ def report(name, log, world, spent, rejected, unreachable):
 
 def main():
     path = resources.files("mleachsim").joinpath("data/table1.cfg")
-    cfg = validate_config(load_config(str(path)))
+    cfg = load_config(str(path))
     peaks = {}
-    for name, cls in (("mleach", MleachProtocol), ("dsdv", DsdvProtocol)):
+    for name, cls in PROTOCOLS.items():
         peaks[name] = report(name, *breakdown(cfg, cls))
     print(f"max energy ratio mleach/dsdv {peaks['mleach']:.4f} / {peaks['dsdv']:.4f} "
           f"= {peaks['mleach'] / peaks['dsdv']:.7f}")

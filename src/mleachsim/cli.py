@@ -14,7 +14,7 @@ import statistics
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate_config
 from .metrics import SUMMARY_FIELDS, MetricsLog
 from .simulation import PROTOCOLS, run_simulation
 
@@ -123,6 +123,8 @@ def main(argv=None) -> int:
     protocols = tuple(PROTOCOLS) if args.protocol == "both" else (args.protocol,)
     batch_rows: dict[str, list[list]] = {p: [] for p in protocols}
     try:
+        # a batch varies only rng_seed, upwards: check the last seed before any run writes
+        validate_config(replace(base_cfg, rng_seed=base_cfg.rng_seed + args.repeat - 1))
         for k in range(args.repeat):
             cfg_k = replace(base_cfg, rng_seed=base_cfg.rng_seed + k)
             run_dir = (

@@ -14,8 +14,15 @@ vertices within radio range.
 
 The protocol owns its per-node state, indexed by node id: ``exclusion``
 (rounds left out of elections), ``last_forwarded`` (the change filter's
-last forwarded reading) and ``pending`` (queued readings). Who heads, joins
-or is orphaned lasts one round and is recorded in that round's context.
+last forwarded reading) and ``queued`` (how many readings wait to be sent;
+their values are asked of the traffic model only when they are). Who
+heads, joins or is orphaned lasts one round and is recorded in that round's
+context.
+
+A backlog (a member's slot, an orphan's flush, a head's own queue when the
+round closes) is sent at one instant, frame by frame, by ``_walk``, which
+also sends heartbeats and is the only place mleach pays for a unicast
+frame.
 """
 
 from __future__ import annotations
@@ -27,6 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import EventKind, InvariantViolation
+
+# a frame's steps are (payer, joules) charges and these markers, which charge nobody
+FILTER = -1  # the change filter runs on the frame's reading
+NO_ROUTE = -2  # the head has no route: the reading is unreachable
+SINK = -3  # the frame reached the sink's radio
 
 
 def ch_threshold(p: float, r: int) -> float:
@@ -148,7 +160,7 @@ class MleachProtocol:
         n = self.cfg.node_count
         self.exclusion = np.zeros(n, dtype=np.int64)
         self.last_forwarded = [-math.inf] * n
-        self.pending: list[list[float]] = [[] for _ in range(n)]
+        self.queued = np.zeros(n, dtype=np.int64)
         self.ctx: RoundContext | None = None
         self.handlers = {
             EventKind.ROUND_START: self._round_start,
@@ -163,20 +175,17 @@ class MleachProtocol:
         # the horizon is a whole number of rounds, so round 0 always runs
         self.world.queue.schedule(0, EventKind.ROUND_START, 0)
 
-    def on_readings(self, i: int, readings: list[float], t_us: int) -> None:
-        self.pending[i].extend(readings)
+    def on_readings(self, ids: np.ndarray, counts: np.ndarray, t_us: int) -> None:
+        self.queued[ids] += counts
 
     def finish(self, t_us: int) -> None:
         # readings still queued when the run ends: a dead node's died with it,
         # a live node's never found a path out
         log = self.world.log
         alive = self.world.ledger.alive
-        for i, queued in enumerate(self.pending):
-            if alive[i]:
-                log.dropped_unreachable += len(queued)
-            else:
-                log.dropped_dead += len(queued)
-            queued.clear()
+        log.dropped_unreachable += int(self.queued[alive].sum())
+        log.dropped_dead += int(self.queued[~alive].sum())
+        self.queued[:] = 0
 
     # -- round phases ----------------------------------------------------------
 
@@ -299,73 +308,158 @@ class MleachProtocol:
         # drain it): the queue is left for finish
         if not world.ledger.alive[cm]:
             return
-        todo = self.pending[cm]
-        d = world.distance(cm, ch)
-        if not todo:
-            world.unicast(cm, ch, d, cfg.heartbeat_bits, t_us)
+        link = [(cm, ch, world.distance(cm, ch))]
+        n = self.queued.item(cm)
+        if not n:
+            self._walk(t_us, cm, (None,), self._charges(link, cfg.heartbeat_bits))
             return
-        self.pending[cm] = []
-        # once the member dies, unicast fails at no charge, so the rest drop one by one
-        for reading in todo:
-            if world.unicast(cm, ch, d, cfg.packet_size_bits, t_us):
-                self._head_accept(t_us, ch, cm, reading)
-            else:
-                world.log.dropped_dead += 1
-
-    def _change(self, origin: int, reading: float) -> float | None:
-        """Change filter: the change to forward, or None (counted as filtered)."""
-        delta = abs(reading - self.last_forwarded[origin])
-        if delta > self.cfg.filter_threshold:
-            self.last_forwarded[origin] = reading
-            return delta
-        self.world.log.dropped_filtered += 1
-        return None
-
-    def _head_accept(self, t_us: int, ch: int, origin: int, reading: float) -> None:
-        delta = self._change(origin, reading)
-        if delta is None:
-            return
-        world = self.world
-        path = self.ctx.routes.get(ch)
-        if path is None:
-            world.log.dropped_unreachable += 1
-            return
-        # every route ends at the sink
-        for u, v in zip(path, path[1:]):
-            if not world.unicast(u, v, world.distance(u, v), self.cfg.packet_size_bits, t_us):
-                world.log.dropped_dead += 1
-                return
-        world.deliver_data(t_us, origin, delta)
+        self.queued[cm] = 0
+        steps = [*self._charges(link, cfg.packet_size_bits), (FILTER, 0.0), *self._route(ch)]
+        world.log.dropped_dead += self._walk(t_us, cm, world.traffic.values(cm, n), steps)
 
     def _orphan_flush(self, t_us: int, i: int) -> None:
         world = self.world
         cfg = self.cfg
-        todo = self.pending[i]
-        if not world.ledger.alive[i] or not todo:
+        n = self.queued.item(i)
+        if not world.ledger.alive[i] or not n:
             return
-        self.pending[i] = []
-        d = world.distance(i, world.bs_id)
+        self.queued[i] = 0
+        # drawn even when none is sent: the node's later readings walk on from these
+        values = world.traffic.values(i, n)
+        bs = world.bs_id
+        d = world.distance(i, bs)
         if d > cfg.radio_range_rr_m:
-            world.log.dropped_unreachable += len(todo)
+            world.log.dropped_unreachable += n
             return
-        for idx, reading in enumerate(todo):
-            delta = self._change(i, reading)
-            if delta is None:
-                continue
-            if not world.unicast(i, world.bs_id, d, cfg.packet_size_bits, t_us):
-                world.log.dropped_dead += len(todo) - idx
-                return
-            world.deliver_data(t_us, i, delta)
+        steps = [(FILTER, 0.0), *self._charges([(i, bs, d)], cfg.packet_size_bits), (SINK, 0.0)]
+        world.log.dropped_dead += self._walk(t_us, i, values, steps, orphan=True)
 
     def _round_finish(self, t_us: int, _r: int) -> None:
         ctx = self.ctx
         world = self.world
+        queued = self.queued
         for ch in ctx.routes:
-            todo = self.pending[ch]
-            if not world.ledger.alive[ch] or not todo:
+            n = queued.item(ch)
+            if not world.ledger.alive[ch] or not n:
                 continue
-            self.pending[ch] = []
-            for reading in todo:
-                self._head_accept(t_us, ch, ch, reading)
+            queued[ch] = 0
+            steps = [(FILTER, 0.0), *self._route(ch)]
+            world.log.dropped_dead += self._walk(t_us, ch, world.traffic.values(ch, n), steps)
         if world.strict:
             check_round(ctx, self.cfg.radio_range_rr_m)
+
+    def _charges(self, hops: list[tuple[int, int, float]], bits: int) -> list[tuple[int, float]]:
+        """One frame of bits over hops, each (sender, receiver, meters): its charges.
+
+        Every sender pays tx and every receiver but the sink pays rx, in hop
+        order, priced by RadioModel's formulas in the same operation order.
+        """
+        radio = self.world.radio
+        bs = self.world.bs_id
+        rx = radio.e_elec_j_per_bit * bits
+        amp = radio.eps_amp_j_per_bit_m2 * bits
+        steps = []
+        for u, v, d in hops:
+            steps.append((u, rx + amp * (d * d)))
+            if v != bs:
+                steps.append((v, rx))
+        return steps
+
+    def _route(self, ch: int) -> list[tuple[int, float]]:
+        """The steps of a frame from head ch past the filter: its route's charges, then SINK."""
+        path = self.ctx.routes.get(ch)
+        if path is None:
+            return [(NO_ROUTE, 0.0)]
+        distance = self.world.distance
+        # every route ends at the sink; a backlog is sent at one instant, so
+        # each link's distance is read once for all of its frames
+        hops = [(u, v, distance(u, v)) for u, v in zip(path, path[1:])]
+        return [*self._charges(hops, self.cfg.packet_size_bits), (SINK, 0.0)]
+
+    def _walk(
+        self,
+        t_us: int,
+        origin: int,
+        values: list,
+        steps: list[tuple[int, float]],
+        orphan: bool = False,
+    ) -> int:
+        """Send one frame from origin per value along steps; the frames lost to a death.
+
+        Each frame takes steps in order: a (payer, joules) charge fails if
+        the payer is dead or cannot pay in full, and loses the frame;
+        FILTER runs the change filter on origin's readings (a filtered
+        reading is counted); NO_ROUTE counts the reading unreachable; SINK
+        hands the frame to ``World.deliver_data``. An orphan pays every
+        charge itself, so once one fails the rest of its backlog is lost
+        with it; any other failure loses one frame. The caller counts the
+        loss: a heartbeat's value is None, it has no FILTER and carries no
+        reading, so its loss counts nowhere.
+
+        Every charge runs one inline copy of ``EnergyLedger.consume``'s
+        clamp, Neumaier and Kahan steps, on views and totals bound once per
+        backlog, as ``DsdvProtocol._send`` binds them once per frame: a
+        ``consume`` call per charge was the largest cost of mleach's data
+        plane. ``tests/test_mleach.py`` replays backlogs as per-frame
+        ``consume`` calls on a copy of the ledger and holds the two equal
+        bit for bit.
+        """
+        world = self.world
+        ledger = world.ledger
+        alive = ledger.alive_mv
+        energy = ledger._energy_mv
+        consumed = ledger._consumed_mv
+        comp = ledger._comp_mv
+        total = ledger._total
+        total_comp = ledger._total_comp
+        deliver = world.deliver_data
+        threshold = self.cfg.filter_threshold
+        last = self.last_forwarded[origin]
+        lost = filtered = unreachable = 0
+        for k, value in enumerate(values):
+            for payer, j in steps:
+                if payer >= 0:
+                    if alive[payer]:
+                        e = energy[payer]
+                        ok = e >= j
+                        x = j if ok else e
+                        e = e - j if ok else 0.0
+                        energy[payer] = e
+                        s = consumed[payer]
+                        t = s + x
+                        comp[payer] += (s - t) + x if s >= x else (x - t) + s
+                        consumed[payer] = t
+                        y = x - total_comp
+                        t = total + y
+                        total_comp = (t - total) - y
+                        total = t
+                        if e == 0.0:
+                            ledger._mark_dead(payer, t_us)
+                        if ok:
+                            continue
+                    lost += 1
+                    break
+                if payer == FILTER:
+                    delta = abs(value - last)
+                    if delta > threshold:
+                        last = value
+                        continue
+                    filtered += 1
+                    break
+                if payer == SINK:
+                    deliver(t_us, origin, delta)
+                else:
+                    unreachable += 1
+                    break
+            else:
+                continue
+            if orphan and lost:
+                lost = len(values) - k
+                break
+        ledger._total = total
+        ledger._total_comp = total_comp
+        self.last_forwarded[origin] = last
+        log = world.log
+        log.dropped_filtered += filtered
+        log.dropped_unreachable += unreachable
+        return lost

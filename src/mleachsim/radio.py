@@ -2,11 +2,13 @@
 
 Transmitting k bits over distance d costs E_elec*k + eps_amp*k*d^2; receiving
 costs E_elec*k. Both protocols pay for frames through World.broadcast,
-World.unicast and DsdvProtocol._send, which price them with RadioModel and
-charge EnergyLedger, so totals, clamping, and death bookkeeping live in one
-place; _send runs ``consume``'s steps in one inline block, operation for
-operation. Arguments come from a validated config and are not checked
-again. The base station is infrastructure: it is never charged.
+DsdvProtocol._send and MleachProtocol._walk, which price them with
+RadioModel's formulas and charge EnergyLedger, so totals, clamping, and
+death bookkeeping live in one place. Broadcasts call ``consume`` and
+``charge_many``; _send and _walk each run ``consume``'s steps in one inline
+block, operation for operation. Arguments come from a validated config and
+are not checked again. The base station is infrastructure: it is never
+charged.
 """
 
 from __future__ import annotations

@@ -10,12 +10,14 @@ and the event queue. Distances live in one held (n+1) x (n+1) buffer whose
 rows are filled on demand, each stamped with the mobility step it was
 filled at, and read through World.dist_row and World.distance. Protocol
 objects plug into the loop through start/on_readings/finish and a
-``handlers`` table by event kind, keep their own per-node state, and pay
-for every frame through World.broadcast and World.unicast, which apply the
-first-order radio model and its liveness rules in one place. The one other
-charging point is DsdvProtocol._send, which walks DSDV's data hop by hop
-and repeats unicast's charges inline. Deaths are read from the ledger; the
-world learns of none as they happen. Strict mode layers invariant checks
+``handlers`` table by event kind, and keep their own per-node state. Every
+broadcast, control or hello, is paid through World.broadcast. Each
+protocol's data plane pays its own frames hop by hop, with one inline copy
+of EnergyLedger.consume's steps: DsdvProtocol._send for one DSDV frame,
+MleachProtocol._walk for one mleach backlog (and its heartbeats). A frame
+needs a live sender that pays tx; a sensor receiver must be alive and pay
+rx, and the sink receives free. Deaths are read from the ledger; the world
+learns of none as they happen. Strict mode layers invariant checks
 over a run and raises InvariantViolation on the first breach.
 """
 
@@ -186,7 +188,7 @@ class World:
             mask[center] = False
         return np.nonzero(mask)[0]
 
-    # -- charging primitives shared by both protocols ------------------------
+    # -- what both protocols share: broadcasts and the sink --------------------
 
     def broadcast(self, src: int, bits: int, radius: float, t_us: int) -> np.ndarray | None:
         """src sends bits to everything within radius; every listener pays rx.
@@ -202,27 +204,6 @@ class World:
             return None
         listeners = self.alive_in_range(src, radius)
         return ledger.charge_many(listeners, self.radio.rx_energy(bits), t_us)
-
-    def unicast(self, u: int, v: int, d: float, bits: int, t_us: int) -> bool:
-        """u sends bits to v, d meters away. True iff v got the frame.
-
-        The sink receives free. A dead node neither sends nor receives, and
-        pays nothing. d is ``distance(u, v)``: a caller that range-checks
-        the link, or sends several frames over it, reads it once.
-        """
-        ledger = self.ledger
-        alive = ledger.alive_mv
-        if not alive[u]:
-            return False
-        # RadioModel's tx and rx formulas, in the same operation order,
-        # written out to save a call per charge
-        radio = self.radio
-        tx = radio.e_elec_j_per_bit * bits + radio.eps_amp_j_per_bit_m2 * bits * (d * d)
-        if not ledger.consume(u, tx, t_us):
-            return False
-        if v == self.bs_id:
-            return True
-        return alive[v] and ledger.consume(v, radio.e_elec_j_per_bit * bits, t_us)
 
     def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
         """A data frame reached the sink's radio; the channel has final say.
@@ -287,11 +268,9 @@ class World:
             self.queue.schedule(t_us + US, EventKind.MOBILITY_STEP, None)
 
     def _generate(self, t_us: int, t: int) -> None:
-        for i in np.flatnonzero(self.ledger.alive).tolist():
-            readings = self.traffic.generate(i, t)
-            if readings:
-                self.log.generated += len(readings)
-                self.protocol.on_readings(i, readings, t_us)
+        ids, counts = self.traffic.generate(np.flatnonzero(self.ledger.alive), t)
+        self.log.generated += int(counts.sum())
+        self.protocol.on_readings(ids, counts, t_us)
         if t + 1 < self.cfg.sim_duration_s:
             self.queue.schedule(t_us + US, EventKind.TRAFFIC_GEN, t + 1)
 

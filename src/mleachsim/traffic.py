@@ -8,16 +8,19 @@ seed, never on what any protocol or any other node did. Phase starts are
 staggered per node by a uniform offset in one full On+Off cycle.
 
 Readings follow a bounded-step random walk: each new value is the previous
-plus a uniform step in [-1, 1] sensor units, starting from 0. A call to
-generate draws all of its steps from the node's substream in one call;
-PCG64 yields the same doubles, in the same order, as one draw per reading,
-so the stream is used exactly as a per-reading draw would use it. The walk
-itself runs on Python floats, the same IEEE operations as on numpy scalars.
+plus a uniform step in [-1, 1] sensor units, starting from 0. ``generate``
+only counts readings, for all nodes at once; their values are drawn on
+demand by ``values``, when a protocol first needs them. A node's substream
+feeds nothing but its phase offset and its walk, and PCG64 yields the same
+doubles, in the same order, whether they are drawn one per reading, one
+call per second or one call per backlog, so the values do not depend on
+when they are asked for. A protocol that never reads a value never draws
+one. The walk itself runs on Python floats, the same IEEE operations as on
+numpy scalars.
 """
 
 from __future__ import annotations
 
-import math
 import zlib
 
 import numpy as np
@@ -44,16 +47,21 @@ class OnOffTraffic:
         self.acc = np.zeros(node_count)
         self.reading = np.zeros(node_count)
 
-    def is_on(self, i: int, t_s: float) -> bool:
-        return (t_s + self.phase_offset[i]) % self.cycle_s < self.on_s
+    def generate(self, ids: np.ndarray, t_s: float) -> tuple[np.ndarray, np.ndarray]:
+        """Readings the nodes ids emit over [t_s, t_s + 1), phase judged at t_s.
 
-    def generate(self, i: int, t_s: float) -> list[float]:
-        """Readings node i emits over [t_s, t_s + 1). Phase judged at t_s."""
-        if not self.is_on(i, t_s):
-            return []
-        acc = self.acc.item(i) + self.rate_pps
-        n = math.floor(acc)
-        self.acc[i] = acc - n
+        Returns the ids that emit any, in the order given, and how many
+        each emits. Only nodes in their On phase carry the fraction on.
+        """
+        on = ids[(t_s + self.phase_offset[ids]) % self.cycle_s < self.on_s]
+        acc = self.acc[on] + self.rate_pps
+        counts = np.floor(acc)
+        self.acc[on] = acc - counts
+        emit = counts > 0.0
+        return on[emit], counts[emit].astype(np.int64)
+
+    def values(self, i: int, n: int) -> list[float]:
+        """Node i's next n readings, in the order generated."""
         value = self.reading.item(i)
         out = []
         for u in self._gen[i].random(n).tolist():

@@ -1,4 +1,6 @@
 import importlib.util
+import sys
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from mleachsim.simulation import World
 
 
 def load_module(path, name):
-    """Import the script at ``path`` as a module named ``name``."""
+    """Import the script at ``path`` as a module named ``name``, registered
+    in ``sys.modules`` so that its functions pickle for a process pool."""
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -72,3 +76,49 @@ def assert_ledgers_equal(a: EnergyLedger, b: EnergyLedger, when: str = "") -> No
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), f"{name} {when}"
     for name in ("_total", "_total_comp"):
         assert getattr(a, name).hex() == getattr(b, name).hex(), f"{name} {when}"
+
+
+def charged(ledger: EnergyLedger, charges, t_us: int) -> EnergyLedger:
+    """A copy of ledger after the (node, joules) charges, in order, through consume."""
+    copy = copy_ledger(ledger)
+    for i, j in charges:
+        copy.consume(i, j, t_us)
+    return copy
+
+
+class ScriptedValues:
+    """Stands in for ``OnOffTraffic.values``: hands out preset readings per node."""
+
+    def __init__(self) -> None:
+        self.by_node: dict[int, list[float]] = defaultdict(list)
+
+    def __call__(self, i: int, n: int) -> list[float]:
+        out = self.by_node[i][:n]
+        assert len(out) == n, f"node {i} asked for {n} readings, {len(out)} queued"
+        del self.by_node[i][:n]
+        return out
+
+
+def queue_readings(world: World, proto, i: int, values) -> None:
+    """Queue values as mleach node i's next readings.
+
+    Traffic hands them out, in order, when i's backlog is sent, in place of
+    i's random walk.
+    """
+    script = world.traffic.__dict__.get("values")
+    if not isinstance(script, ScriptedValues):
+        script = world.traffic.values = ScriptedValues()
+    script.by_node[i].extend(values)
+    proto.queued[i] += len(values)
+
+
+def unicast(world: World, u: int, v: int, d: float, bits: int, t_us: int) -> bool:
+    """One frame of bits from u to v, d meters away, through mleach's walk.
+
+    True iff v got it: u was alive and paid tx, and v is the sink or was
+    alive and paid rx.
+    """
+    from mleachsim.mleach import MleachProtocol
+
+    proto = MleachProtocol(world)
+    return proto._walk(t_us, u, (None,), proto._charges([(u, v, d)], bits)) == 0

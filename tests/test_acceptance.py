@@ -28,6 +28,8 @@ from mleachsim.radio import RadioModel
 from mleachsim.simulation import World, run_simulation
 from mleachsim import kernels
 
+from energy_fit import energy_fit_r2
+
 STEADY_WINDOW_START_S = 20
 STEADY_RANGE_PPS = (300.0, 500.0)  # 400 pps +/- 25%
 MIN_THROUGHPUT_RATIO = 1.5
@@ -98,7 +100,7 @@ def test_criterion_2_max_energy_parity(table1):
 def test_criterion_3_energy_linearity(table1):
     cfg, runs = table1
     for name in ("mleach", "dsdv"):
-        r2 = runs[name]["log"].energy_fit_r2(STEADY_WINDOW_START_S, cfg.sim_duration_s)
+        r2 = energy_fit_r2(runs[name]["log"], STEADY_WINDOW_START_S, cfg.sim_duration_s)
         assert r2 >= MIN_LINEARITY_R2, f"{name} energy fit R^2 {r2}"
 
 

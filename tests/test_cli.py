@@ -179,9 +179,8 @@ def test_a_late_seed_that_fails_validation_exits_2(config_file, tmp_path, capsys
     argv = ["--config", config_file, "--out", str(out), "--seed", str(last), "--repeat", "2"]
     assert main(argv) == 2
     assert "rng_seed" in capsys.readouterr().err
-    # the first seed's run is written; no second seed, no batch summary
-    assert [p.name for p in out.iterdir()] == [f"seed-{last}"]
-    assert (out / f"seed-{last}" / "comparison.csv").is_file()
+    # refused before the first run: nothing is written, not even the first seed
+    assert not out.exists()
 
 
 def test_out_default_comes_from_environment(config_file, tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
 from mleachsim.simulation import run_simulation
 
-from conftest import assert_ledgers_equal, copy_ledger, small_config
+from conftest import assert_ledgers_equal, charged, small_config
 
 
 def relay_pair(world_factory):
@@ -234,14 +234,6 @@ def routed_relay_pair(world_factory):
     return world, proto
 
 
-def charged(ledger, charges, t_us):
-    """A copy of ledger after the (node, joules) charges, in order, through consume."""
-    copy = copy_ledger(ledger)
-    for i, j in charges:
-        copy.consume(i, j, t_us)
-    return copy
-
-
 def test_source_that_cannot_pay_tx_dies_and_charges_no_rx(world_factory):
     world, proto = routed_relay_pair(world_factory)
     ledger = world.ledger
@@ -309,7 +301,7 @@ def test_planted_routing_loop_ends_unreachable_at_the_hop_limit(world_factory):
 def test_readings_become_jittered_send_events(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
-    proto.on_readings(0, [1.0, 2.0], 3_000_000)
+    proto.on_readings(np.array([0]), np.array([2]), 3_000_000)
     fired = [world.queue.pop() for _ in range(2)]
     for t_us, kind, payload in sorted(fired):
         assert kind == EventKind.DATA_SEND
@@ -326,10 +318,11 @@ def test_send_offsets_are_the_draws_of_a_per_reading_loop(world_factory):
     sent = []
     world.queue.schedule = lambda t_us, kind, payload: sent.append((t_us, kind, payload))
     want = []
-    for i, count, t_us in ((0, 5, 3_000_000), (1, 1, 3_000_000), (0, 3, 4_000_000)):
-        proto.on_readings(i, [0.5] * count, t_us)
-        for _ in range(count):
-            want.append((t_us + int(twin.random() * US), EventKind.DATA_SEND, i))
+    for ids, counts, t_us in (([0, 1], [5, 1], 3_000_000), ([0], [3], 4_000_000)):
+        proto.on_readings(np.array(ids), np.array(counts), t_us)
+        for i, count in zip(ids, counts):
+            for _ in range(count):
+                want.append((t_us + int(twin.random() * US), EventKind.DATA_SEND, i))
     assert sent == want
     assert world.streams.get("dsdv").bit_generator.state == twin.bit_generator.state
 

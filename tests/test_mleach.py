@@ -15,6 +15,8 @@ from mleachsim.mleach import (
 )
 from mleachsim.simulation import InvariantViolation
 
+from conftest import assert_ledgers_equal, charged, copy_ledger, queue_readings
+
 
 class ConstStream:
     def __init__(self, v: float) -> None:
@@ -304,9 +306,9 @@ def relay_world(world_factory, **overrides):
 
 def test_slot_drains_all_pending_readings(world_factory):
     world, proto = relay_world(world_factory)
-    proto.pending[1] = [1.0, 2.0, 3.0]
+    queue_readings(world, proto, 1, [1.0, 2.0, 3.0])
     proto._slot(0, (1, 0))
-    assert proto.pending[1] == []
+    assert proto.queued[1] == 0
     assert world.log.delivered == 3
     assert world.log.bs_buckets[0] == 3
     tx = world.radio.tx_energy(4096, 50.0)
@@ -327,48 +329,52 @@ def test_member_death_mid_slot_drops_the_rest(world_factory):
     world, proto = relay_world(world_factory)
     tx = world.radio.tx_energy(4096, 50.0)
     world.ledger.energy[1] = 1.5 * tx
-    charges = []
-    consume = world.ledger.consume
-
-    def recording_consume(i, j, now_us):
-        charges.append((i, j))
-        return consume(i, j, now_us)
-
-    world.ledger.consume = recording_consume
-    proto.pending[1] = [1.0, 2.0, 3.0]
+    rx = world.radio.rx_energy(4096)
+    # the second frame's tx kills the member, and the third charges nobody;
+    # the head heard the first frame only, and forwarded it to the sink
+    want = charged(
+        world.ledger, [(1, tx), (0, rx), (0, world.radio.tx_energy(4096, 100.0)), (1, tx)], 0
+    )
+    queue_readings(world, proto, 1, [1.0, 2.0, 3.0])
     proto._slot(0, (1, 0))
     assert world.log.delivered == 1
     assert world.log.dropped_dead == 2
     assert not world.ledger.alive[1]
     assert world.ledger.energy[1] == 0.0
-    # the second frame's tx kills the member, and the third charges nobody
-    assert [j for i, j in charges if i == 1] == [tx, tx]
-    # the head heard the first frame only, and forwarded it to the sink
-    rx = world.radio.rx_energy(4096)
-    assert [j for i, j in charges if i == 0] == [rx, world.radio.tx_energy(4096, 100.0)]
+    assert_ledgers_equal(world.ledger, want)
 
 
 def test_dead_member_slot_sends_nothing(world_factory):
     world, proto = relay_world(world_factory)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)
-    proto.pending[1] = [1.0]
+    queue_readings(world, proto, 1, [1.0])
     spent = world.ledger.consumed.copy()
     proto._slot(0, (1, 0))
     assert np.array_equal(world.ledger.consumed, spent)
     assert world.log.delivered == world.log.dropped_dead == 0
     # the queue is left for finish, which counts it as lost with the node
-    assert proto.pending[1] == [1.0]
+    assert proto.queued[1] == 1
+    assert world.traffic.values.by_node[1] == [1.0]
     proto.finish(world.cfg.sim_us)
     assert world.log.dropped_dead == 1
+
+
+def send(world, proto, origin, reading):
+    """One reading from origin through head 0: its member slot, or the head's own flush."""
+    queue_readings(world, proto, origin, [reading])
+    if origin == 0:
+        proto._round_finish(0, 0)
+    else:
+        proto._slot(0, (origin, 0))
 
 
 def test_filter_drops_small_changes(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
     proto.last_forwarded[1] = 10.0
-    proto._head_accept(0, 0, 1, 10.0)
+    send(world, proto, 1, 10.0)
     assert world.log.dropped_filtered == 1
     assert world.log.delivered == 0
-    proto._head_accept(0, 0, 1, 10.5)  # change equal to the threshold: dropped
+    send(world, proto, 1, 10.5)  # change equal to the threshold: dropped
     assert world.log.dropped_filtered == 2
     assert proto.last_forwarded[1] == 10.0
 
@@ -376,25 +382,25 @@ def test_filter_drops_small_changes(world_factory):
 def test_filter_forwards_big_changes_and_advances(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
     proto.last_forwarded[1] = 10.0
-    proto._head_accept(0, 0, 1, 11.0)
+    send(world, proto, 1, 11.0)
     assert world.log.delivered == 1
     assert proto.last_forwarded[1] == 11.0
 
 
 def test_filter_always_forwards_first_reading(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    proto._head_accept(0, 0, 1, 0.0)
+    send(world, proto, 1, 0.0)
     assert world.log.delivered == 1
     assert world.log.dropped_filtered == 0
 
 
 def test_filter_state_is_per_origin(world_factory):
     world, proto = relay_world(world_factory, filter_threshold=0.5)
-    proto._head_accept(0, 0, 1, 10.0)
-    proto._head_accept(0, 0, 0, 10.0)  # head's own stream is independent
+    send(world, proto, 1, 10.0)
+    send(world, proto, 0, 10.0)  # head's own stream is independent
     assert world.log.delivered == 2
-    proto._head_accept(0, 0, 1, 10.2)
-    proto._head_accept(0, 0, 0, 11.0)
+    send(world, proto, 1, 10.2)
+    send(world, proto, 0, 11.0)
     assert world.log.dropped_filtered == 1
     assert world.log.delivered == 3
 
@@ -402,7 +408,7 @@ def test_filter_state_is_per_origin(world_factory):
 def test_routeless_head_drops_as_unreachable(world_factory):
     world, proto = relay_world(world_factory)
     proto.ctx.routes = {0: None}
-    proto._head_accept(0, 0, 1, 1.0)
+    send(world, proto, 1, 1.0)
     assert world.log.dropped_unreachable == 1
     assert world.log.delivered == 0
 
@@ -412,7 +418,8 @@ def test_multi_hop_route_charges_every_relay(world_factory):
     proto = MleachProtocol(world)
     proto.ctx = ctx = RoundContext()
     ctx.routes = {1: [1, 0, world.bs_id]}
-    proto._head_accept(0, 1, 1, 42.0)
+    queue_readings(world, proto, 1, [42.0])
+    proto._round_finish(0, 0)
     assert world.log.delivered == 1
     assert world.ledger.consumed[1] == world.radio.tx_energy(4096, 400.0)
     expect0 = world.radio.rx_energy(4096) + world.radio.tx_energy(4096, 100.0)
@@ -422,11 +429,11 @@ def test_multi_hop_route_charges_every_relay(world_factory):
 def test_orphan_flush_filters_then_sends(world_factory):
     world = world_factory([(500.0, 600.0)], filter_threshold=0.1)
     proto = MleachProtocol(world)
-    proto.pending[0] = [5.0, 5.05, 6.0]
+    queue_readings(world, proto, 0, [5.0, 5.05, 6.0])
     proto._orphan_flush(0, 0)
     assert world.log.delivered == 2
     assert world.log.dropped_filtered == 1
-    assert proto.pending[0] == []
+    assert proto.queued[0] == 0
     assert math.isclose(
         world.ledger.consumed[0], 2 * world.radio.tx_energy(4096, 100.0), rel_tol=1e-12
     )
@@ -435,21 +442,23 @@ def test_orphan_flush_filters_then_sends(world_factory):
 def test_orphan_out_of_sink_range_drops_unreachable(world_factory):
     world = world_factory([(0.0, 600.0)], radio_range_rr_m=500.0)
     proto = MleachProtocol(world)
-    proto.pending[0] = [1.0, 2.0]
+    queue_readings(world, proto, 0, [1.0, 2.0])
     proto._orphan_flush(0, 0)
     assert world.log.dropped_unreachable == 2
     assert world.ledger.consumed[0] == 0.0
+    # drawn all the same: the node's later readings walk on from them
+    assert world.traffic.values.by_node[0] == []
 
 
 def test_dead_orphan_flush_sends_nothing(world_factory):
     world = world_factory([(500.0, 600.0)])
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     proto = MleachProtocol(world)
-    proto.pending[0] = [1.0]
+    queue_readings(world, proto, 0, [1.0])
     spent = world.ledger.total_consumed()
     proto._orphan_flush(0, 0)
     assert world.ledger.total_consumed() == spent
-    assert proto.pending[0] == [1.0]
+    assert proto.queued[0] == 1
     assert world.log.delivered == world.log.dropped_dead == 0
 
 
@@ -464,9 +473,9 @@ def test_check_round_rejects_a_node_in_two_clusters():
 
 def test_round_finish_flushes_head_backlog(world_factory):
     world, proto = relay_world(world_factory)
-    proto.pending[0] = [3.0, 3.05]
+    queue_readings(world, proto, 0, [3.0, 3.05])
     proto._round_finish(100, 0)
-    assert proto.pending[0] == []
+    assert proto.queued[0] == 0
     assert world.log.delivered == 1  # second reading fails the change filter
     assert world.log.dropped_filtered == 1
 
@@ -475,8 +484,8 @@ def test_full_round_single_member_delivers_one_packet(world_factory):
     # one head, one member, one queued reading: exactly one frame reaches the sink
     world = world_factory([(500.0, 600.0), (450.0, 600.0)], p_ch_fraction=0.5)
     proto = MleachProtocol(world)
-    proto.pending[0] = [7.0]
-    proto.pending[1] = [8.0]
+    queue_readings(world, proto, 0, [7.0])
+    queue_readings(world, proto, 1, [8.0])
     proto._round_start(0, 0)
     assert len(proto.ctx.cluster_heads) >= 1
     while len(world.queue):
@@ -510,3 +519,232 @@ def test_round_starts_are_queued_one_at_a_time(world_factory):
     world.run(proto)  # starts the protocol again
     # every round still ran, in order, and none was queued past the horizon
     assert [r for r, _ in world.log.alive_series] == list(range(1000))
+
+
+# -- the walk against a per-frame replay -------------------------------------------
+
+LOG_COUNTERS = (
+    "generated",
+    "delivered",
+    "dropped_filtered",
+    "dropped_unreachable",
+    "dropped_dead",
+    "dropped_congested",
+)
+
+
+class PerFrame:
+    """mleach's data plane one ``consume`` call per charge, on copies of the state.
+
+    Each frame is a unicast per hop: a dead sender sends nothing and pays
+    nothing, the sender pays tx, and the receiver, unless it is the sink,
+    must be alive and pay rx. Member frames reach the head before the
+    change filter runs; the head's route is walked after it.
+    """
+
+    def __init__(self, world, proto):
+        self.world = world
+        self.cfg = world.cfg
+        self.ledger = copy_ledger(world.ledger)
+        self.last = list(proto.last_forwarded)
+        self.routes = proto.ctx.routes
+        self.counts = dict.fromkeys(LOG_COUNTERS, 0)
+        self.sunk = []  # (origin, delta) of every frame handed to the sink
+
+    def unicast(self, u, v, bits, t_us):
+        ledger, radio = self.ledger, self.world.radio
+        if not ledger.alive[u]:
+            return False
+        if not ledger.consume(u, radio.tx_energy(bits, self.world.distance(u, v)), t_us):
+            return False
+        if v == self.world.bs_id:
+            return True
+        return bool(ledger.alive[v]) and ledger.consume(v, radio.rx_energy(bits), t_us)
+
+    def change(self, origin, reading):
+        delta = abs(reading - self.last[origin])
+        if delta > self.cfg.filter_threshold:
+            self.last[origin] = reading
+            return delta
+        self.counts["dropped_filtered"] += 1
+        return None
+
+    def accept(self, t_us, ch, origin, reading):
+        delta = self.change(origin, reading)
+        if delta is None:
+            return
+        path = self.routes.get(ch)
+        if path is None:
+            self.counts["dropped_unreachable"] += 1
+            return
+        for u, v in zip(path, path[1:]):
+            if not self.unicast(u, v, self.cfg.packet_size_bits, t_us):
+                self.counts["dropped_dead"] += 1
+                return
+        self.sunk.append((origin, delta))
+
+    def slot(self, t_us, cm, ch, values):
+        if not values:
+            self.unicast(cm, ch, self.cfg.heartbeat_bits, t_us)
+            return
+        for reading in values:
+            if self.unicast(cm, ch, self.cfg.packet_size_bits, t_us):
+                self.accept(t_us, ch, cm, reading)
+            else:
+                self.counts["dropped_dead"] += 1
+
+    def orphan(self, t_us, i, values):
+        for idx, reading in enumerate(values):
+            delta = self.change(i, reading)
+            if delta is None:
+                continue
+            if not self.unicast(i, self.world.bs_id, self.cfg.packet_size_bits, t_us):
+                self.counts["dropped_dead"] += len(values) - idx
+                return
+            self.sunk.append((i, delta))
+
+    def finish(self, t_us, ch, values):
+        for reading in values:
+            self.accept(t_us, ch, ch, reading)
+
+
+def chain_world(world_factory, **overrides):
+    """Member 2 -> head 1 -> head 0 -> sink, on links of no round length."""
+    world = world_factory([(517.3, 641.9), (402.7, 588.1), (351.9, 610.4)], **overrides)
+    proto = MleachProtocol(world)
+    proto.ctx = RoundContext()
+    proto.ctx.routes = {0: [0, world.bs_id], 1: [1, 0, world.bs_id]}
+    return world, proto
+
+
+def prices(world, u, v, bits=4096):
+    """rx, and tx from u to v."""
+    radio = world.radio
+    return radio.rx_energy(bits), radio.tx_energy(bits, world.distance(u, v))
+
+
+def member_dies_mid_slot(world_factory):
+    world, proto = relay_world(world_factory)
+    world.ledger.energy[1] = 1.5 * prices(world, 1, 0)[1]
+    return world, proto, ("slot", 1, 0), [1.0, 2.0, 3.0]
+
+
+def head_dies_paying_rx(world_factory):
+    world, proto = relay_world(world_factory)
+    rx, tx = prices(world, 0, world.bs_id)
+    world.ledger.energy[0] = rx + tx + rx / 2
+    return world, proto, ("slot", 1, 0), [1.0, 2.0, 3.0]
+
+
+def relay_dies_mid_route(world_factory):
+    # head 0 relays head 1's frames; it pays rx then tx, and runs out on
+    # the second frame's tx
+    world, proto = chain_world(world_factory)
+    rx, tx = prices(world, 0, world.bs_id)
+    world.ledger.energy[0] = 2 * rx + 1.5 * tx
+    return world, proto, ("slot", 2, 1), [1.0, 2.0, 3.0, 4.0]
+
+
+def relay_pays_exactly_then_is_dead(world_factory):
+    world, proto = chain_world(world_factory)
+    rx, tx = prices(world, 0, world.bs_id)
+    world.ledger.energy[0] = rx + tx
+    return world, proto, ("finish", 1), [1.0, 2.0, 3.0]
+
+
+def head_dies_and_keeps_filtering(world_factory):
+    # a head's reading is filtered before its route is tried, even once
+    # the head is dead
+    world, proto = relay_world(world_factory)
+    world.ledger.energy[0] = 1.5 * prices(world, 0, world.bs_id)[1]
+    return world, proto, ("finish", 0), [1.0, 2.0, 2.05, 3.0]
+
+
+def orphan_dies_mid_flush(world_factory):
+    world = world_factory([(500.0, 600.0)])
+    world.ledger.energy[0] = 2.5 * prices(world, 0, world.bs_id)[1]
+    return world, MleachProtocol(world), ("orphan", 0), [5.0, 5.05, 6.0, 7.0, 8.0]
+
+
+def orphan_pays_exactly_then_filters(world_factory):
+    # the orphan dies paying its second frame in full: its next reading is
+    # still filtered, and only a failed send loses the rest of the backlog
+    world = world_factory([(500.0, 600.0)])
+    world.ledger.energy[0] = 2 * prices(world, 0, world.bs_id)[1]
+    return world, MleachProtocol(world), ("orphan", 0), [5.0, 6.0, 6.05, 8.0, 9.0]
+
+
+def head_with_no_route(world_factory):
+    world, proto = relay_world(world_factory)
+    proto.ctx.routes = {0: None}
+    return world, proto, ("slot", 1, 0), [1.0, 1.05, 2.0]
+
+
+def filtered_readings(world_factory):
+    world, proto = chain_world(world_factory, filter_threshold=0.5)
+    proto.last_forwarded[2] = 10.0
+    return world, proto, ("slot", 2, 1), [10.0, 10.2, 10.5, 11.2, 11.0, 9.0]
+
+
+def heartbeat(world_factory):
+    world, proto = relay_world(world_factory)
+    return world, proto, ("slot", 1, 0), []
+
+
+def heartbeat_kills_the_head(world_factory):
+    world, proto = relay_world(world_factory)
+    world.ledger.energy[0] = world.radio.rx_energy(world.cfg.heartbeat_bits) / 2
+    return world, proto, ("slot", 1, 0), []
+
+
+BACKLOGS = [
+    member_dies_mid_slot,
+    head_dies_paying_rx,
+    relay_dies_mid_route,
+    relay_pays_exactly_then_is_dead,
+    head_dies_and_keeps_filtering,
+    orphan_dies_mid_flush,
+    orphan_pays_exactly_then_filters,
+    head_with_no_route,
+    filtered_readings,
+    heartbeat,
+    heartbeat_kills_the_head,
+]
+
+
+@pytest.mark.parametrize("case", BACKLOGS, ids=lambda f: f.__name__)
+def test_walk_matches_a_per_frame_replay(world_factory, case):
+    world, proto, (kind, *nodes), values = case(world_factory)
+    if proto.ctx is None:
+        proto.ctx = RoundContext()
+    queue_readings(world, proto, nodes[0], values)
+    ref = PerFrame(world, proto)
+    before = {name: getattr(world.log, name) for name in LOG_COUNTERS}
+    sunk = []
+    deliver = world.deliver_data
+
+    def recording_deliver(t_us, origin, delta):
+        sunk.append((origin, delta))
+        deliver(t_us, origin, delta)
+
+    world.deliver_data = recording_deliver
+    t_us = 1_000
+    if kind == "slot":
+        proto._slot(t_us, tuple(nodes))
+        ref.slot(t_us, *nodes, values)
+    elif kind == "orphan":
+        proto._orphan_flush(t_us, nodes[0])
+        ref.orphan(t_us, nodes[0], values)
+    else:
+        proto._round_finish(t_us, 0)
+        ref.finish(t_us, nodes[0], values)
+    assert_ledgers_equal(world.ledger, ref.ledger, case.__name__)
+    after = {name: getattr(world.log, name) - before[name] for name in LOG_COUNTERS}
+    assert after == dict(ref.counts, delivered=len(ref.sunk))
+    assert sunk == ref.sunk
+    assert proto.last_forwarded == ref.last
+    assert proto.queued[nodes[0]] == 0
+    # every case sends something, and the ones named for a death see one
+    assert world.ledger.consumed.any()
+    if "dies" in case.__name__ or "kills" in case.__name__ or "exactly" in case.__name__:
+        assert not world.ledger.alive.all()

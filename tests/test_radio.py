@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from mleachsim.radio import EnergyLedger, RadioModel
 
-from conftest import make_world
+from conftest import make_world, unicast
 
 RADIO = RadioModel()
 
@@ -153,8 +153,8 @@ def test_node_killed_by_charge_many_is_dead_to_charge_and_unicast():
     consumed = ledger.consumed.copy()
     # the scalar path reads the zero that the batched path wrote
     assert not ledger.consume(1, rx, now_us=8)
-    assert not world.unicast(1, 2, world.distance(1, 2), BITS, 8)
-    assert not world.unicast(0, 1, world.distance(0, 1), BITS, 8)
+    assert not unicast(world, 1, 2, world.distance(1, 2), BITS, 8)
+    assert not unicast(world, 0, 1, world.distance(0, 1), BITS, 8)
     assert ledger.consumed[1] == consumed[1]
     assert ledger.consumed[2] == consumed[2]
     assert ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)

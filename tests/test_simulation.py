@@ -9,7 +9,7 @@ from mleachsim.dsdv import DsdvProtocol
 from mleachsim.mleach import MleachProtocol
 from mleachsim.simulation import BsChannel, InvariantViolation, World, run_simulation
 
-from conftest import make_world, small_config
+from conftest import make_world, queue_readings, small_config, unicast
 
 
 def test_offered_load_is_protocol_independent():
@@ -139,7 +139,7 @@ def test_sink_sends_and_receives_for_free():
     assert world.ledger.total_consumed() == 3 * rx
     before = world.ledger.total_consumed()
     d = world.distance(1, world.bs_id)
-    assert world.unicast(1, world.bs_id, d, BITS, 0)
+    assert unicast(world, 1, world.bs_id, d, BITS, 0)
     tx = world.radio.tx_energy(BITS, d)
     assert world.ledger.consumed[1] == tx
     assert world.ledger.total_consumed() == before + tx
@@ -151,8 +151,8 @@ def test_dead_sender_is_silent_and_pays_nothing():
     consumed = world.ledger.consumed.copy()
     total = world.ledger.total_consumed()
     assert world.broadcast(0, BITS, 250.0, 0) is None
-    assert world.unicast(0, 1, 100.0, BITS, 0) is False
-    assert world.unicast(0, world.bs_id, world.distance(0, world.bs_id), BITS, 0) is False
+    assert unicast(world, 0, 1, 100.0, BITS, 0) is False
+    assert unicast(world, 0, world.bs_id, world.distance(0, world.bs_id), BITS, 0) is False
     assert np.array_equal(world.ledger.consumed, consumed)
     assert world.ledger.total_consumed() == total
 
@@ -169,7 +169,7 @@ def test_dead_receiver_is_not_charged():
     world = make_world([(0.0, 0.0), (100.0, 0.0), (200.0, 0.0)])
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)
     spent_1 = world.ledger.consumed[1]
-    assert world.unicast(0, 1, 100.0, BITS, 0) is False
+    assert unicast(world, 0, 1, 100.0, BITS, 0) is False
     assert world.ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)
     assert world.broadcast(0, BITS, 250.0, 0).tolist() == [2]
     assert world.ledger.consumed[1] == spent_1
@@ -184,7 +184,7 @@ def test_listener_that_cannot_pay_dies_and_is_left_out():
     assert heard.tolist() == [2, 3]
     assert world.ledger.alive.tolist() == [True, False, False, True]
     world.ledger.energy[3] = rx / 2
-    assert world.unicast(0, 3, 150.0, BITS, 0) is False
+    assert unicast(world, 0, 3, 150.0, BITS, 0) is False
     assert not world.ledger.alive[3]
 
 
@@ -284,14 +284,14 @@ def test_channel_decisions_match_the_per_frame_reference():
 def test_finish_counts_queued_readings_by_liveness():
     world = make_world([(0.0, 0.0), (100.0, 0.0)])
     proto = MleachProtocol(world)
-    proto.pending[0] = [1.0, 2.0, 3.0]
-    proto.pending[1] = [4.0]
+    queue_readings(world, proto, 0, [1.0, 2.0, 3.0])
+    queue_readings(world, proto, 1, [4.0])
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     assert world.log.dropped_dead == 0  # a death alone counts nothing
     proto.finish(world.cfg.sim_us)
     assert world.log.dropped_dead == 3
     assert world.log.dropped_unreachable == 1
-    assert not any(proto.pending)
+    assert not proto.queued.any()
 
 
 def test_strict_trace_catches_filter_leaks():

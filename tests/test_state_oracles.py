@@ -193,9 +193,13 @@ def test_election_matches_scalar_rounds(case):
 # -- On-Off readings -------------------------------------------------------------
 
 
+def is_on(traffic, i, t_s):
+    return (t_s + traffic.phase_offset[i]) % traffic.cycle_s < traffic.on_s
+
+
 def scalar_generate(traffic, i, t_s):
     """One draw per reading, on the numpy scalars of the traffic's arrays."""
-    if not traffic.is_on(i, t_s):
+    if not is_on(traffic, i, t_s):
         return []
     traffic.acc[i] += traffic.rate_pps
     n = math.floor(traffic.acc[i])
@@ -226,13 +230,18 @@ def test_traffic_matches_draw_per_reading(case):
     ref = OnOffTraffic(n, on_s, off_s, rate, seed=41)
     silent = off = 0
     for t in range(seconds):
+        ids, counts = traffic.generate(np.arange(n), t)
+        assert ids.tolist() == sorted(ids.tolist()) and (counts > 0).all()
+        emitted = dict(zip(ids.tolist(), counts.tolist()))
         for i in range(n):
-            got = traffic.generate(i, t)
+            on = is_on(ref, i, t)
             want = scalar_generate(ref, i, t)
+            # the values are drawn at once here; the mleach tests draw them later
+            got = traffic.values(i, emitted.get(i, 0))
             assert got == want, f"node {i} at {t} s"
             assert all(type(v) is float for v in got)
-            off += not ref.is_on(i, t)
-            silent += ref.is_on(i, t) and not want
+            off += not on
+            silent += on and not want
         assert np.array_equal(traffic.acc, ref.acc)
         assert np.array_equal(traffic.reading, ref.reading)
         for g, h in zip(traffic._gen, ref._gen):

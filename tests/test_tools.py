@@ -103,6 +103,13 @@ def test_digest_sweep_compares_without_the_simulator(tmp_path):
     assert "changed 0:dsdv:strict" in changed.stdout
 
 
+def test_digest_sweep_writes_the_same_bytes_for_any_jobs():
+    tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
+    one = json.dumps(tool.sweep(3, 0, 1), sort_keys=True)
+    assert len(json.loads(one)) == 12
+    assert json.dumps(tool.sweep(3, 0, 2), sort_keys=True) == one
+
+
 def test_digest_sweep_draws_every_config_field():
     tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
     draws = [tool.draw_config(np.random.default_rng([0, k])) for k in range(50)]

@@ -30,6 +30,10 @@ A compare across a change to ``World``'s constructor runs each side's own
 copy of the tool, so such a change touches only ``run_digest``'s
 construction lines: ``draw_config`` and the digest recipe stay identical.
 
+The draws run in a pool of worker processes, one per CPU. The configs
+are all drawn in the calling process and the file is written in key
+order, so it holds the same bytes for any number of workers.
+
 Compare mode reads only the two files, so it runs without ``PYTHONPATH``.
 It exits with status 1 when any digest differs or is missing.
 
@@ -47,6 +51,7 @@ import argparse
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -141,17 +146,34 @@ def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
     return h.hexdigest()
 
 
-def sweep(n: int, seed: int) -> dict[str, str]:
+def digest_draw(k_cfg) -> dict[str, str]:
+    """The digests of draw k's config, every protocol plain and strict."""
+    k, cfg = k_cfg
     digests = {}
     with tempfile.TemporaryDirectory() as scratch:
-        for k in range(n):
-            rng = np.random.default_rng([seed, k])
-            # every 50th draw is a large network, over a short horizon to stay fast
-            cfg = draw_config(rng, (65, 512), (2, 4)) if k % 50 == 49 else draw_config(rng)
-            for protocol in PROTOCOLS:
-                for strict in (False, True):
-                    mode = "strict" if strict else "plain"
-                    digests[f"{k}:{protocol}:{mode}"] = run_digest(cfg, protocol, strict, scratch)
+        for protocol in PROTOCOLS:
+            for strict in (False, True):
+                mode = "strict" if strict else "plain"
+                digests[f"{k}:{protocol}:{mode}"] = run_digest(cfg, protocol, strict, scratch)
+    return digests
+
+
+def sweep(n: int, seed: int, jobs: int | None = None) -> dict[str, str]:
+    """Digests of n drawn configs, run in jobs worker processes (default:
+    one per CPU, at most n).
+
+    Every config is drawn here, in the calling process, so the digests do
+    not depend on jobs.
+    """
+    draws = []
+    for k in range(n):
+        rng = np.random.default_rng([seed, k])
+        # every 50th draw is a large network, over a short horizon to stay fast
+        draws.append((k, draw_config(rng, (65, 512), (2, 4)) if k % 50 == 49 else draw_config(rng)))
+    digests = {}
+    with multiprocessing.Pool(jobs or max(1, min(os.cpu_count() or 1, n))) as pool:
+        for part in pool.imap_unordered(digest_draw, draws):
+            digests.update(part)
     return digests
 
 

@@ -7,7 +7,6 @@ exported, so the console table is recomputable from the CSV artifacts.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import statistics
@@ -15,7 +14,7 @@ import sys
 from dataclasses import replace
 
 from .config import ConfigError, load_config, validate_config
-from .metrics import SUMMARY_FIELDS, MetricsLog
+from .metrics import SUMMARY_FIELDS, MetricsLog, write_table
 from .simulation import PROTOCOLS, run_simulation
 
 
@@ -43,18 +42,13 @@ def comparison_fields(logs: dict[str, MetricsLog]) -> list[tuple[str, object]]:
         ("mleach_max_energy_j", m.max_consumed()),
         ("dsdv_max_energy_j", d.max_consumed()),
         ("max_energy_ratio", _ratio(m.max_consumed(), d.max_consumed())),
-        ("mleach_first_death_s", m.first_death_s),
-        ("dsdv_first_death_s", d.first_death_s),
+        ("mleach_first_death_s", float(m.first_death_s)),
+        ("dsdv_first_death_s", float(d.first_death_s)),
     ]
 
 
 def write_comparison(path: str, logs: dict[str, MetricsLog]) -> None:
-    rows = comparison_fields(logs)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["metric", "value"])
-        for name, value in rows:
-            w.writerow([name, repr(float(value)) if isinstance(value, float) else value])
+    write_table(path, ["metric", "value"], comparison_fields(logs))
 
 
 def print_summary(logs: dict[str, MetricsLog]) -> None:
@@ -158,17 +152,16 @@ def _write_batch_summary(out_dir: str, batch_rows: dict[str, list[list]]) -> Non
     first_death_s is taken over the seeds that had a death; it is -1.0, with
     stddev 0.0, when none did, as a run without one writes it.
     """
+    table = []
+    for proto, rows in batch_rows.items():
+        for col, name in enumerate(SUMMARY_FIELDS[1:]):
+            values = [float(r[col]) for r in rows]
+            if name == "first_death_s":
+                values = [v for v in values if v >= 0.0] or [-1.0]
+            spread = statistics.stdev(values) if len(values) > 1 else 0.0
+            table.append([proto, name, statistics.fmean(values), spread])
     path = os.path.join(out_dir, "batch_summary.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["protocol", "metric", "mean", "stddev"])
-        for proto, rows in batch_rows.items():
-            for col, name in enumerate(SUMMARY_FIELDS[1:]):
-                values = [float(r[col]) for r in rows]
-                if name == "first_death_s":
-                    values = [v for v in values if v >= 0.0] or [-1.0]
-                spread = statistics.stdev(values) if len(values) > 1 else 0.0
-                w.writerow([proto, name, repr(statistics.fmean(values)), repr(spread)])
+    write_table(path, ["protocol", "metric", "mean", "stddev"], table)
     print(f"batch summary: {path}")
 
 

@@ -1,8 +1,11 @@
 """Run measurement: time series, counters, throughput statistics, CSV export.
 
-CSV output is deterministic byte-for-byte for a fixed run: floats are
-rendered with repr (shortest round-trip form), rows come from ordered
-series, and files end with LF line endings.
+Every CSV the package writes, the run's and the command line's, goes
+through ``write_table``: UTF-8, LF line endings, and every float rendered
+as ``repr(v)`` (shortest round-trip form). A numpy ``float64`` subclasses
+``float``, so it is rendered by its own repr, ``np.float64(...)``. Rows
+come from ordered series, so the output is deterministic byte for byte
+for a fixed run.
 """
 
 from __future__ import annotations
@@ -78,22 +81,13 @@ class MetricsLog:
     def export_csv(self, out_dir: str) -> None:
         """Write energy.csv, throughput.csv and summary.csv into out_dir."""
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "energy.csv"), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t_s", "total_j", "max_node_j"])
-            for t, total, mx in self.energy_series:
-                w.writerow([t, repr(total), repr(mx)])
-        with open(
-            os.path.join(out_dir, "throughput.csv"), "w", newline="", encoding="utf-8"
-        ) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t_s", "packets"])
-            for t in range(self.duration_s):
-                w.writerow([t, int(self.bs_buckets[t])])
-        with open(os.path.join(out_dir, "summary.csv"), "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(SUMMARY_FIELDS)
-            w.writerow(self.summary_row())
+        tables = {
+            "energy.csv": (["t_s", "total_j", "max_node_j"], self.energy_series),
+            "throughput.csv": (["t_s", "packets"], enumerate(self.bs_buckets.tolist())),
+            "summary.csv": (SUMMARY_FIELDS, [[self.protocol, *self.summary_values()]]),
+        }
+        for name, (header, rows) in tables.items():
+            write_table(os.path.join(out_dir, name), header, rows)
 
     def summary_values(self) -> list:
         """The numbers behind summary.csv, in SUMMARY_FIELDS order after the protocol."""
@@ -110,9 +104,13 @@ class MetricsLog:
             self.dropped_congested,
         ]
 
-    def summary_row(self) -> list:
-        values = self.summary_values()
-        return [self.protocol, *(repr(v) if isinstance(v, float) else v for v in values)]
+
+def write_table(path: str, header: list, rows) -> None:
+    """Write one CSV: the header, then each row with every float as repr(v)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows([repr(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 SUMMARY_FIELDS = [

@@ -125,7 +125,7 @@ class EnergyLedger:
         return self._total
 
     def max_consumed(self) -> float:
-        return float(np.max(self.consumed + self.consumed_comp))
+        return float(np.max(self.node_consumed()))
 
     def conservation_drift(self) -> float:
         """|running total - exact sum of per-node subtotals|.

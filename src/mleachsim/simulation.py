@@ -251,7 +251,9 @@ class World:
         ledger = self.ledger
         died = ledger.death_time_us[~ledger.alive]
         if len(died):
-            # a numpy scalar; summary.csv writes its repr, as the pins expect
+            # a numpy scalar, the only one any CSV gets, so the one source of
+            # summary.csv's np.float64(...) repr that the pins expect. ROADMAP
+            # item 1 stores float(...) here, re-pinning them and perfbench's drain pin
             self.log.first_death_s = died.min() / US
         if self.strict:
             self._check_final()

@@ -7,6 +7,10 @@ mleach fast enough that a head dies announcing its TDMA schedule, so its
 members fall back to sending straight to the sink; neither of the other two
 reaches that path.
 
+The CLI's own files are pinned too: comparison.csv for the plain and the
+drained scenario, and batch_summary.csv for a three-seed batch in which
+mleach loses a sensor on one seed only and DSDV on all three.
+
 A change that alters output on purpose updates the pins and says why in
 CHANGES.md.
 """
@@ -15,6 +19,8 @@ import hashlib
 
 import pytest
 
+from mleachsim.cli import main
+from mleachsim.config import serialize_config
 from mleachsim.simulation import run_simulation
 
 from conftest import small_config
@@ -56,6 +62,13 @@ STRANDING_PINS = {
     "np.float64(0.0),176,84,18,4,70,0",
 }
 
+COMPARISON_PINS = {
+    "plain": "b8513c0dc1d9bad7043d22e317fd63db1ba346151a36ec2ff8f5a22a03c2e9a3",
+    "drained": "4247020e649a286f6a4c20c225fdd7c18924b6357f3c643b39ed62959c64b548",
+}
+
+BATCH_PIN = "11dffffd378d4626e4147408c136d74f943526388622cf4d7717507240d356fb"
+
 
 def assert_pinned(cfg, protocol, strict, pins, out):
     run_simulation(cfg, protocol, strict=strict).export_csv(str(out))
@@ -82,3 +95,28 @@ def test_drained_config_with_sink_channel_is_pinned(protocol, strict, tmp_path):
 def test_stranded_members_output_is_pinned(strict, tmp_path):
     cfg = small_config(node_count=32, initial_energy_j=0.2, rng_seed=23)
     assert_pinned(cfg, "mleach", strict, STRANDING_PINS, tmp_path)
+
+
+def cli_digest(cfg, name, tmp_path, *argv):
+    """sha256 of the file name that mleach-sim writes for cfg."""
+    path = tmp_path / "scenario.cfg"
+    path.write_text(serialize_config(cfg))
+    out = tmp_path / "out"
+    assert main(["--config", str(path), "--out", str(out), *argv]) == 0
+    return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "scenario, overrides",
+    [("plain", {}), ("drained", dict(initial_energy_j=0.5, bs_mac_capacity_bps=8000.0))],
+    ids=["plain", "drained"],
+)
+def test_comparison_csv_is_pinned(scenario, overrides, tmp_path):
+    digest = cli_digest(small_config(**overrides), "comparison.csv", tmp_path)
+    assert digest == COMPARISON_PINS[scenario]
+
+
+def test_batch_summary_csv_is_pinned(tmp_path):
+    # mleach loses a sensor on seed 5 only, DSDV on seeds 3, 4 and 5
+    cfg = small_config(initial_energy_j=2.0, sim_duration_s=4)
+    assert cli_digest(cfg, "batch_summary.csv", tmp_path, "--repeat", "3") == BATCH_PIN

@@ -64,7 +64,7 @@ def test_rerun_reproduces_every_metric():
     cfg = small_config(rng_seed=11)
     a = run_simulation(cfg, "mleach")
     b = run_simulation(cfg, "mleach")
-    assert a.summary_row() == b.summary_row()
+    assert a.summary_values() == b.summary_values()
     assert a.energy_series == b.energy_series
     assert np.array_equal(a.bs_buckets, b.bs_buckets)
     assert a.alive_series == b.alive_series

@@ -53,8 +53,8 @@ def test_strict_runs_hold_for_small_valid_configs(cfg):
     assert_strict_runs_hold(cfg)
     with tempfile.TemporaryDirectory() as scratch:
         for protocol in ("mleach", "dsdv"):
-            plain = SWEEP.run_digest(cfg, protocol, False, scratch)
-            assert plain == SWEEP.run_digest(cfg, protocol, True, scratch), protocol
+            plain = SWEEP.run_digest(cfg, protocol, False, scratch)[0]
+            assert plain == SWEEP.run_digest(cfg, protocol, True, scratch)[0], protocol
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)

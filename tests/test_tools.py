@@ -66,9 +66,8 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     out = tmp_path / "digests.json"
     assert tool.main(["--n", "2", "--out", str(out)]) == 0
     digests = json.loads(out.read_text())
-    assert sorted(digests) == [
-        f"{k}:{p}:{m}" for k in range(2) for p in ("dsdv", "mleach") for m in ("plain", "strict")
-    ]
+    runs = [f"{k}:{p}:{m}" for k in range(2) for p in ("dsdv", "mleach") for m in ("plain", "strict")]
+    assert sorted(digests) == sorted(runs + [f"{k}:comparison:plain" for k in range(2)])
     # the tool keeps its own copy of the names, as compare mode imports no
     # simulator; a protocol added to the registry must still be swept
     assert tool.PROTOCOLS == tuple(simulation.PROTOCOLS)
@@ -81,7 +80,7 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     assert tool.main(["--compare", str(out), str(other)]) == 1
     report = capsys.readouterr().out
     assert "changed 1:mleach:plain" in report
-    assert "1 of 8 digests changed, 0 unmatched" in report
+    assert "1 of 10 digests changed, 0 unmatched" in report
 
 
 def test_digest_sweep_compares_without_the_simulator(tmp_path):
@@ -106,7 +105,7 @@ def test_digest_sweep_compares_without_the_simulator(tmp_path):
 def test_digest_sweep_writes_the_same_bytes_for_any_jobs():
     tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
     one = json.dumps(tool.sweep(3, 0, 1), sort_keys=True)
-    assert len(json.loads(one)) == 12
+    assert len(json.loads(one)) == 15
     assert json.dumps(tool.sweep(3, 0, 2), sort_keys=True) == one
 
 

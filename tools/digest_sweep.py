@@ -16,11 +16,13 @@ and long-lived routes show only there. Runs whose larger frames drain the
 sensors at once still come up, so start-up deaths stay covered. Per
 run it writes one sha256 over the three CSVs and the ledger's
 ``consumed``, ``consumed_comp``, ``energy`` and ``death_time_us`` arrays
-and its total; a run that raises is digested by its exception. Compare
-mode diffs two digest files, so that a change meant to keep output bytes
-can be checked against its parent on every draw. Both sides run this one
-copy of the tool, so that they draw the same configs; only the simulator
-under ``PYTHONPATH`` differs:
+and its total; a run that raises is digested by its exception. Each
+draw also digests the ``comparison.csv`` that ``mleach-sim`` writes for
+its two plain runs, under ``k:comparison:plain``, unless either run
+raised. Compare mode diffs two digest files, so that a change meant to
+keep output bytes can be checked against its parent on every draw. Both
+sides run this one copy of the tool, so that they draw the same configs;
+only the simulator under ``PYTHONPATH`` differs:
 
     PYTHONPATH=../parent/src python3 tools/digest_sweep.py --n 600 --out before.json
     PYTHONPATH=src python3 tools/digest_sweep.py --n 600 --out after.json
@@ -124,8 +126,9 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
     return validate_config(cfg)
 
 
-def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
-    """sha256 of one run's CSVs and ledger state."""
+def run_digest(cfg, protocol: str, strict: bool, scratch: str):
+    """sha256 of one run's CSVs and ledger state, and the run's log (None
+    when the run raised)."""
     from mleachsim import simulation
 
     h = hashlib.sha256()
@@ -134,7 +137,7 @@ def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
         world.run(simulation.PROTOCOLS[protocol](world))
     except Exception as exc:  # a run that now raises must show as a change
         h.update(f"{type(exc).__name__}: {exc}".encode())
-        return h.hexdigest()
+        return h.hexdigest(), None
     world.log.export_csv(scratch)
     for name in ("energy", "throughput", "summary"):
         with open(os.path.join(scratch, name + ".csv"), "rb") as fh:
@@ -143,18 +146,29 @@ def run_digest(cfg, protocol: str, strict: bool, scratch: str) -> str:
     for arr in (ledger.consumed, ledger.consumed_comp, ledger.energy, ledger.death_time_us):
         h.update(arr.tobytes())
     h.update(repr(ledger.total_consumed()).encode())
-    return h.hexdigest()
+    return h.hexdigest(), world.log
 
 
 def digest_draw(k_cfg) -> dict[str, str]:
-    """The digests of draw k's config, every protocol plain and strict."""
+    """The digests of draw k's config, every protocol plain and strict, and
+    of the comparison.csv of its plain runs."""
+    from mleachsim.cli import write_comparison
+
     k, cfg = k_cfg
     digests = {}
+    logs = {}
     with tempfile.TemporaryDirectory() as scratch:
         for protocol in PROTOCOLS:
             for strict in (False, True):
                 mode = "strict" if strict else "plain"
-                digests[f"{k}:{protocol}:{mode}"] = run_digest(cfg, protocol, strict, scratch)
+                digests[f"{k}:{protocol}:{mode}"], log = run_digest(cfg, protocol, strict, scratch)
+                if not strict:
+                    logs[protocol] = log
+        if None not in logs.values():
+            path = os.path.join(scratch, "comparison.csv")
+            write_comparison(path, logs)
+            with open(path, "rb") as fh:
+                digests[f"{k}:comparison:plain"] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 

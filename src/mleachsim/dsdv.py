@@ -5,6 +5,10 @@ instant. Entries carry destination-issued sequence numbers: a received
 entry wins if its sequence is newer, or equal with a strictly shorter
 path. Broken next hops are marked locally with an odd sequence and the
 packet in flight is dropped. Data is forwarded hop by hop to the sink.
+A second's readings become one list of frames in send order, queued as
+one DATA_SEND event; ``_send`` sends a run of them, up to the next queued
+event that sorts first, and queues the rest again (exact, as its
+docstring shows).
 
 Only what a run can observe is kept. A node's route to the sink, the one
 destination of data, is a next hop and a packed int64 key,
@@ -62,17 +66,17 @@ class DsdvProtocol:
                 world.queue.schedule(jitter, EventKind.ROUTE_DUMP, i)
 
     def on_readings(self, ids: np.ndarray, counts: np.ndarray, t_us: int) -> None:
-        # one send per reading at a uniform offset in the second, drawn in id
+        # one frame per reading at a uniform offset in the second, drawn in id
         # order in one call: PCG64 yields the same doubles as a draw per reading.
-        # The send times are made in numpy (astype truncates as int() does), so
-        # no float or id object is made per reading: on flood-dsdv those cost
-        # 0.3 MB of peak RSS
-        offsets = self.stream.random(int(counts.sum()))
-        times = iter((t_us + (offsets * US).astype(np.int64)).tolist())
-        schedule = self.world.queue.schedule
-        for i, c in zip(ids.tolist(), counts.tolist()):
-            for _ in range(c):
-                schedule(next(times), EventKind.DATA_SEND, i)
+        # The send times are made in numpy (astype truncates as int() does).
+        # A stable sort by time keeps frames of one microsecond in id order,
+        # which was their queue order as one event each; reversed, pop()
+        # yields the next frame, and one DATA_SEND carries them all
+        times = t_us + (self.stream.random(int(counts.sum())) * US).astype(np.int64)
+        order = np.argsort(times, kind="stable")[::-1]
+        frames = list(zip(times[order].tolist(), np.repeat(ids, counts)[order].tolist()))
+        if frames:
+            self.world.queue.schedule(frames[-1][0], EventKind.DATA_SEND, frames)
 
     def finish(self, t_us: int) -> None:
         pass
@@ -115,37 +119,59 @@ class DsdvProtocol:
 
     # -- data plane ----------------------------------------------------------
 
-    def _send(self, t_us: int, i: int) -> None:
-        """Send a data frame from sensor i hop by hop along its route to the sink.
+    def _send(self, t_us: int, frames: list[tuple[int, int]]) -> None:
+        """Send a run of data frames, each from its sensor hop by hop to the sink.
 
-        A dead source drops the frame. Then, per hop, in order: the route
-        must be live and the hop count at most node_count + 1; a next hop
-        that is dead or out of range breaks the link, which is invalidated
-        with the next odd sequence; then the sender, which must be alive,
-        pays tx and, unless the next hop is the sink, the receiver pays rx,
-        each through ``EnergyLedger.consume``'s steps, as mleach's frames
-        are paid. Each outcome bumps its log counter, or hands the frame to
-        ``World.deliver_data``, where it is decided.
+        ``frames`` holds ``(t_us, i)`` pairs, the next frame last, as
+        ``on_readings`` builds them; the event fires at the next frame's
+        time. Each frame is sent at its own time until the next one sorts
+        after the queue's head, by (time, kind) against (its time,
+        DATA_SEND): then the rest of the list is queued again at that
+        frame's time and the run ends. So each frame is sent just where it
+        fell as one event of its own, and that is exact:
+
+        - no frame schedules anything, so the head is read once per run;
+        - DATA_SEND is the last kind before SIM_END, so at one microsecond
+          every other kind goes first, and SIM_END, at the horizon, comes
+          after every frame;
+        - frames at the same microsecond keep id order, which was their
+          ``seq`` order as one event each;
+        - everything bound once per run (``World._step``, ``_row_step``,
+          ``_dist``, the ledger's views) changes only inside a queued event;
+          a full fill of distances rewrites ``_row_step`` and ``_dist`` in
+          place, and the ledger's totals are held here and written back.
+
+        The first frame always goes, as its event was the least queued.
+        With nothing queued (a direct call), every frame goes.
+
+        Per frame, a dead source drops it. Then, per hop, in order: the
+        route must be live and the hop count at most node_count + 1; a next
+        hop that is dead or out of range breaks the link, which is
+        invalidated with the next odd sequence; then the sender, which must
+        be alive, pays tx and, unless the next hop is the sink, the
+        receiver pays rx, each through ``EnergyLedger.consume``'s steps, as
+        mleach's frames are paid. Each outcome bumps its log counter, or
+        hands the frame to ``World.deliver_data``, where it is decided.
 
         A hop's tx and rx charges run one inline copy of
         ``EnergyLedger.consume``'s clamp, Neumaier and Kahan steps, on views
-        and totals bound once per frame: a frame makes about four charges, and
+        and totals bound once per run: a frame makes about four charges, and
         the per-call overhead of ``consume`` was most of its cost. A path walk
         shared with mleach's data plane cost flood-dsdv 10-12% in each of
         three designs measured. For the same reason the walk reads
         ``World._dist``, ``_row_step`` and ``_step`` directly, saving a call
         per hop: row ``cur`` is fresh iff ``_row_step[cur] == _step``, and
-        ``World.distance`` serves a stale one. ``tests/test_dsdv_oracle.py``
-        replays every send as per-hop ``consume`` calls on a copy of the
-        ledger and holds the two equal bit for bit.
+        ``World.distance`` serves a stale one. A run of frames per event, in
+        place of one event per frame, saves each frame a heap push and pop,
+        a handler call and those bindings; on ``table1.cfg`` about 7 frames
+        fall between two route dumps. ``tests/test_dsdv_oracle.py`` replays
+        every frame as per-hop ``consume`` calls on a copy of the ledger and
+        holds the two equal bit for bit.
         """
         world = self.world
         log = world.log
         ledger = world.ledger
         alive = ledger.alive_mv
-        if not alive[i]:
-            log.dropped_dead += 1
-            return
         energy = ledger._energy_mv
         consumed = ledger._consumed_mv
         comp = ledger._comp_mv
@@ -166,55 +192,67 @@ class DsdvProtocol:
         bs = world.bs_id
         rr = self.cfg.radio_range_rr_m
         max_hops = self.cfg.node_count + 1
-        cur = i
-        hops = 0
-        while True:
-            key = sink_key[cur]
-            hops += 1
-            if key & ROUTE_BITS != LIVE or hops > max_hops:
-                log.dropped_unreachable += 1
+        heap = world.queue._heap
+        # frames at or before last_t sort before the queue's head
+        last_t = heap[0][0] - (heap[0][1] < EventKind.DATA_SEND) if heap else frames[0][0]
+        while frames:
+            t_us, i = frames[-1]
+            if t_us > last_t:
+                world.queue.schedule(t_us, EventKind.DATA_SEND, frames)
                 break
-            # dsdv_merge writes the next hop with every live key, so nh >= 0
-            nh = sink_hop[cur]
-            # liveness first: it is the cheaper read, and either failure breaks the link
-            if (nh != bs and not alive[nh]) or (
-                d := item(cur, nh) if row_step[cur] == step else distance(cur, nh)
-            ) > rr:
-                sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
-                log.dropped_unreachable += 1
-                break
-            if not alive[cur]:
+            del frames[-1]
+            if not alive[i]:
                 log.dropped_dead += 1
-                break
-            # consume's steps, once for the sender's tx and, unless nh is the
-            # sink, once for the receiver's rx: nh was alive at the link check,
-            # and only cur, never nh, has paid since
-            payer, j = cur, rx + amp * (d * d)
+                continue
+            cur = i
+            hops = 0
             while True:
-                e = energy[payer]
-                ok = e >= j
-                x = j if ok else e
-                e = e - j if ok else 0.0
-                energy[payer] = e
-                s = consumed[payer]
-                t = s + x
-                comp[payer] += (s - t) + x if s >= x else (x - t) + s
-                consumed[payer] = t
-                y = x - total_comp
-                t = total + y
-                total_comp = (t - total) - y
-                total = t
-                if e == 0.0:
-                    ledger._mark_dead(payer, t_us)
-                if not ok or payer == nh or nh == bs:
+                key = sink_key[cur]
+                hops += 1
+                if key & ROUTE_BITS != LIVE or hops > max_hops:
+                    log.dropped_unreachable += 1
                     break
-                payer, j = nh, rx
-            if not ok:
-                log.dropped_dead += 1
-                break
-            if nh == bs:
-                world.deliver_data(t_us, i, None)
-                break
-            cur = nh
+                # dsdv_merge writes the next hop with every live key, so nh >= 0
+                nh = sink_hop[cur]
+                # liveness first: it is the cheaper read, and either failure breaks the link
+                if (nh != bs and not alive[nh]) or (
+                    d := item(cur, nh) if row_step[cur] == step else distance(cur, nh)
+                ) > rr:
+                    sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
+                    log.dropped_unreachable += 1
+                    break
+                if not alive[cur]:
+                    log.dropped_dead += 1
+                    break
+                # consume's steps, once for the sender's tx and, unless nh is the
+                # sink, once for the receiver's rx: nh was alive at the link check,
+                # and only cur, never nh, has paid since
+                payer, j = cur, rx + amp * (d * d)
+                while True:
+                    e = energy[payer]
+                    ok = e >= j
+                    x = j if ok else e
+                    e = e - j if ok else 0.0
+                    energy[payer] = e
+                    s = consumed[payer]
+                    t = s + x
+                    comp[payer] += (s - t) + x if s >= x else (x - t) + s
+                    consumed[payer] = t
+                    y = x - total_comp
+                    t = total + y
+                    total_comp = (t - total) - y
+                    total = t
+                    if e == 0.0:
+                        ledger._mark_dead(payer, t_us)
+                    if not ok or payer == nh or nh == bs:
+                        break
+                    payer, j = nh, rx
+                if not ok:
+                    log.dropped_dead += 1
+                    break
+                if nh == bs:
+                    world.deliver_data(t_us, i, None)
+                    break
+                cur = nh
         ledger._total = total
         ledger._total_comp = total_comp

@@ -398,7 +398,7 @@ class MleachProtocol:
 
         Every charge runs one inline copy of ``EnergyLedger.consume``'s
         clamp, Neumaier and Kahan steps, on views and totals bound once per
-        backlog, as ``DsdvProtocol._send`` binds them once per frame: a
+        backlog, as ``DsdvProtocol._send`` binds them once per run: a
         ``consume`` call per charge was the largest cost of mleach's data
         plane. ``tests/test_mleach.py`` replays backlogs as per-frame
         ``consume`` calls on a copy of the ledger and holds the two equal

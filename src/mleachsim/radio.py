@@ -5,8 +5,9 @@ costs E_elec*k. Both protocols pay for frames through World.broadcast,
 DsdvProtocol._send and MleachProtocol._walk, which price them with
 RadioModel's formulas and charge EnergyLedger, so totals, clamping, and
 death bookkeeping live in one place. Broadcasts call ``consume`` and
-``charge_many``; _send and _walk each run ``consume``'s steps in one inline
-block, operation for operation. Arguments come from a validated config and
+``charge_many``; _send, per run of DSDV frames, and _walk, per mleach
+backlog, each run ``consume``'s steps in one inline block, operation for
+operation. Arguments come from a validated config and
 are not checked again. The base station is infrastructure: it is never
 charged.
 """

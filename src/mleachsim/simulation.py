@@ -13,8 +13,8 @@ objects plug into the loop through start/on_readings/finish and a
 ``handlers`` table by event kind, and keep their own per-node state. Every
 broadcast, control or hello, is paid through World.broadcast. Each
 protocol's data plane pays its own frames hop by hop, with one inline copy
-of EnergyLedger.consume's steps: DsdvProtocol._send for one DSDV frame,
-MleachProtocol._walk for one mleach backlog (and its heartbeats). A frame
+of EnergyLedger.consume's steps: DsdvProtocol._send for one run of DSDV
+frames, MleachProtocol._walk for one mleach backlog (and its heartbeats). A frame
 needs a live sender that pays tx; a sensor receiver must be alive and pay
 rx, and the sink receives free. Deaths are read from the ledger; the world
 learns of none as they happen. Strict mode layers invariant checks

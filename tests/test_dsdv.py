@@ -147,7 +147,7 @@ def test_send_walks_next_hops_to_the_sink(world_factory):
     proto._node_dump(1, 1)
     base0 = float(world.ledger.consumed[0])
     base1 = float(world.ledger.consumed[1])
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.delivered == 1
     hop1 = world.radio.tx_energy(4096, 400.0)
     hop2 = world.radio.rx_energy(4096) + world.radio.tx_energy(4096, 100.0)
@@ -158,7 +158,7 @@ def test_send_walks_next_hops_to_the_sink(world_factory):
 def test_send_without_route_drops_unreachable(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.dropped_unreachable == 1
     assert world.ledger.consumed[0] == 0.0
 
@@ -167,7 +167,7 @@ def test_send_from_dead_node_counts_dropped_dead(world_factory):
     world = world_factory([(500.0, 600.0)])
     world.ledger.consume(0, world.cfg.initial_energy_j, 0)
     proto = DsdvProtocol(world)
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.dropped_dead == 1
 
 
@@ -179,7 +179,7 @@ def test_broken_next_hop_invalidates_route(world_factory):
     proto._node_dump(1, 1)
     world.ledger.consume(1, world.cfg.initial_energy_j, 0)  # relay dies
     assert proto.key[0] == route_key(2, 2)
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.dropped_unreachable == 1
     assert world.log.delivered == 0
     # the next (odd) sequence with no metric; the next hop is left as it was
@@ -187,7 +187,7 @@ def test_broken_next_hop_invalidates_route(world_factory):
     assert proto.next_hop[0] == 1
     assert proto.next_hop[0] != bs
     # an odd (invalidated) sequence refuses further sends without new info
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.dropped_unreachable == 2
 
 
@@ -200,7 +200,7 @@ def test_stale_link_beyond_range_is_broken(world_factory):
     # relay wandered out of range of node 0 since the tables were built
     world.positions[1] = (100.0 + 1000.0, 600.0 + 900.0)
     world.invalidate_distances()
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.dropped_unreachable == 1
     assert proto.key[0] == route_key(3, NO_ROUTE)
     assert proto.next_hop[0] == 1 and proto.next_hop[1] == bs
@@ -215,7 +215,7 @@ def test_fresh_bs_dump_repairs_invalidated_route(world_factory):
     proto._bs_dump(0, None)  # newer even sequence wins over the odd local mark
     assert proto.key[0] == route_key(4, 1)
     assert proto.next_hop[0] == bs
-    proto._send(0, 0)
+    proto._send(0, [(0, 0)])
     assert world.log.delivered == 1
 
 
@@ -240,7 +240,7 @@ def test_source_that_cannot_pay_tx_dies_and_charges_no_rx(world_factory):
     tx = world.radio.tx_energy(BITS, 400.0)
     ledger.energy[0] = tx / 2
     want = charged(ledger, [(0, tx)], 5)
-    proto._send(5, 0)
+    proto._send(5, [(5, 0)])
     assert world.log.dropped_dead == 1 and world.log.delivered == 0
     assert not ledger.alive[0] and ledger.death_time_us[0] == 5
     assert_ledgers_equal(ledger, want)
@@ -252,7 +252,7 @@ def test_relay_that_cannot_pay_rx_stops_the_frame(world_factory):
     rx = world.radio.rx_energy(BITS)
     ledger.energy[1] = rx / 2
     want = charged(ledger, [(0, world.radio.tx_energy(BITS, 400.0)), (1, rx)], 5)
-    proto._send(5, 0)
+    proto._send(5, [(5, 0)])
     assert world.log.dropped_dead == 1 and world.log.delivered == 0
     assert ledger.alive[0] and not ledger.alive[1]
     assert_ledgers_equal(ledger, want)
@@ -266,7 +266,7 @@ def test_relay_paying_its_exact_residual_receives_then_cannot_send(world_factory
     # the rx succeeds and kills the relay; its own tx is never charged
     want = charged(ledger, [(0, world.radio.tx_energy(BITS, 400.0)), (1, rx)], 5)
     assert want.alive[0] and not want.alive[1]
-    proto._send(5, 0)
+    proto._send(5, [(5, 0)])
     assert world.log.dropped_dead == 1 and world.log.delivered == 0
     assert ledger.death_time_us[1] == 5
     assert_ledgers_equal(ledger, want)
@@ -277,7 +277,7 @@ def test_sink_hop_charges_tx_only(world_factory):
     proto = DsdvProtocol(world)
     proto._bs_dump(0, None)
     want = charged(world.ledger, [(0, world.radio.tx_energy(BITS, 100.0))], 5)
-    proto._send(5, 0)
+    proto._send(5, [(5, 0)])
     assert world.log.delivered == 1
     assert_ledgers_equal(world.ledger, want)
 
@@ -291,7 +291,7 @@ def test_planted_routing_loop_ends_unreachable_at_the_hop_limit(world_factory):
     # node_count + 1 = 3 hops are sent and paid for; the fourth is refused
     hops = [(0, 1), (1, 0), (0, 1)]
     want = charged(world.ledger, [c for u, v in hops for c in ((u, tx), (v, rx))], 5)
-    proto._send(5, 0)
+    proto._send(5, [(5, 0)])
     assert world.log.dropped_unreachable == 1 and world.log.dropped_dead == 0
     assert_ledgers_equal(world.ledger, want)
     # the hop limit drops the frame without invalidating a route
@@ -302,12 +302,14 @@ def test_readings_become_jittered_send_events(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
     proto.on_readings(np.array([0]), np.array([2]), 3_000_000)
-    fired = [world.queue.pop() for _ in range(2)]
-    for t_us, kind, payload in sorted(fired):
-        assert kind == EventKind.DATA_SEND
-        assert 3_000_000 <= t_us < 4_000_000
+    # one event carries the second's frames, queued at the first one's time
+    t_us, kind, frames = world.queue.pop()
+    assert kind == EventKind.DATA_SEND
+    assert t_us == frames[-1][0]
+    for t, _ in frames:
+        assert 3_000_000 <= t < 4_000_000
     # one send per reading, each carrying only the origin's id
-    assert [p for _, _, p in fired] == [0, 0]
+    assert [i for _, i in frames] == [0, 0]
     assert len(world.queue) == 0
 
 
@@ -320,11 +322,88 @@ def test_send_offsets_are_the_draws_of_a_per_reading_loop(world_factory):
     want = []
     for ids, counts, t_us in (([0, 1], [5, 1], 3_000_000), ([0], [3], 4_000_000)):
         proto.on_readings(np.array(ids), np.array(counts), t_us)
+        frames = []
         for i, count in zip(ids, counts):
             for _ in range(count):
-                want.append((t_us + int(twin.random() * US), EventKind.DATA_SEND, i))
+                frames.append((t_us + int(twin.random() * US), i))
+        # in send order, ties in draw order, the next frame last
+        frames = sorted(frames, key=lambda f: f[0])[::-1]
+        want.append((frames[-1][0], EventKind.DATA_SEND, frames))
     assert sent == want
     assert world.streams.get("dsdv").bit_generator.state == twin.bit_generator.state
+
+
+def test_on_readings_with_no_reading_queues_nothing(world_factory):
+    world = world_factory([(500.0, 600.0), (700.0, 600.0)])
+    proto = DsdvProtocol(world)
+    state = proto.stream.bit_generator.state
+    proto.on_readings(np.array([0, 1]), np.array([0, 0]), 3_000_000)
+    proto.on_readings(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4_000_000)
+    assert len(world.queue) == 0
+    assert proto.stream.bit_generator.state == state
+
+
+class FixedOffsets:
+    """A stand-in for the dsdv stream that hands out the given offsets."""
+
+    def __init__(self, offsets):
+        self.offsets = offsets
+
+    def random(self, n):
+        assert n == len(self.offsets)
+        return np.array(self.offsets)
+
+
+def test_frames_of_one_microsecond_go_in_id_order(world_factory):
+    # all three sensors hear the sink directly
+    world = world_factory([(500.0, 600.0), (700.0, 600.0), (600.0, 500.0)])
+    proto = DsdvProtocol(world)
+    proto._bs_dump(0, None)
+    world.queue.pop()  # the sink's next dump, at 1 s
+    delivered = []
+    world.deliver_data = lambda t_us, origin, delta: delivered.append((t_us, origin))
+    # node 1's one reading comes first; node 0's two and node 2's one share a microsecond
+    proto.stream = FixedOffsets([0.5, 0.5, 0.25, 0.5])
+    proto.on_readings(np.array([0, 1, 2]), np.array([2, 1, 1]), 3 * US)
+    t_us, kind, frames = world.queue.pop()
+    assert (t_us, kind) == (3_250_000, EventKind.DATA_SEND)
+    proto.handlers[kind](t_us, frames)
+    assert delivered == [(3_250_000, 1), (3_500_000, 0), (3_500_000, 0), (3_500_000, 2)]
+    assert frames == []
+
+
+def test_run_yields_to_a_dump_queued_at_its_next_frame(world_factory):
+    world = relay_pair(world_factory)
+    proto = DsdvProtocol(world)
+    bs = world.bs_id
+    proto._bs_dump(0, None)  # node 1 hears the sink; node 0 has no route yet
+    queue = world.queue
+    frames = [(7, 0), (5, 1)]
+    queue.schedule(5, EventKind.DATA_SEND, frames)
+    queue.schedule(7, EventKind.ROUTE_DUMP, 1)
+    fired = []
+    for _ in range(3):
+        t_us, kind, payload = queue.pop()
+        fired.append((t_us, kind))
+        proto.handlers[kind](t_us, payload)
+        if kind == EventKind.DATA_SEND:
+            assert payload is frames
+    # node 1's frame goes at 5 us; node 0's waits for the dump at 7 us
+    assert fired == [
+        (5, EventKind.DATA_SEND),
+        (7, EventKind.ROUTE_DUMP),
+        (7, EventKind.DATA_SEND),
+    ]
+    # the dump gave node 0 its route via node 1, which its frame then took
+    assert proto.key[0] == route_key(2, 2) and proto.next_hop[0] == 1
+    assert proto.next_hop[1] == bs
+    assert world.log.delivered == 2 and world.log.dropped_unreachable == 0
+    assert frames == []
+    # what is left is the sink's next dump and node 1's
+    assert sorted(kind for _, kind, _, _ in queue._heap) == [
+        EventKind.BS_ROUTE_DUMP,
+        EventKind.ROUTE_DUMP,
+    ]
 
 
 def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):

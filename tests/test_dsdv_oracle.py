@@ -9,12 +9,15 @@ shorter metric, and never for itself; a sender that finds its next hop to
 the sink broken marks that entry with the next odd sequence and no metric.
 
 It is driven by a real run: every route dump that DsdvProtocol handles is
-replayed on the oracle with the same listeners, and every data send is
-walked again on a copy of the ledger taken just before it, charging each
-hop through EnergyLedger.consume. That copy must then equal the run's
-ledger bit for bit, arrays and totals, and the send must end the same
-way, so DsdvProtocol._send's inline charges are held to a per-hop consume
-walk, clamped charges and deaths on the path included. DsdvProtocol keeps
+replayed on the oracle with the same listeners, and every run of data
+sends is walked again, frame by frame at each frame's own time, on a copy
+of the ledger taken just before the run, charging each hop through
+EnergyLedger.consume. That copy must then equal the run's ledger bit for
+bit, arrays and totals, and the frames must end the same way, so
+DsdvProtocol._send's inline charges are held to a per-hop consume walk,
+clamped charges and deaths on the path included. No frame of a run may
+sort after the event at the queue's head, and what is left of the run
+must be queued again at its next frame's time. DsdvProtocol keeps
 only what a run can observe, and after every event that must match the
 oracle: the packed sink routes decode to the oracle's sink entries cell
 for cell, each node's ``known`` bits are the sensors it holds an
@@ -54,6 +57,9 @@ class Oracle:
         self.adopted = {"newer": 0, "shorter": 0}
         self.invalidated = 0
         self.died_on_path = 0
+        # runs of frames that sent more than one, and that left some queued
+        self.runs_of_many = 0
+        self.runs_yielded = 0
 
     def entry(self, i, d):
         return self.table[i].get(d, NO_ENTRY)
@@ -159,7 +165,7 @@ def send_counters(log):
 
 
 def replay(cfg):
-    """Run DSDV over cfg, checking every table after each dump and send."""
+    """Run DSDV over cfg, checking every table after each dump and run of sends."""
     n = cfg.node_count
     world = World(cfg, "dsdv")
     proto = DsdvProtocol(world)
@@ -175,6 +181,7 @@ def replay(cfg):
         def handler(t_us, payload):
             alive = world.ledger.alive.tolist()
             shadow = copy_ledger(world.ledger) if kind == EventKind.DATA_SEND else None
+            frames = list(payload) if kind == EventKind.DATA_SEND else None
             counters = send_counters(world.log)
             heard.clear()
             real_handler(t_us, payload)
@@ -184,14 +191,31 @@ def replay(cfg):
                 survivors, bits = heard[0] if heard else (None, None)
                 oracle.node_dump(payload, alive, survivors, bits, cfg.dsdv_entry_bits)
             else:
+                # the frames sent are those gone from the list, in pop order
+                sent = frames[len(payload):][::-1]
+                assert sent and sent[0][0] == t_us, f"run at {t_us} us"
                 pos = world.positions.tolist()
-                ended = oracle.send(
-                    payload, shadow, pos, world.radio, cfg.radio_range_rr_m,
-                    cfg.packet_size_bits, t_us,
-                )
+                ended = [
+                    oracle.send(
+                        i, shadow, pos, world.radio, cfg.radio_range_rr_m,
+                        cfg.packet_size_bits, t,
+                    )
+                    for t, i in sent
+                ]
                 moved = [b - a for a, b in zip(counters, send_counters(world.log))]
-                assert moved == [int(o == ended) for o in SEND_OUTCOMES], f"send at {t_us} us"
-                assert_ledgers_equal(world.ledger, shadow, f"after the send at {t_us} us")
+                assert moved == [ended.count(o) for o in SEND_OUTCOMES], f"run at {t_us} us"
+                assert_ledgers_equal(world.ledger, shadow, f"after the run at {t_us} us")
+                # no frame went after an event that sorts before it, and what
+                # is left waits, queued at its next frame's time
+                head = world.queue._heap[0]
+                assert (sent[-1][0], EventKind.DATA_SEND) <= (head[0], head[1])
+                if payload:
+                    assert (head[0], head[1]) < (payload[-1][0], EventKind.DATA_SEND)
+                    assert [e[0] for e in world.queue._heap if e[3] is payload] == [
+                        payload[-1][0]
+                    ]
+                    oracle.runs_yielded += 1
+                oracle.runs_of_many += len(sent) > 1
             assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 
         return handler
@@ -232,15 +256,22 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     adopted = {"newer": 0, "shorter": 0}
     invalidated = 0
     died_on_path = 0
+    runs_of_many = 0
+    runs_yielded = 0
     for _ in range(100):
         oracle = replay(draw_config(rng))
         for rule, count in oracle.adopted.items():
             adopted[rule] += count
         invalidated += oracle.invalidated
         died_on_path += oracle.died_on_path
+        runs_of_many += oracle.runs_of_many
+        runs_yielded += oracle.runs_yielded
     # the draws reach both adoption rules, the local invalidation, and sends
     # whose sender or receiver could not pay (the 0.05 J budgets)
     assert adopted["newer"] > 1000
     assert adopted["shorter"] > 100
     assert invalidated > 20
     assert died_on_path > 20
+    # runs of several frames, and runs cut short by a dump (intervals down to 0.05 s)
+    assert runs_of_many > 400
+    assert runs_yielded > 800

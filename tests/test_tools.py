@@ -16,7 +16,7 @@ from mleachsim.config import SimConfig
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.mleach import MleachProtocol
 
-from conftest import load_module, small_config
+from conftest import assert_ledgers_equal, load_module, small_config
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
@@ -34,6 +34,37 @@ def test_energy_breakdown_accounts_for_every_joule(cls):
     if cls is DsdvProtocol:
         assert log.dropped_congested > 0
         assert 0.0 < rejected.sum() < spent["data"].sum()
+
+
+def test_energy_breakdown_runs_dsdv_one_frame_per_event_to_the_same_end(monkeypatch):
+    tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
+    cfg = small_config(bs_mac_capacity_bps=5000.0, sim_duration_s=6)
+    sent = []  # frames sent per DATA_SEND event
+    send = DsdvProtocol._send
+
+    def counted(proto, t_us, frames):
+        before = len(frames)
+        send(proto, t_us, frames)
+        sent.append(before - len(frames))
+
+    monkeypatch.setattr(DsdvProtocol, "_send", counted)
+    log, world, *_ = tool.breakdown(cfg, DsdvProtocol)
+    assert set(sent) == {1}
+    frames = len(sent)
+    sent.clear()
+    plain = simulation.World(cfg, "DsdvProtocol")
+    plain.run(DsdvProtocol(plain))
+    # the plain run sends the same frames in runs of several per event
+    assert sum(sent) == frames and max(sent) > 1
+    assert log.dropped_congested > 0
+    assert_ledgers_equal(world.ledger, plain.ledger)
+    for name in (
+        "generated", "delivered", "dropped_filtered", "dropped_unreachable",
+        "dropped_dead", "dropped_congested", "first_death_s",
+    ):
+        assert getattr(log, name) == getattr(plain.log, name), name
+    assert log.bs_buckets.tolist() == plain.log.bs_buckets.tolist()
+    assert log.energy_series == plain.log.energy_series
 
 
 def test_energy_breakdown_splits_every_unreachable_drop(capsys):

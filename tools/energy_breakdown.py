@@ -7,8 +7,10 @@ control (hellos, schedules, route dumps) or data (member uplink,
 relaying, sends to the sink). For DSDV it also sums the energy paid for
 frames that the sink channel then rejects; for mleach it splits the
 unreachable drops by where they happen. The split is taken by wrapping the
-entries of the protocol's handler table, so the run itself is unchanged:
-the printed ratio is the one acceptance criterion 2 checks.
+entries of the protocol's handler table, and DSDV's runs of frames are
+queued one frame per event, each at its own time and in the order the run
+sends them, so the run itself is unchanged: the printed ratio is the one
+acceptance criterion 2 checks.
 
 Usage: PYTHONPATH=src python3 tools/energy_breakdown.py
 
@@ -55,13 +57,25 @@ def breakdown(cfg, cls):
             handler(t_us, payload)
             drop = before - energy
             spent[activity] += drop
-            # one DSDV send is one frame, so all it cost paid for the rejection
+            # each DSDV send is queued as one frame, so all it cost paid for the rejection
             if kind is EventKind.DATA_SEND and log.dropped_congested > congested:
                 rejected[:] += drop
             if cause:
                 unreachable[cause] += log.dropped_unreachable - dropped
         return wrapped
 
+    schedule = world.queue.schedule
+
+    def one_frame_each(t_us, kind, payload=None):
+        # DSDV queues a run of frames as one event: queue them one per event,
+        # each at its own time and in pop order, as the run would send them
+        if kind is EventKind.DATA_SEND:
+            for frame in reversed(payload):
+                schedule(frame[0], kind, [frame])
+        else:
+            schedule(t_us, kind, payload)
+
+    world.queue.schedule = one_frame_each
     for kind, handler in proto.handlers.items():
         proto.handlers[kind] = credited(kind, handler)
     world.run(proto)

@@ -20,7 +20,8 @@ advertise a route to sensor d. That is exact: only sink routes
 are ever invalidated, and a sensor route is adopted only from an advertised
 one, at an even sequence and a loop-free hop count far below NO_ROUTE. It
 is advertisable from the first dump that brings it on, so a dump ORs the
-sender's bits into each receiver's.
+sender's bits into each receiver's, until every live node knows every
+sensor (``saturated``).
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ class DsdvProtocol:
         self.sink_hop = memoryview(self.next_hop)
         # bit d of known[i]: node i can advertise a route to sensor d
         self.known = [1 << i for i in range(n)]
+        # set once every live node's known is full: dumps then skip the merge
+        self.saturated = False
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
         self.stream = world.streams.get("dsdv")
@@ -84,7 +87,11 @@ class DsdvProtocol:
     # -- control plane ---------------------------------------------------------
 
     def _bs_dump(self, t_us: int, _payload: None) -> None:
-        """Sink advertises itself once a second; one entry, nothing charged to the sink."""
+        """Sink advertises itself once a second; one entry, nothing charged to the sink.
+
+        Until every live node's ``known`` is full, it checks whether it now
+        is, and sets ``saturated`` once it holds (see ``_node_dump``).
+        """
         world = self.world
         cfg = self.cfg
         if t_us + US < cfg.sim_us:
@@ -92,10 +99,24 @@ class DsdvProtocol:
         self.bs_seq += 2
         survivors = world.broadcast(world.bs_id, cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         dsdv_merge(self.key, self.next_hop, route_key(self.bs_seq, 1), survivors, world.bs_id)
+        if not self.saturated:
+            full = (1 << cfg.node_count) - 1
+            known = self.known
+            alive = np.flatnonzero(world.ledger.alive).tolist()
+            self.saturated = all(known[i] == full for i in alive)
         if world.strict:
             world.check_routes(self)
 
     def _node_dump(self, t_us: int, i: int) -> None:
+        """Node i advertises its table, sized by its known sensors and a live sink route.
+
+        Each receiver ORs i's ``known`` bits into its own, unless
+        ``saturated`` is set: then every live node's set is full, so the OR
+        can change nothing, and that lasts, as ``known`` only grows, a dead
+        node neither dumps (``broadcast`` returns None first) nor receives,
+        and no node comes back. A partitioned network never saturates and
+        always merges.
+        """
         world = self.world
         cfg = self.cfg
         bits = self.known[i]
@@ -105,9 +126,10 @@ class DsdvProtocol:
         survivors = world.broadcast(i, entries * cfg.dsdv_entry_bits, cfg.radio_range_rr_m, t_us)
         if survivors is None:
             return
-        known = self.known
-        for r in survivors.tolist():
-            known[r] |= bits
+        if not self.saturated:
+            known = self.known
+            for r in survivors.tolist():
+                known[r] |= bits
         if sink_live:
             # one hop further via i, as the receivers would store it
             dsdv_merge(self.key, self.next_hop, sink_key - 1, survivors, i)
@@ -151,7 +173,11 @@ class DsdvProtocol:
         be alive, pays tx and, unless the next hop is the sink, the
         receiver pays rx, each through ``EnergyLedger.consume``'s steps, as
         mleach's frames are paid. Each outcome bumps its log counter, or
-        hands the frame to ``World.deliver_data``, where it is decided.
+        counts the frame as reached. The run hands the frames that reached
+        the sink's radio to ``World.deliver_data`` in one call at its end,
+        where they are decided: one list holds one second's frames, as
+        ``on_readings`` offsets are below ``US``, and the run's frames
+        reach the channel in the order they were sent.
 
         A hop's tx and rx charges run one inline copy of
         ``EnergyLedger.consume``'s clamp, Neumaier and Kahan steps, on views
@@ -192,6 +218,8 @@ class DsdvProtocol:
         bs = world.bs_id
         rr = self.cfg.radio_range_rr_m
         max_hops = self.cfg.node_count + 1
+        run_t = t_us
+        sunk = 0
         heap = world.queue._heap
         # frames at or before last_t sort before the queue's head
         last_t = heap[0][0] - (heap[0][1] < EventKind.DATA_SEND) if heap else frames[0][0]
@@ -251,8 +279,10 @@ class DsdvProtocol:
                     log.dropped_dead += 1
                     break
                 if nh == bs:
-                    world.deliver_data(t_us, i, None)
+                    sunk += 1
                     break
                 cur = nh
         ledger._total = total
         ledger._total_comp = total_comp
+        if sunk:
+            world.deliver_data(run_t, sunk)

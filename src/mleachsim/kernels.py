@@ -77,37 +77,35 @@ def charge_uniform(
     low-order bits) so subtotal drift stays at ulp scale over millions of
     charges; a node's true subtotal is consumed[i] + comp[i].
     """
-
-    def add_compensated(idx: np.ndarray, x) -> None:
-        s = consumed[idx]
-        t = s + x
-        # (s - t) + x where s >= x, else (x - t) + s, on two temporaries
-        a = s - t
-        a += x
+    e = energy[ids]
+    all_pay = len(e) and np.minimum.reduce(e) > amount
+    if all_pay:
+        # the common case: everyone pays in full and, as e - amount > 0 for
+        # e > amount, nobody reaches zero; no partial payers, no death scan
+        x = amount
+        e -= amount
+        paid, died, burned = ids, ids[:0], e[:0]
+    else:
+        ok = e >= amount
+        # a partial payer gives up its residual: e - e is 0.0
+        x = np.where(ok, amount, e)
+        paid, burned = ids[ok], e[~ok]
+        e = e - x
+        died = ids[e == 0.0]
+    energy[ids] = e
+    s = consumed[ids]
+    t = s + x
+    # (s - t) + x where s >= x, else (x - t) + s; x <= amount, so with
+    # every s >= amount (the common case) the second form is never taken
+    a = s - t
+    a += x
+    if not all_pay or np.minimum.reduce(s) < amount:
         b = x - t
         b += s
         np.copyto(a, b, where=s < x)
-        comp[idx] += a
-        consumed[idx] = t
-
-    e = energy[ids]
-    if len(e) and e.min() > amount:
-        # the common case: everyone pays in full and, as e - amount > 0 for
-        # e > amount, nobody reaches zero; no partial payers, no death scan
-        e -= amount
-        energy[ids] = e
-        add_compensated(ids, amount)
-        return ids, ids[:0], e[:0]
-    ok = e >= amount
-    full = ids[ok]
-    energy[full] -= amount
-    add_compensated(full, amount)
-    part = ids[~ok]
-    burned = energy[part]
-    add_compensated(part, burned)
-    energy[part] = 0.0
-    died = ids[energy[ids] == 0.0]
-    return full, died, burned
+    comp[ids] += a
+    consumed[ids] = t
+    return paid, died, burned
 
 
 def route_key(seq, metric):

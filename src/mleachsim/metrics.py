@@ -39,12 +39,13 @@ class MetricsLog:
     def record_energy(self, t_s: int, total_j: float, max_j: float) -> None:
         self.energy_series.append((t_s, total_j, max_j))
 
-    def record_bs_rx(self, t_s: float) -> None:
+    def record_bs_rx(self, t_s: float, k: int) -> None:
+        """k frames delivered within second t_s."""
         bucket = math.floor(t_s)
         if not 0 <= bucket < self.duration_s:
             raise ValueError(f"delivery at t={t_s} outside the run")
-        self.bs_buckets[bucket] += 1
-        self.delivered += 1
+        self.bs_buckets[bucket] += k
+        self.delivered += k
 
     # -- statistics ----------------------------------------------------------
 

@@ -324,14 +324,15 @@ class MleachProtocol:
         if not world.ledger.alive[i] or not n:
             return
         self.queued[i] = 0
-        # drawn even when none is sent: the node's later readings walk on from these
-        values = world.traffic.values(i, n)
         bs = world.bs_id
         d = world.distance(i, bs)
         if d > cfg.radio_range_rr_m:
+            # never read, so not drawn now: the node's later readings walk on past them
+            world.traffic.skip(i, n)
             world.log.dropped_unreachable += n
             return
         steps = [(FILTER, 0.0), *self._charges([(i, bs, d)], cfg.packet_size_bits), (SINK, 0.0)]
+        values = world.traffic.values(i, n)
         world.log.dropped_dead += self._walk(t_us, i, values, steps, orphan=True)
 
     def _round_finish(self, t_us: int, _r: int) -> None:
@@ -390,11 +391,14 @@ class MleachProtocol:
         the payer is dead or cannot pay in full, and loses the frame;
         FILTER runs the change filter on origin's readings (a filtered
         reading is counted); NO_ROUTE counts the reading unreachable; SINK
-        hands the frame to ``World.deliver_data``. An orphan pays every
+        counts the frame as reached, and in strict mode raises if its
+        change is one the filter should have stopped. An orphan pays every
         charge itself, so once one fails the rest of its backlog is lost
         with it; any other failure loses one frame. The caller counts the
         loss: a heartbeat's value is None, it has no FILTER and carries no
-        reading, so its loss counts nowhere.
+        reading, so its loss counts nowhere. The frames that reached the
+        sink go to ``World.deliver_data`` in one call at the end: a backlog
+        is sent at one instant, so they all arrive within one second.
 
         Every charge runs one inline copy of ``EnergyLedger.consume``'s
         clamp, Neumaier and Kahan steps, on views and totals bound once per
@@ -412,10 +416,10 @@ class MleachProtocol:
         comp = ledger._comp_mv
         total = ledger._total
         total_comp = ledger._total_comp
-        deliver = world.deliver_data
+        strict = world.strict
         threshold = self.cfg.filter_threshold
         last = self.last_forwarded[origin]
-        lost = filtered = unreachable = 0
+        lost = filtered = unreachable = sunk = 0
         for k, value in enumerate(values):
             for payer, j in steps:
                 if payer >= 0:
@@ -447,7 +451,11 @@ class MleachProtocol:
                     filtered += 1
                     break
                 if payer == SINK:
-                    deliver(t_us, origin, delta)
+                    if strict and delta <= threshold:
+                        raise InvariantViolation(
+                            f"filtered-size change from node {origin} reached the sink"
+                        )
+                    sunk += 1
                 else:
                     unreachable += 1
                     break
@@ -462,4 +470,6 @@ class MleachProtocol:
         log = world.log
         log.dropped_filtered += filtered
         log.dropped_unreachable += unreachable
+        if sunk:
+            world.deliver_data(t_us, sunk)
         return lost

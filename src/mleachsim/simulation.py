@@ -16,8 +16,10 @@ protocol's data plane pays its own frames hop by hop, with one inline copy
 of EnergyLedger.consume's steps: DsdvProtocol._send for one run of DSDV
 frames, MleachProtocol._walk for one mleach backlog (and its heartbeats). A frame
 needs a live sender that pays tx; a sensor receiver must be alive and pay
-rx, and the sink receives free. Deaths are read from the ledger; the world
-learns of none as they happen. Strict mode layers invariant checks
+rx, and the sink receives free. The frames of one run or one backlog that
+reach the sink's radio are handed to World.deliver_data in one call, and
+the sink channel decides them there. Deaths are read from the ledger; the
+world learns of none as they happen. Strict mode layers invariant checks
 over a run and raises InvariantViolation on the first breach.
 """
 
@@ -52,6 +54,8 @@ class BsChannel:
     sharply above it (k controls how sharp). Disabled when capacity is 0:
     then every in-range frame is received and no randomness is drawn.
     Control broadcasts are not affected; only unicast data at the sink.
+    Frames come in hand-offs of k, all within one second, and ``admit``
+    decides them one by one, as single frames would be decided.
     """
 
     # uniforms drawn from the stream per call; it has no other reader, so
@@ -86,13 +90,31 @@ class BsChannel:
             excess = math.inf
         self.p_pass = math.exp(-excess)
 
-    def admit(self, t_us: int, bits: int) -> bool:
+    def admit(self, t_us: int, bits: int, k: int) -> int:
+        """How many of k frames of bits, arrived within t_us's second, pass.
+
+        Rolls to that second once, then per frame adds bits to the second's
+        sum and draws one uniform, in the order the frames arrived. So k
+        frames handed over at once are decided as k calls with one frame
+        each would decide them: the stream has no other reader, p_pass
+        changes only at a roll, and _roll_to steps one second at a time,
+        so it ends in the same state whichever frame of the second rolls
+        it. The sum stays frame by frame: one bits * k add rounds
+        differently once it passes 2**53.
+        """
         if not self.enabled:
-            return True
+            return k
         if t_us // US > self._second:
             self._roll_to(t_us // US)
-        self._bits += bits
-        return self._draw() < self.p_pass
+        draw = self._draw
+        p_pass = self.p_pass
+        acc = self._bits
+        admitted = 0
+        for _ in range(k):
+            acc += bits
+            admitted += draw() < p_pass
+        self._bits = acc
+        return admitted
 
 
 class World:
@@ -205,17 +227,19 @@ class World:
         listeners = self.alive_in_range(src, radius)
         return ledger.charge_many(listeners, self.radio.rx_energy(bits), t_us)
 
-    def deliver_data(self, t_us: int, origin: int, delta: float | None) -> None:
-        """A data frame reached the sink's radio; the channel has final say.
+    def deliver_data(self, t_us: int, k: int) -> None:
+        """k data frames reached the sink's radio within t_us's second.
 
-        delta is the change a filter let through (None: no filter).
+        The channel has final say: each frame is counted delivered in that
+        second's bucket or dropped as congested. A protocol hands over all
+        the frames of one instant, or one run of DSDV frames, in one call.
+        That is exact because nothing reads ``delivered``,
+        ``dropped_congested`` or ``bs_buckets`` before the run ends, and
+        ``BsChannel.admit`` decides k frames as k single ones.
         """
-        if self.strict and delta is not None and delta <= self.cfg.filter_threshold:
-            raise InvariantViolation(f"filtered-size change from node {origin} reached the sink")
-        if self.channel.admit(t_us, self.cfg.packet_size_bits):
-            self.log.record_bs_rx(t_us / US)
-        else:
-            self.log.dropped_congested += 1
+        admitted = self.channel.admit(t_us, self.cfg.packet_size_bits, k)
+        self.log.record_bs_rx(t_us / US, admitted)
+        self.log.dropped_congested += k - admitted
 
     # -- event loop ------------------------------------------------------------
 

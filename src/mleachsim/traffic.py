@@ -15,8 +15,10 @@ feeds nothing but its phase offset and its walk, and PCG64 yields the same
 doubles, in the same order, whether they are drawn one per reading, one
 call per second or one call per backlog, so the values do not depend on
 when they are asked for. A protocol that never reads a value never draws
-one. The walk itself runs on Python floats, the same IEEE operations as on
-numpy scalars.
+one: readings it drops unread are passed over with ``skip`` and drawn,
+with the same call, only when the node's next values are asked for. The
+walk itself runs on Python floats, the same IEEE operations as on numpy
+scalars.
 """
 
 from __future__ import annotations
@@ -46,6 +48,8 @@ class OnOffTraffic:
         self.phase_offset = np.array([g.random() * self.cycle_s for g in self._gen])
         self.acc = np.zeros(node_count)
         self.reading = np.zeros(node_count)
+        # readings per node that were skipped: generated, never read, not yet drawn
+        self._skipped = [0] * node_count
 
     def generate(self, ids: np.ndarray, t_s: float) -> tuple[np.ndarray, np.ndarray]:
         """Readings the nodes ids emit over [t_s, t_s + 1), phase judged at t_s.
@@ -61,11 +65,25 @@ class OnOffTraffic:
         return on[emit], counts[emit].astype(np.int64)
 
     def values(self, i: int, n: int) -> list[float]:
-        """Node i's next n readings, in the order generated."""
+        """Node i's next n readings, in the order generated.
+
+        Readings skipped since the last call are drawn first, in the same
+        call, and walked through: the walk goes on from the last of them.
+        """
+        skipped = self._skipped[i]
+        self._skipped[i] = 0
         value = self.reading.item(i)
         out = []
-        for u in self._gen[i].random(n).tolist():
+        for u in self._gen[i].random(skipped + n).tolist():
             value += u * 2.0 - 1.0
             out.append(value)
         self.reading[i] = value
-        return out
+        return out[skipped:]
+
+    def skip(self, i: int, n: int) -> None:
+        """Pass over node i's next n readings, which nobody will read.
+
+        They are drawn only when ``values`` is next asked for node i, so a
+        node that never sends again never draws them.
+        """
+        self._skipped[i] += n

@@ -355,21 +355,38 @@ class FixedOffsets:
 
 
 def test_frames_of_one_microsecond_go_in_id_order(world_factory):
-    # all three sensors hear the sink directly
-    world = world_factory([(500.0, 600.0), (700.0, 600.0), (600.0, 500.0)])
+    # node 1 hears the sink; nodes 0 and 2 reach it only through relay 3
+    world = world_factory(
+        [(450.0, 300.0), (600.0, 750.0), (750.0, 300.0), (600.0, 400.0)],
+        radio_range_rr_m=300.0,
+    )
     proto = DsdvProtocol(world)
     proto._bs_dump(0, None)
-    world.queue.pop()  # the sink's next dump, at 1 s
-    delivered = []
-    world.deliver_data = lambda t_us, origin, delta: delivered.append((t_us, origin))
+    proto._node_dump(0, 3)
+    queue = world.queue
+    while len(queue):
+        queue.pop()  # the next dumps
+    bs, ledger = world.bs_id, world.ledger
+    assert proto.next_hop.tolist() == [3, bs, 3, bs]
+    # the relay can pay for exactly one frame, and dies paying it
+    bits = world.cfg.packet_size_bits
+    tx = {i: world.radio.tx_energy(bits, world.distance(i, proto.next_hop[i])) for i in range(4)}
+    ledger.energy[3] = world.radio.rx_energy(bits) + tx[3]
+    before = ledger.consumed.copy()
     # node 1's one reading comes first; node 0's two and node 2's one share a microsecond
     proto.stream = FixedOffsets([0.5, 0.5, 0.25, 0.5])
     proto.on_readings(np.array([0, 1, 2]), np.array([2, 1, 1]), 3 * US)
-    t_us, kind, frames = world.queue.pop()
+    t_us, kind, frames = queue.pop()
     assert (t_us, kind) == (3_250_000, EventKind.DATA_SEND)
     proto.handlers[kind](t_us, frames)
-    assert delivered == [(3_250_000, 1), (3_500_000, 0), (3_500_000, 0), (3_500_000, 2)]
     assert frames == []
+    # the lowest id went first: node 0's first frame used the relay up, its
+    # second and node 2's found the relay dead and invalidated their routes
+    paid = (ledger.consumed - before).tolist()
+    assert paid[:3] == [tx[0], tx[1], 0.0]
+    assert not ledger.alive[3] and ledger.death_time_us[3] == 3_500_000
+    assert [proto.key[i] & ROUTE_BITS == LIVE for i in range(4)] == [False, True, False, True]
+    assert world.log.delivered == 2 and world.log.dropped_unreachable == 2
 
 
 def test_run_yields_to_a_dump_queued_at_its_next_frame(world_factory):

@@ -17,7 +17,9 @@ bit, arrays and totals, and the frames must end the same way, so
 DsdvProtocol._send's inline charges are held to a per-hop consume walk,
 clamped charges and deaths on the path included. No frame of a run may
 sort after the event at the queue's head, and what is left of the run
-must be queued again at its next frame's time. DsdvProtocol keeps
+must be queued again at its next frame's time; a quarter of the draws put
+frames and dumps on one 10 ms grid, so that frames share microseconds
+with queued dumps. DsdvProtocol keeps
 only what a run can observe, and after every event that must match the
 oracle: the packed sink routes decode to the oracle's sink entries cell
 for cell, each node's ``known`` bits are the sensors it holds an
@@ -57,9 +59,13 @@ class Oracle:
         self.adopted = {"newer": 0, "shorter": 0}
         self.invalidated = 0
         self.died_on_path = 0
-        # runs of frames that sent more than one, and that left some queued
+        # runs of frames that sent more than one, that left some queued, and
+        # that stopped at an event of a lower kind at their next frame's microsecond
         self.runs_of_many = 0
         self.runs_yielded = 0
+        self.runs_yielded_at_a_tie = 0
+        # whether DsdvProtocol found every live node's known full
+        self.saturated = False
 
     def entry(self, i, d):
         return self.table[i].get(d, NO_ENTRY)
@@ -164,11 +170,28 @@ def send_counters(log):
     return [log.dropped_dead, log.dropped_unreachable, log.delivered + log.dropped_congested]
 
 
-def replay(cfg):
+class GridStream:
+    """Stands in for the dsdv stream: its values cut down to whole hundredths.
+
+    With a 1 s update interval, frames and dumps then fall on one 10 ms
+    grid, so frames share microseconds with queued dumps. (A 1 ms grid gave
+    about 5 shared microseconds in 25 draws, too few to rely on.)
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def random(self, size=None):
+        return np.floor(self.stream.random(size) * 100.0) / 100.0
+
+
+def replay(cfg, on_grid=False):
     """Run DSDV over cfg, checking every table after each dump and run of sends."""
     n = cfg.node_count
     world = World(cfg, "dsdv")
     proto = DsdvProtocol(world)
+    if on_grid:
+        proto.stream = GridStream(proto.stream)
     oracle = Oracle(n)
     heard = []
 
@@ -215,6 +238,7 @@ def replay(cfg):
                         payload[-1][0]
                     ]
                     oracle.runs_yielded += 1
+                    oracle.runs_yielded_at_a_tie += head[0] == payload[-1][0]
                 oracle.runs_of_many += len(sent) > 1
             assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
 
@@ -225,11 +249,12 @@ def replay(cfg):
     for kind, real_handler in proto.handlers.items():
         proto.handlers[kind] = replayed(kind, real_handler)
     world.run(proto)
+    oracle.saturated = proto.saturated
     return oracle
 
 
 # not digest_sweep.draw_config: the coverage floors below need this fixed, dense 1000 m field
-def draw_config(rng):
+def draw_config(rng, on_grid=False):
     horizon = int(rng.integers(2, 7))
     rr = float(rng.uniform(150.0, 700.0))
     speed = float(rng.uniform(0.0, 60.0))
@@ -246,7 +271,7 @@ def draw_config(rng):
         mobility_speed_min_mps=speed,
         mobility_speed_max_mps=speed * 2,
         traffic_rate_pps=float(rng.uniform(1.0, 6.0)),
-        dsdv_update_interval_s=float(rng.uniform(0.05, 1.5)),
+        dsdv_update_interval_s=1.0 if on_grid else float(rng.uniform(0.05, 1.5)),
         rng_seed=int(rng.integers(0, 2**32)),
     )
 
@@ -258,14 +283,20 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     died_on_path = 0
     runs_of_many = 0
     runs_yielded = 0
-    for _ in range(100):
-        oracle = replay(draw_config(rng))
+    runs_yielded_at_a_tie = 0
+    saturated = 0
+    for k in range(100):
+        # every fourth draw puts frames and dumps on one grid
+        on_grid = k % 4 == 3
+        oracle = replay(draw_config(rng, on_grid), on_grid)
         for rule, count in oracle.adopted.items():
             adopted[rule] += count
         invalidated += oracle.invalidated
         died_on_path += oracle.died_on_path
         runs_of_many += oracle.runs_of_many
         runs_yielded += oracle.runs_yielded
+        runs_yielded_at_a_tie += oracle.runs_yielded_at_a_tie
+        saturated += oracle.saturated
     # the draws reach both adoption rules, the local invalidation, and sends
     # whose sender or receiver could not pay (the 0.05 J budgets)
     assert adopted["newer"] > 1000
@@ -275,3 +306,9 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     # runs of several frames, and runs cut short by a dump (intervals down to 0.05 s)
     assert runs_of_many > 400
     assert runs_yielded > 800
+    # runs that waited for a dump at their next frame's own microsecond
+    assert runs_yielded_at_a_tie > 10
+    # draws in which every live node came to know every sensor, so that
+    # dumps skip the merge, and draws in which that never happened
+    assert saturated > 20
+    assert 100 - saturated > 20

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,7 @@ from mleachsim.kernels import (
     pairwise_distances,
     route_key,
 )
+from mleachsim.radio import EnergyLedger
 
 # -- scalar references: one element at a time, in id order ---------------------
 
@@ -145,6 +147,36 @@ def test_charge_uniform_bit_identical_to_scalar_loop():
         assert np.array_equal(burned_a, burned_b)
         for x, y in zip(state_a, state_b):
             assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["all-pay", "some-short"])
+@pytest.mark.parametrize("fresh", [False, True], ids=["spent", "fresh"])
+def test_charge_uniform_matches_scalar_consume_on_each_branch(short, fresh):
+    # fresh: some subtotals below the charge, as at a run's start, so the
+    # compensation's (x - t) + s form is taken; spent: none is
+    rng = np.random.default_rng(17 + 2 * short + fresh)
+    n, amount = 40, 0.01
+    energy = rng.uniform(0.02, 1.0, n)
+    if short:
+        energy[[3, 17]] = [0.004, amount]  # one partial payer, one exact payer
+    consumed = rng.uniform(0.02, 50.0, n)
+    if fresh:
+        consumed[::5] = 0.0
+        consumed[1::5] *= 1e-7
+    comp = rng.uniform(-1e-12, 1e-12, n)
+    ids = np.flatnonzero(rng.random(n) < 0.9)
+    ids = np.union1d(ids, [1, 3, 5, 17])
+    ledger = EnergyLedger(n, 1.0)
+    for name, values in (("energy", energy), ("consumed", consumed), ("consumed_comp", comp)):
+        getattr(ledger, name)[:] = values
+    ok = [ledger.consume(i, amount, 0) for i in ids.tolist()]
+    paid, died, burned = charge_uniform(energy, consumed, comp, ids, amount)
+    assert paid.tolist() == ids[ok].tolist()
+    assert np.asarray(died).tolist() == np.flatnonzero(~ledger.alive).tolist()
+    assert len(died) == 2 * short and len(burned) == short
+    want = (ledger.energy, ledger.consumed, ledger.consumed_comp)
+    for got, ref in zip((energy, consumed, comp), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_charge_uniform_exact_residual_and_partial():

@@ -15,7 +15,7 @@ def filled_log():
         log.record_energy(t, 3.0 * t, 1.5 * t)
     for t, count in enumerate([0, 0, 5, 7, 6, 6, 8, 5, 7, 6]):
         for k in range(count):
-            log.record_bs_rx(t + k / 100.0)
+            log.record_bs_rx(t + k / 100.0, 1)
     log.generated = 60
     log.dropped_filtered = 5
     log.dropped_unreachable = 3
@@ -25,19 +25,28 @@ def filled_log():
 
 def test_deliveries_land_in_whole_second_buckets():
     log = MetricsLog("x", 5, 1)
-    log.record_bs_rx(3.7)
-    log.record_bs_rx(3.2)
-    log.record_bs_rx(0.0)
+    log.record_bs_rx(3.7, 1)
+    log.record_bs_rx(3.2, 1)
+    log.record_bs_rx(0.0, 1)
     assert log.bs_buckets.tolist() == [1, 0, 0, 2, 0]
     assert log.delivered == 3
+
+
+def test_a_hand_off_of_k_frames_counts_k_in_its_second():
+    log = MetricsLog("x", 5, 1)
+    log.record_bs_rx(3.7, 4)
+    log.record_bs_rx(3.2, 0)  # every frame of a hand-off rejected
+    log.record_bs_rx(1.0, 2)
+    assert log.bs_buckets.tolist() == [0, 2, 0, 4, 0]
+    assert log.delivered == 6
 
 
 def test_delivery_outside_run_rejected():
     log = MetricsLog("x", 5, 1)
     with pytest.raises(ValueError):
-        log.record_bs_rx(5.0)
+        log.record_bs_rx(5.0, 1)
     with pytest.raises(ValueError):
-        log.record_bs_rx(-0.1)
+        log.record_bs_rx(-0.1, 1)
 
 
 def test_steady_state_mean_over_window():

@@ -193,14 +193,14 @@ def test_listener_that_cannot_pay_dies_and_is_left_out():
 
 def test_disabled_channel_admits_everything():
     ch = BsChannel(0.0, 4.0, None)
-    assert all(ch.admit(t, 4096) for t in range(0, 10_000_000, 100_000))
+    assert all(ch.admit(t, 4096, 1) for t in range(0, 10_000_000, 100_000))
     assert ch.load_ema == 0.0
 
 
 def test_channel_ema_halves_each_second():
     ch = BsChannel(1e9, 4.0, np.random.default_rng(0))
     for _ in range(10):
-        ch.admit(0, 1000)
+        ch.admit(0, 1000, 1)
     ch._roll_to(1)
     assert ch.load_ema == 5000.0
     ch._roll_to(3)  # two empty seconds halve it twice
@@ -210,22 +210,22 @@ def test_channel_ema_halves_each_second():
 def test_channel_collapses_above_capacity():
     ch = BsChannel(1000.0, 4.0, np.random.default_rng(3))
     for _ in range(100):
-        ch.admit(0, 4096)  # first second: EMA still zero, all admitted
-    results = [ch.admit(1_000_000 + k, 4096) for k in range(50)]
+        ch.admit(0, 4096, 1)  # first second: EMA still zero, all admitted
+    results = [ch.admit(1_000_000 + k, 4096, 1) for k in range(50)]
     assert not any(results)
 
 
 def test_channel_below_capacity_is_mostly_clean():
     ch = BsChannel(1e9, 4.0, np.random.default_rng(3))
-    admitted = sum(ch.admit(t * 1_000_000, 4096) for t in range(200))
+    admitted = sum(ch.admit(t * 1_000_000, 4096, 1) for t in range(200))
     assert admitted == 200
 
 
 def test_channel_admits_nothing_once_the_load_power_overflows():
     ch = BsChannel(100.0, 400.0, np.random.default_rng(3))
-    assert ch.admit(0, 4096)  # first second: EMA still zero
+    assert ch.admit(0, 4096, 1)  # first second: EMA still zero
     # (2048 / 100) ** 400 is past the largest float: exp(-inf) passes nothing
-    assert not any(ch.admit(1_000_000 + k, 4096) for k in range(50))
+    assert not any(ch.admit(1_000_000 + k, 4096, 1) for k in range(50))
     assert ch.p_pass == 0.0
 
 
@@ -271,11 +271,48 @@ def test_channel_decisions_match_the_per_frame_reference():
     assert len(busy) < 120 and len(frames) > 3 * BsChannel.DRAW_BLOCK
     ch = BsChannel(1.2e5, 4.0, np.random.default_rng(7))
     ref = ScalarChannel(1.2e5, 4.0, np.random.default_rng(7))
-    got = [ch.admit(t, bits) for t, bits in frames]
+    got = [ch.admit(t, bits, 1) for t, bits in frames]
     want = [ref.admit(t, bits) for t, bits in frames]
     assert got == want
     assert 0 < sum(got) < len(got)
     assert ch.load_ema == ref.load_ema
+
+
+def test_k_frames_at_once_are_decided_as_k_single_frames():
+    # hand-offs of up to 300 frames cross DRAW_BLOCK boundaries mid-call
+    rng = np.random.default_rng(12)
+    batched = BsChannel(1.2e5, 4.0, np.random.default_rng(5))
+    single = BsChannel(1.2e5, 4.0, np.random.default_rng(5))
+    drawn = 0
+    for second in range(40):
+        for _ in range(int(rng.integers(0, 4))):
+            t_us = second * 1_000_000 + int(rng.integers(0, 1_000_000))
+            k = int(rng.integers(1, 300))
+            got = batched.admit(t_us, 4096, k)
+            assert got == sum(single.admit(t_us, 4096, 1) for _ in range(k))
+            drawn += k
+            assert batched._bits == single._bits and batched.load_ema == single.load_ema
+    assert drawn > 3 * BsChannel.DRAW_BLOCK
+    assert batched.load_ema > 0.0
+    # a disabled channel admits every frame and draws nothing
+    off = BsChannel(0.0, 4.0, None)
+    assert off.admit(0, 4096, 7) == 7 and off.admit(2_500_000, 4096, 0) == 0
+    assert off.load_ema == 0.0
+
+
+def test_a_hand_off_sums_its_bits_frame_by_frame():
+    # frames near 2**52 bits: six adds round differently from one add of six
+    bits, k = 2**52 + 1, 6
+    assert sum([float(bits)] * k) != 0.0 + bits * k
+    batched = BsChannel(1e20, 4.0, np.random.default_rng(2))
+    single = BsChannel(1e20, 4.0, np.random.default_rng(2))
+    batched.admit(0, bits, k)
+    for _ in range(k):
+        single.admit(0, bits, 1)
+    assert batched._bits == single._bits == sum([float(bits)] * k)
+    batched._roll_to(1)
+    single._roll_to(1)
+    assert batched.load_ema == single.load_ema
 
 
 # -- strict-mode guards ---------------------------------------------------------
@@ -294,14 +331,35 @@ def test_finish_counts_queued_readings_by_liveness():
     assert not proto.queued.any()
 
 
+class LeakingChange:
+    """A reading whose change passes the filter and is yet within its threshold:
+    it compares above and below every number, as a broken filter would see it."""
+
+    def __sub__(self, other):
+        return self
+
+    def __abs__(self):
+        return self
+
+    def __gt__(self, other):
+        return True
+
+    def __le__(self, other):
+        return True
+
+
 def test_strict_trace_catches_filter_leaks():
+    # node 0 is an orphan within radio range of the sink
     world = make_world([(0.0, 0.0)])
     world.strict = True
+    proto = MleachProtocol(world)
+    queue_readings(world, proto, 0, [LeakingChange()])
     with pytest.raises(InvariantViolation, match="filter"):
-        world.deliver_data(0, 0, 0.05)  # change below the threshold leaked out
+        proto._orphan_flush(0, 0)
     assert world.log.delivered == 0  # raised on arrival, before the sink counts it
-    world.deliver_data(0, 0, 0.5)  # a change past the threshold, and an unfiltered frame
-    world.deliver_data(0, 0, None)
+    queue_readings(world, proto, 0, [0.5])  # a change past the threshold
+    proto._orphan_flush(0, 0)
+    world.deliver_data(0, 1)  # an unfiltered frame
     assert world.log.delivered == 2
 
 

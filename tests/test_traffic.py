@@ -116,3 +116,17 @@ def test_values_do_not_depend_on_when_they_are_drawn():
     per_second = [v for t in range(10) for v in readings(a, 0, float(t))]
     backlog = sum(emitted(b, 0, float(t)) for t in range(10))
     assert b.values(0, 20) + b.values(0, backlog - 20) == per_second
+
+
+def test_skipped_readings_are_drawn_with_the_next_values():
+    a = always_on(n=2, rate=3.5, seed=8)
+    b = always_on(n=2, rate=3.5, seed=8)
+    state = a._gen[0].bit_generator.state
+    a.skip(0, 5)
+    a.skip(0, 2)
+    assert a._gen[0].bit_generator.state == state  # nothing drawn yet
+    assert a.values(1, 3) == b.values(1, 3)  # another node's walk is its own
+    assert a.values(0, 4) == b.values(0, 11)[7:]
+    # the skipped readings are drawn once: the walk goes on as one call's would
+    assert a.values(0, 6) == b.values(0, 6)
+    assert a.reading.tolist() == b.reading.tolist()

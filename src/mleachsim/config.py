@@ -8,6 +8,7 @@ key maps 1:1 onto a ``SimConfig`` field; omitted keys keep their defaults.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 
 
@@ -163,6 +164,13 @@ def validate_config(cfg: SimConfig) -> SimConfig:
         f.name: math.isfinite(getattr(cfg, f.name)) for f in fields(SimConfig) if f.type == "float"
     }
     e.extend(f"{name} must be finite" for name, ok in finite.items() if not ok)
+    # a float (even 4.0) or a bool runs with fractional counts or fails in World
+    ints = {f.name: getattr(cfg, f.name) for f in fields(SimConfig) if f.type == "int"}
+    e.extend(
+        f"{name} must be an integer"
+        for name, v in ints.items()
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral)
+    )
     if cfg.node_count <= 0:
         e.append("node_count must be positive")
     for name in (
@@ -229,6 +237,8 @@ def validate_config(cfg: SimConfig) -> SimConfig:
 
     if e:
         raise ConfigError(e)
+    # as Python ints, numpy ones run as the same values parsed from a file do
+    cfg = replace(cfg, **{name: int(v) for name, v in ints.items()})
 
     if isinstance(cfg.bs_position, str):
         from .engine import RandomStreams

@@ -158,10 +158,12 @@ class DsdvProtocol:
           after every frame;
         - frames at the same microsecond keep id order, which was their
           ``seq`` order as one event each;
-        - everything bound once per run (``World._step``, ``_row_step``,
-          ``_dist``, the ledger's views) changes only inside a queued event;
-          a full fill of distances rewrites ``_row_step`` and ``_dist`` in
-          place, and the ledger's totals are held here and written back.
+        - everything bound once per run (``World.distances()``, as a walk
+          may read any pair, and the ledger's views) changes only in a
+          queued event, and a run ends before any: positions change only
+          in ``World._move``, and the ledger's totals are held here and
+          written back. Distances are bit-identical however they are
+          filled (``tests/test_kernels.py``), so broadcasts' rows agree.
 
         The first frame always goes, as its event was the least queued.
         With nothing queued (a direct call), every frame goes.
@@ -184,13 +186,10 @@ class DsdvProtocol:
         and totals bound once per run: a frame makes about four charges, and
         the per-call overhead of ``consume`` was most of its cost. A path walk
         shared with mleach's data plane cost flood-dsdv 10-12% in each of
-        three designs measured. For the same reason the walk reads
-        ``World._dist``, ``_row_step`` and ``_step`` directly, saving a call
-        per hop: row ``cur`` is fresh iff ``_row_step[cur] == _step``, and
-        ``World.distance`` serves a stale one. A run of frames per event, in
-        place of one event per frame, saves each frame a heap push and pop,
-        a handler call and those bindings; on ``table1.cfg`` about 7 frames
-        fall between two route dumps. ``tests/test_dsdv_oracle.py`` replays
+        three designs measured. A run of frames per event, in place of one
+        event per frame, saves each frame a heap push and pop, a handler
+        call and those bindings; on ``table1.cfg`` about 7 frames fall
+        between two route dumps. ``tests/test_dsdv_oracle.py`` replays
         every frame as per-hop ``consume`` calls on a copy of the ledger and
         holds the two equal bit for bit.
         """
@@ -208,11 +207,7 @@ class DsdvProtocol:
         bits = self.cfg.packet_size_bits
         rx = radio.e_elec_j_per_bit * bits
         amp = radio.eps_amp_j_per_bit_m2 * bits
-        # dist_row refreshes _row_step in place, so this binding outlives a full fill
-        item = world._dist.item
-        row_step = world._row_step
-        step = world._step
-        distance = world.distance
+        item = world.distances().item
         sink_key = self.sink_key
         sink_hop = self.sink_hop
         bs = world.bs_id
@@ -243,9 +238,7 @@ class DsdvProtocol:
                 # dsdv_merge writes the next hop with every live key, so nh >= 0
                 nh = sink_hop[cur]
                 # liveness first: it is the cheaper read, and either failure breaks the link
-                if (nh != bs and not alive[nh]) or (
-                    d := item(cur, nh) if row_step[cur] == step else distance(cur, nh)
-                ) > rr:
+                if (nh != bs and not alive[nh]) or (d := item(cur, nh)) > rr:
                     sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
                     log.dropped_unreachable += 1
                     break

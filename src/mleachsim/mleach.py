@@ -308,7 +308,8 @@ class MleachProtocol:
         # drain it): the queue is left for finish
         if not world.ledger.alive[cm]:
             return
-        link = [(cm, ch, world.distance(cm, ch))]
+        # the head's row, which its hello and its other members' slots read
+        link = [(cm, ch, world.dist_row(ch).item(cm))]
         n = self.queued.item(cm)
         if not n:
             self._walk(t_us, cm, (None,), self._charges(link, cfg.heartbeat_bits))
@@ -325,7 +326,8 @@ class MleachProtocol:
             return
         self.queued[i] = 0
         bs = world.bs_id
-        d = world.distance(i, bs)
+        # the sink's row, which the head graph and the other orphans read
+        d = world.dist_row(bs).item(i)
         if d > cfg.radio_range_rr_m:
             # never read, so not drawn now: the node's later readings walk on past them
             world.traffic.skip(i, n)
@@ -371,10 +373,10 @@ class MleachProtocol:
         path = self.ctx.routes.get(ch)
         if path is None:
             return [(NO_ROUTE, 0.0)]
-        distance = self.world.distance
+        dist_row = self.world.dist_row
         # every route ends at the sink; a backlog is sent at one instant, so
         # each link's distance is read once for all of its frames
-        hops = [(u, v, distance(u, v)) for u, v in zip(path, path[1:])]
+        hops = [(u, v, dist_row(u).item(v)) for u, v in zip(path, path[1:])]
         return [*self._charges(hops, self.cfg.packet_size_bits), (SINK, 0.0)]
 
     def _walk(

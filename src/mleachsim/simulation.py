@@ -8,7 +8,7 @@ A run owns: node positions (base station as the final row), the energy
 ledger, random-waypoint mobility, On-Off traffic, distances between nodes,
 and the event queue. Distances live in one held (n+1) x (n+1) buffer whose
 rows are filled on demand, each stamped with the mobility step it was
-filled at, and read through World.dist_row and World.distance. Protocol
+filled at: World.dist_row reads one, World.distances all. Protocol
 objects plug into the loop through start/on_readings/finish and a
 ``handlers`` table by event kind, and keep their own per-node state. Every
 broadcast, control or hello, is paid through World.broadcast. Each
@@ -145,16 +145,13 @@ class World:
             cfg.mobility_speed_max_mps,
             cfg.mobility_pause_s,
         )
-        # distances by row, on demand: row i holds the positions as of
-        # mobility step _row_step[i], and is fresh while that is _step
+        # row i holds the positions of mobility step _row_step[i], the whole
+        # buffer those of _full_step; either is fresh while that is _step
         self._dist = np.empty((n + 1, n + 1))
         self._dist_tmp = np.empty_like(self._dist)
         self._row_step = [-1] * (n + 1)
         self._step = 0
-        self._rows_filled = 0
-        # a step that has needed this many rows will likely need them all
-        # (DSDV dumps from every node): the rest are then filled in one go
-        self._row_budget = (n + 1) // 8
+        self._full_step = -1
         self._in_range = np.empty(n, dtype=bool)
 
         self.ledger = EnergyLedger(n, cfg.initial_energy_j)
@@ -172,31 +169,28 @@ class World:
     def dist_row(self, i: int) -> np.ndarray:
         """Distances from node i to every node, the sink last, as of now.
 
-        A view into the held buffer: valid until positions next change.
+        Fills row i alone, if stale; a view valid until positions next change.
         """
         if self._row_step[i] != self._step:
-            if self._rows_filled < self._row_budget:
-                kernels.distance_row(self.positions, i, self._dist[i])
-                self._row_step[i] = self._step
-                self._rows_filled += 1
-            else:
-                kernels.pairwise_distances(self.positions, self._dist, self._dist_tmp)
-                self._row_step[:] = [self._step] * len(self._row_step)
+            kernels.distance_row(self.positions, i, self._dist[i])
+            self._row_step[i] = self._step
         return self._dist[i]
 
-    def distance(self, u: int, v: int) -> float:
-        """Distance between nodes u and v, from whichever row is fresh.
+    def distances(self) -> np.ndarray:
+        """Every distance between nodes, the sink last, as of now.
 
-        Rows are exactly symmetric, so the choice never shows.
+        The held buffer, filled whole in one kernel call by the first call
+        after positions change; its rows equal dist_row's bit for bit.
         """
-        if self._row_step[u] == self._step:
-            return self._dist.item(u, v)
-        return self.dist_row(v).item(u)
+        if self._full_step != self._step:
+            kernels.pairwise_distances(self.positions, self._dist, self._dist_tmp)
+            self._row_step[:] = [self._step] * len(self._row_step)
+            self._full_step = self._step
+        return self._dist
 
     def invalidate_distances(self) -> None:
         """Mark every distance row stale; call whenever positions change."""
         self._step += 1
-        self._rows_filled = 0
 
     # -- shared helpers ------------------------------------------------------
 

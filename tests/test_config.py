@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from mleachsim.config import (
@@ -66,6 +67,32 @@ def test_parse_collects_all_errors():
 def test_int_fields_reject_floats():
     with pytest.raises(ConfigError):
         parse_config("packet_size_bits = 4096.5\n")
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        "node_count",
+        "packet_size_bits",
+        "sim_duration_s",
+        "ch_exclusion_rounds",
+        "hello_bits",
+        "schedule_bits_per_cm",
+        "heartbeat_bits",
+        "dsdv_entry_bits",
+        "rng_seed",
+    ],
+)
+def test_validate_rejects_a_non_integer_in_an_int_field(field):
+    value = getattr(small_config(), field)
+    for bad in (float(value), value + 0.5, True):
+        with pytest.raises(ConfigError) as exc:
+            validate_config(small_config(**{field: bad}))
+        assert f"{field} must be an integer" in exc.value.errors, bad
+    # a numpy integer passes, and runs as a Python one would
+    cfg = validate_config(small_config(**{field: np.int64(value)}))
+    assert type(getattr(cfg, field)) is int
+    assert cfg == validate_config(small_config())
 
 
 def test_bs_position_forms():

@@ -370,7 +370,8 @@ def test_frames_of_one_microsecond_go_in_id_order(world_factory):
     assert proto.next_hop.tolist() == [3, bs, 3, bs]
     # the relay can pay for exactly one frame, and dies paying it
     bits = world.cfg.packet_size_bits
-    tx = {i: world.radio.tx_energy(bits, world.distance(i, proto.next_hop[i])) for i in range(4)}
+    hop = proto.next_hop.tolist()
+    tx = {i: world.radio.tx_energy(bits, world.dist_row(hop[i]).item(i)) for i in range(4)}
     ledger.energy[3] = world.radio.rx_energy(bits) + tx[3]
     before = ledger.consumed.copy()
     # node 1's one reading comes first; node 0's two and node 2's one share a microsecond

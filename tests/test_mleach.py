@@ -561,7 +561,7 @@ class PerFrame:
         ledger, radio = self.ledger, self.world.radio
         if not ledger.alive[u]:
             return False
-        if not ledger.consume(u, radio.tx_energy(bits, self.world.distance(u, v)), t_us):
+        if not ledger.consume(u, radio.tx_energy(bits, self.world.dist_row(v).item(u)), t_us):
             return False
         if v == self.world.bs_id:
             return True
@@ -626,7 +626,7 @@ def chain_world(world_factory, **overrides):
 def prices(world, u, v, bits=4096):
     """rx, and tx from u to v."""
     radio = world.radio
-    return radio.rx_energy(bits), radio.tx_energy(bits, world.distance(u, v))
+    return radio.rx_energy(bits), radio.tx_energy(bits, world.dist_row(v).item(u))
 
 
 def member_dies_mid_slot(world_factory):

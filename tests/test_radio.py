@@ -153,8 +153,8 @@ def test_node_killed_by_charge_many_is_dead_to_charge_and_unicast():
     consumed = ledger.consumed.copy()
     # the scalar path reads the zero that the batched path wrote
     assert not ledger.consume(1, rx, now_us=8)
-    assert not unicast(world, 1, 2, world.distance(1, 2), BITS, 8)
-    assert not unicast(world, 0, 1, world.distance(0, 1), BITS, 8)
+    assert not unicast(world, 1, 2, world.dist_row(2).item(1), BITS, 8)
+    assert not unicast(world, 0, 1, world.dist_row(1).item(0), BITS, 8)
     assert ledger.consumed[1] == consumed[1]
     assert ledger.consumed[2] == consumed[2]
     assert ledger.consumed[0] == world.radio.tx_energy(BITS, 100.0)

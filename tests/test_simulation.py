@@ -4,6 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from mleachsim import kernels
 from mleachsim.config import ConfigError, SimConfig, validate_config
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.mleach import MleachProtocol
@@ -107,6 +108,60 @@ def test_mobility_reshapes_distances_between_seconds():
     assert after.shape == before.shape
 
 
+# -- World's two distance reads: a row, or the whole matrix -------------------
+
+
+@pytest.fixture
+def fills(monkeypatch):
+    """The distance kernels, wrapped where World calls them, to count fills."""
+    wrapped = {}
+    for name in ("distance_row", "pairwise_distances"):
+        wrapped[name] = mock.Mock(wraps=getattr(kernels, name))
+        monkeypatch.setattr(kernels, name, wrapped[name])
+    return wrapped
+
+
+def test_distances_are_fresh_after_invalidate():
+    world = World(small_config(), "x")
+    before = world.distances().copy()
+    world.positions[0] = (5.0, 7.0)
+    world.invalidate_distances()
+    after = world.distances()
+    assert after.tobytes() == kernels.pairwise_distances(world.positions).tobytes()
+    assert not np.array_equal(after[0], before[0])
+
+
+def test_a_whole_fill_keeps_the_rows_filled_before_it_bit_for_bit():
+    world = World(small_config(), "x")
+    rows = {i: world.dist_row(i).tobytes() for i in (0, 5, world.bs_id)}
+    matrix = world.distances()
+    assert {i: matrix[i].tobytes() for i in rows} == rows
+
+
+def test_after_a_whole_fill_neither_read_calls_a_kernel_in_the_step(fills):
+    world = World(small_config(), "x")
+    world.distances()
+    assert fills["pairwise_distances"].call_count == 1
+    for i in range(world.bs_id + 1):
+        world.dist_row(i)
+    world.distances()
+    assert fills["pairwise_distances"].call_count == 1
+    assert fills["distance_row"].call_count == 0
+    world.invalidate_distances()
+    world.dist_row(3)
+    assert fills["distance_row"].call_count == 1
+
+
+def test_before_a_whole_fill_dist_row_fills_only_its_row(fills):
+    world = World(small_config(), "x")
+    world.dist_row(3)
+    world.dist_row(3)
+    world.dist_row(world.bs_id)
+    filled = [c.args[1] for c in fills["distance_row"].call_args_list]
+    assert filled == [3, world.bs_id]
+    assert fills["pairwise_distances"].call_count == 0
+
+
 # -- alive_in_range -----------------------------------------------------------
 
 
@@ -138,7 +193,7 @@ def test_sink_sends_and_receives_for_free():
     assert world.ledger.consumed.tolist() == [rx, 0.0, rx, rx]
     assert world.ledger.total_consumed() == 3 * rx
     before = world.ledger.total_consumed()
-    d = world.distance(1, world.bs_id)
+    d = world.dist_row(world.bs_id).item(1)
     assert unicast(world, 1, world.bs_id, d, BITS, 0)
     tx = world.radio.tx_energy(BITS, d)
     assert world.ledger.consumed[1] == tx
@@ -152,7 +207,7 @@ def test_dead_sender_is_silent_and_pays_nothing():
     total = world.ledger.total_consumed()
     assert world.broadcast(0, BITS, 250.0, 0) is None
     assert unicast(world, 0, 1, 100.0, BITS, 0) is False
-    assert unicast(world, 0, world.bs_id, world.distance(0, world.bs_id), BITS, 0) is False
+    assert unicast(world, 0, world.bs_id, world.dist_row(world.bs_id).item(0), BITS, 0) is False
     assert np.array_equal(world.ledger.consumed, consumed)
     assert world.ledger.total_consumed() == total
 

@@ -94,7 +94,7 @@ def report(name, log, world, spent, rejected, unreachable):
           f"dead {log.dropped_dead}, rejected by the sink channel {log.dropped_congested}")
     if unreachable:
         print("   unreachable at: " + ", ".join(f"{k} {v}" for k, v in unreachable.items()))
-    print(f"   hottest node is {world.distance(hot, world.bs_id):.0f} m from the sink at the end; "
+    print(f"   hottest node is {world.dist_row(world.bs_id).item(hot):.0f} m from the sink at the end; "
           + ", ".join(f"{k} {v[hot]:.4f} J" for k, v in sorted(spent.items())))
     if rejected.any():
         print(f"   paid for rejected frames: hottest node {rejected[hot]:.4f} J "

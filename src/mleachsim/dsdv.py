@@ -46,6 +46,13 @@ class DsdvProtocol:
         self.known = [1 << i for i in range(n)]
         # set once every live node's known is full: dumps then skip the merge
         self.saturated = False
+        # the link memo of _send: per node, the sink key under which its link
+        # was last verified (None: not since the last reset) and that link's
+        # tx price, valid while (mobility step, deaths) is _links_token
+        self._unverified = [None] * n
+        self._link_key = [None] * n
+        self._link_price = [0.0] * n
+        self._links_token = (0, 0)
         self.bs_seq = 0
         self.interval_us = world.cfg.dsdv_interval_us
         self.stream = world.streams.get("dsdv")
@@ -173,24 +180,51 @@ class DsdvProtocol:
         hop that is dead or out of range breaks the link, which is
         invalidated with the next odd sequence; then the sender, which must
         be alive, pays tx and, unless the next hop is the sink, the
-        receiver pays rx, each through ``EnergyLedger.consume``'s steps, as
-        mleach's frames are paid. Each outcome bumps its log counter, or
-        counts the frame as reached. The run hands the frames that reached
-        the sink's radio to ``World.deliver_data`` in one call at its end,
-        where they are decided: one list holds one second's frames, as
+        receiver pays rx. Each outcome bumps its log counter, or counts the
+        frame as reached. The run hands the frames that reached the sink's
+        radio to ``World.deliver_data`` in one call at its end, where they
+        are decided: one list holds one second's frames, as
         ``on_readings`` offsets are below ``US``, and the run's frames
         reach the channel in the order they were sent.
 
-        A hop's tx and rx charges run one inline copy of
-        ``EnergyLedger.consume``'s clamp, Neumaier and Kahan steps, on views
-        and totals bound once per run: a frame makes about four charges, and
-        the per-call overhead of ``consume`` was most of its cost. A path walk
-        shared with mleach's data plane cost flood-dsdv 10-12% in each of
-        three designs measured. A run of frames per event, in place of one
-        event per frame, saves each frame a heap push and pop, a handler
-        call and those bindings; on ``table1.cfg`` about 7 frames fall
-        between two route dumps. ``tests/test_dsdv_oracle.py`` replays
-        every frame as per-hop ``consume`` calls on a copy of the ledger and
+        The link memo. Once a hop passes those checks, its sender's key
+        and tx price are stored. A later hop from that sender whose key
+        equals the stored one runs only the hop-limit check and the
+        next-hop read, and pays the stored price. That is exact while
+        neither positions nor lives change, as the memo is cleared
+        whenever either does, because an unchanged key means an unchanged,
+        live route:
+
+        - a key strictly rises at every change of the route. An adoption
+          takes adv > key. An invalidation turns a live key at even
+          sequence s into (s + 1, NO_ROUTE), which ranks above every key
+          at s. Nothing else writes ``key``;
+        - the next hop changes only with an adoption, so with the key;
+        - the stored key passed the liveness test, and a key that does not
+          change stays live;
+        - with positions and lives unchanged, the next hop is still alive
+          and in range, the sender is still alive, and the price
+          ``rx + amp * (d * d)`` reads the same distance.
+
+        So a cached hop takes the branch a full check would take, and
+        charges the same price. The memo is cleared when ``(World.mobility_step,
+        EnergyLedger.deaths)`` differs from the pair it was filled under,
+        which is read once per run, as neither changes in a run except by
+        the run's own charges; and it is cleared after every charge in the
+        run that goes through ``consume``, the only charges that can kill.
+
+        Charges follow ``radio``'s rule: a payer whose residual exceeds the
+        price pays inline, ``consume``'s Neumaier and Kahan steps on views
+        and totals bound once per run, and stays alive; any other charge
+        goes through ``consume``, with the totals written back around it. A
+        frame makes about four charges, and the per-call overhead of
+        ``consume`` was most of its cost. A path walk shared with mleach's
+        data plane cost flood-dsdv 10-12% in each of three designs
+        measured. A run of frames per event, in place of one event per
+        frame, saves each frame a heap push and pop, a handler call and
+        those bindings; on ``table1.cfg`` about 7 frames fall between two
+        route dumps. ``tests/test_dsdv_oracle.py`` replays every frame as
+        fully checked per-hop ``consume`` calls on a copy of the ledger and
         holds the two equal bit for bit.
         """
         world = self.world
@@ -202,6 +236,12 @@ class DsdvProtocol:
         comp = ledger._comp_mv
         total = ledger._total
         total_comp = ledger._total_comp
+        link_key = self._link_key
+        link_price = self._link_price
+        unverified = self._unverified
+        if self._links_token != (world.mobility_step, ledger.deaths):
+            self._links_token = (world.mobility_step, ledger.deaths)
+            link_key[:] = unverified
         # rx + amp * (d * d) is RadioModel's tx formula, operation for operation
         radio = world.radio
         bits = self.cfg.packet_size_bits
@@ -232,43 +272,60 @@ class DsdvProtocol:
             while True:
                 key = sink_key[cur]
                 hops += 1
-                if key & ROUTE_BITS != LIVE or hops > max_hops:
-                    log.dropped_unreachable += 1
-                    break
-                # dsdv_merge writes the next hop with every live key, so nh >= 0
-                nh = sink_hop[cur]
-                # liveness first: it is the cheaper read, and either failure breaks the link
-                if (nh != bs and not alive[nh]) or (d := item(cur, nh)) > rr:
-                    sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
-                    log.dropped_unreachable += 1
-                    break
-                if not alive[cur]:
-                    log.dropped_dead += 1
-                    break
-                # consume's steps, once for the sender's tx and, unless nh is the
-                # sink, once for the receiver's rx: nh was alive at the link check,
-                # and only cur, never nh, has paid since
-                payer, j = cur, rx + amp * (d * d)
+                if key == link_key[cur]:
+                    # verified under this key, and nothing has moved or died since
+                    if hops > max_hops:
+                        log.dropped_unreachable += 1
+                        break
+                    nh = sink_hop[cur]
+                    j = link_price[cur]
+                else:
+                    if key & ROUTE_BITS != LIVE or hops > max_hops:
+                        log.dropped_unreachable += 1
+                        break
+                    # dsdv_merge writes the next hop with every live key, so nh >= 0
+                    nh = sink_hop[cur]
+                    # liveness first: it is the cheaper read, and either failure breaks the link
+                    if (nh != bs and not alive[nh]) or (d := item(cur, nh)) > rr:
+                        sink_key[cur] = route_key((key >> 31) + 1, NO_ROUTE)
+                        log.dropped_unreachable += 1
+                        break
+                    if not alive[cur]:
+                        log.dropped_dead += 1
+                        break
+                    j = rx + amp * (d * d)
+                    link_key[cur] = key
+                    link_price[cur] = j
+                # the sender's tx and, unless nh is the sink, the receiver's rx:
+                # nh was alive at the link check, and only cur, never nh, has paid since
+                payer = cur
                 while True:
                     e = energy[payer]
-                    ok = e >= j
-                    x = j if ok else e
-                    e = e - j if ok else 0.0
-                    energy[payer] = e
-                    s = consumed[payer]
-                    t = s + x
-                    comp[payer] += (s - t) + x if s >= x else (x - t) + s
-                    consumed[payer] = t
-                    y = x - total_comp
-                    t = total + y
-                    total_comp = (t - total) - y
-                    total = t
-                    if e == 0.0:
-                        ledger._mark_dead(payer, t_us)
-                    if not ok or payer == nh or nh == bs:
+                    if e > j:
+                        energy[payer] = e - j
+                        s = consumed[payer]
+                        t = s + j
+                        comp[payer] += (s - t) + j if s >= j else (j - t) + s
+                        consumed[payer] = t
+                        y = j - total_comp
+                        t = total + y
+                        total_comp = (t - total) - y
+                        total = t
+                    else:
+                        ledger._total = total
+                        ledger._total_comp = total_comp
+                        paid = ledger.consume(payer, j, t_us)
+                        total = ledger._total
+                        total_comp = ledger._total_comp
+                        link_key[:] = unverified
+                        self._links_token = (world.mobility_step, ledger.deaths)
+                        if not paid:
+                            payer = -1
+                            break
+                    if payer == nh or nh == bs:
                         break
                     payer, j = nh, rx
-                if not ok:
+                if payer < 0:
                     log.dropped_dead += 1
                     break
                 if nh == bs:

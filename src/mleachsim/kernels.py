@@ -40,21 +40,32 @@ def distance_row(pos: np.ndarray, i: int, out: np.ndarray) -> None:
     np.sqrt(out, out=out)
 
 
-def pairwise_distances(
-    pos: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
-) -> np.ndarray:
+# rows per block of pairwise_distances: one block's scratch, 64 x M
+# doubles, stays in cache where a whole (M, M) scratch would not
+BLOCK_ROWS = 64
+
+
+def pairwise_distances(pos: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Full symmetric Euclidean distance matrix for (M, 2) positions.
 
-    Fills out in place and uses tmp as scratch when they are given, both
-    (M, M) float64; otherwise allocates them.
+    Fills out, (M, M) float64, in place when it is given; otherwise
+    allocates it. Rows are filled BLOCK_ROWS at a time with one block of
+    scratch, by the same operations per element as a whole fill.
     """
-    dx = np.subtract(pos[:, 0:1], pos[:, 0], out=out)
-    dy = np.subtract(pos[:, 1:2], pos[:, 1], out=tmp)
-    # in place: the same operations per element, two (M, M) arrays not five
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return np.sqrt(dx, out=dx)
+    m = len(pos)
+    if out is None:
+        out = np.empty((m, m))
+    x, y = pos[:, 0], pos[:, 1]
+    tmp = np.empty((min(m, BLOCK_ROWS), m))
+    for lo in range(0, m, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, m)
+        dx = np.subtract(pos[lo:hi, 0:1], x, out=out[lo:hi])
+        dy = np.subtract(pos[lo:hi, 1:2], y, out=tmp[: hi - lo])
+        dx *= dx
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+    return out
 
 
 def charge_uniform(

@@ -402,13 +402,14 @@ class MleachProtocol:
         sink go to ``World.deliver_data`` in one call at the end: a backlog
         is sent at one instant, so they all arrive within one second.
 
-        Every charge runs one inline copy of ``EnergyLedger.consume``'s
-        clamp, Neumaier and Kahan steps, on views and totals bound once per
-        backlog, as ``DsdvProtocol._send`` binds them once per run: a
-        ``consume`` call per charge was the largest cost of mleach's data
-        plane. ``tests/test_mleach.py`` replays backlogs as per-frame
-        ``consume`` calls on a copy of the ledger and holds the two equal
-        bit for bit.
+        Charges follow ``radio``'s rule, as in ``DsdvProtocol._send``: a
+        payer whose residual exceeds the charge pays inline, ``consume``'s
+        Neumaier and Kahan steps on views and totals bound once per
+        backlog, and stays alive; any other charge goes through
+        ``consume``, with the totals written back around it. A ``consume``
+        call per charge was the largest cost of mleach's data plane.
+        ``tests/test_mleach.py`` replays backlogs as per-frame ``consume``
+        calls on a copy of the ledger and holds the two equal bit for bit.
         """
         world = self.world
         ledger = world.ledger
@@ -427,21 +428,23 @@ class MleachProtocol:
                 if payer >= 0:
                     if alive[payer]:
                         e = energy[payer]
-                        ok = e >= j
-                        x = j if ok else e
-                        e = e - j if ok else 0.0
-                        energy[payer] = e
-                        s = consumed[payer]
-                        t = s + x
-                        comp[payer] += (s - t) + x if s >= x else (x - t) + s
-                        consumed[payer] = t
-                        y = x - total_comp
-                        t = total + y
-                        total_comp = (t - total) - y
-                        total = t
-                        if e == 0.0:
-                            ledger._mark_dead(payer, t_us)
-                        if ok:
+                        if e > j:
+                            energy[payer] = e - j
+                            s = consumed[payer]
+                            t = s + j
+                            comp[payer] += (s - t) + j if s >= j else (j - t) + s
+                            consumed[payer] = t
+                            y = j - total_comp
+                            t = total + y
+                            total_comp = (t - total) - y
+                            total = t
+                            continue
+                        ledger._total = total
+                        ledger._total_comp = total_comp
+                        paid = ledger.consume(payer, j, t_us)
+                        total = ledger._total
+                        total_comp = ledger._total_comp
+                        if paid:
                             continue
                     lost += 1
                     break

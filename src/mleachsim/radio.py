@@ -5,9 +5,13 @@ costs E_elec*k. Both protocols pay for frames through World.broadcast,
 DsdvProtocol._send and MleachProtocol._walk, which price them with
 RadioModel's formulas and charge EnergyLedger, so totals, clamping, and
 death bookkeeping live in one place. Broadcasts call ``consume`` and
-``charge_many``; _send, per run of DSDV frames, and _walk, per mleach
-backlog, each run ``consume``'s steps in one inline block, operation for
-operation. Arguments come from a validated config and
+``charge_many``. _send, per run of DSDV frames, and _walk, per mleach
+backlog, share one charging rule: a payer whose residual exceeds the
+charge pays inline, ``consume``'s Neumaier and Kahan steps operation for
+operation, and stays alive, as e - j > 0 whenever e > j; every other
+charge (an exact or partial payment, an inf or NaN price) goes through
+``consume``. So the clamp and the death mark live only in ``consume`` and
+``kernels.charge_uniform``. Arguments come from a validated config and
 are not checked again. The base station is infrastructure: it is never
 charged.
 """
@@ -42,7 +46,9 @@ class EnergyLedger:
     A node whose residual cannot cover a charge burns what remains, hits
     zero, and the action fails; a node that pays exactly its residual
     succeeds and then dies. A node's death time is written once, when it
-    dies; readers take deaths from ``alive`` and ``death_time_us``.
+    dies; readers take deaths from ``alive`` and ``death_time_us``, and
+    ``deaths`` counts them, so a reader can tell that none happened since
+    it last looked.
 
     Totals are compensated: the grand total is a Kahan-summed scalar fed by
     every charge, and per-node subtotals carry Neumaier correction terms,
@@ -63,6 +69,7 @@ class EnergyLedger:
         self.alive_mv = memoryview(self.alive)
         self._total = 0.0
         self._total_comp = 0.0
+        self.deaths = 0
 
     def _total_add(self, x: float) -> None:
         y = x - self._total_comp
@@ -75,6 +82,7 @@ class EnergyLedger:
             return
         self.alive_mv[i] = False
         self.death_time_us[i] = now_us
+        self.deaths += 1
 
     def consume(self, i: int, j: float, now_us: int) -> bool:
         """Charge node i. Returns True iff the paid-for action succeeds.

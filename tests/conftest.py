@@ -86,6 +86,19 @@ def charged(ledger: EnergyLedger, charges, t_us: int) -> EnergyLedger:
     return copy
 
 
+def consume_calls(monkeypatch, ledger: EnergyLedger) -> list[tuple[int, float, int]]:
+    """Record every (node, joules, time) charge that goes through ledger.consume."""
+    calls = []
+    real = ledger.consume
+
+    def consume(i, j, now_us):
+        calls.append((i, j, now_us))
+        return real(i, j, now_us)
+
+    monkeypatch.setattr(ledger, "consume", consume)
+    return calls
+
+
 class ScriptedValues:
     """Stands in for ``OnOffTraffic.values``: hands out preset readings per node."""
 

@@ -1,13 +1,14 @@
 import math
 
 import numpy as np
+import pytest
 
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
 from mleachsim.simulation import run_simulation
 
-from conftest import assert_ledgers_equal, charged, small_config
+from conftest import assert_ledgers_equal, charged, consume_calls, small_config
 
 
 def relay_pair(world_factory):
@@ -483,3 +484,118 @@ def test_update_interval_past_horizon_leaves_no_events():
     cfg = small_config(sim_duration_s=2, dsdv_update_interval_s=2.5)
     log = run_simulation(cfg, "dsdv", strict=True)
     assert log.conservation_residual() == 0
+
+
+# -- the link memo: a hop verified under its sender's key is not checked again
+# until the key, the positions or a life changes. Each test sends once to fill
+# it, changes one of the three, and holds the next send to a copy of the
+# ledger charged one consume at a time.
+
+
+def sent_as(world, proto, t_us, frames, charges):
+    """Send frames in one run; the ledger must equal charges made on a copy."""
+    want = charged(world.ledger, charges, t_us)
+    proto._send(t_us, frames)
+    assert_ledgers_equal(world.ledger, want)
+
+
+def test_an_adopted_route_is_priced_afresh(world_factory):
+    # node 0 hears the sink (350 m) and relay 1 (250 m), and routes via the relay
+    world = world_factory([(250.0, 600.0), (500.0, 600.0)], radio_range_rr_m=450.0)
+    proto = DsdvProtocol(world)
+    bs = world.bs_id
+    proto.key[:] = [route_key(2, 2), route_key(2, 1)]
+    proto.next_hop[:] = [1, bs]
+    tx, rx = world.radio.tx_energy(BITS, 250.0), world.radio.rx_energy(BITS)
+    sent_as(world, proto, 5, [(5, 0)], [(0, tx), (1, rx), (1, world.radio.tx_energy(BITS, 100.0))])
+    # the sink's dump is one hop shorter at the same sequence: node 0 adopts it
+    proto._bs_dump(6, None)
+    assert proto.next_hop.tolist() == [bs, bs]
+    sent_as(world, proto, 7, [(7, 0)], [(0, world.radio.tx_energy(BITS, 350.0))])
+    assert world.log.delivered == 2
+
+
+def test_an_invalidated_key_is_not_sent_on(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    sent_as(world, proto, 5, [(5, 0)], [(0, tx), (1, rx), (1, world.radio.tx_energy(BITS, 100.0))])
+    # node 0's key as a broken link leaves it: the next odd sequence, no metric
+    proto.key[0] = route_key(3, NO_ROUTE)
+    sent_as(world, proto, 6, [(6, 0)], [])
+    assert world.log.delivered == 1 and world.log.dropped_unreachable == 1
+
+
+def test_a_mobility_step_prices_every_link_afresh(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    sent_as(world, proto, 5, [(5, 0)], [(0, tx), (1, rx), (1, world.radio.tx_energy(BITS, 100.0))])
+    # both stay in range of their next hops, at new distances
+    world.positions[0] = (300.0, 600.0)
+    world.positions[1] = (550.0, 600.0)
+    world.invalidate_distances()
+    tx0, tx1 = world.radio.tx_energy(BITS, 250.0), world.radio.tx_energy(BITS, 50.0)
+    sent_as(world, proto, 6, [(6, 0)], [(0, tx0), (1, rx), (1, tx1)])
+    # and a step that takes the relay out of range breaks node 0's link
+    world.positions[1] = (1100.0, 1500.0)
+    world.invalidate_distances()
+    sent_as(world, proto, 7, [(7, 0)], [])
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert world.log.delivered == 2 and world.log.dropped_unreachable == 1
+
+
+def test_a_death_between_runs_breaks_the_link_to_the_dead(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    sent_as(world, proto, 5, [(5, 0)], [(0, tx), (1, rx), (1, world.radio.tx_energy(BITS, 100.0))])
+    # the relay cannot pay for its own dump, and dies in the broadcast
+    ledger.energy[1] = ledger.energy[1] / 1e12
+    proto._node_dump(6, 1)
+    assert not ledger.alive[1] and ledger.death_time_us[1] == 6
+    sent_as(world, proto, 7, [(7, 0)], [])
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert world.log.delivered == 1 and world.log.dropped_unreachable == 1
+
+
+def test_a_relay_that_dies_in_a_run_breaks_the_link_for_the_next_frame(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    sent_as(world, proto, 5, [(5, 0)], [(0, tx), (1, rx), (1, world.radio.tx_energy(BITS, 100.0))])
+    # the relay pays exactly its residual for the first frame's rx and dies
+    # there; the second frame, in the same run, finds it dead
+    ledger.energy[1] = rx
+    sent_as(world, proto, 7, [(8, 0), (7, 0)], [(0, tx), (1, rx)])
+    assert not ledger.alive[1] and ledger.death_time_us[1] == 7
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert world.log.dropped_dead == 1 and world.log.dropped_unreachable == 1
+
+
+@pytest.mark.parametrize("payer", [0, 1])
+def test_an_exact_payment_goes_through_consume_and_kills_at_the_frame_time(
+    world_factory, monkeypatch, payer
+):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    # node 0 pays exactly its tx, or relay 1 exactly its rx
+    ledger.energy[payer] = (tx, rx)[payer]
+    calls = consume_calls(monkeypatch, ledger)
+    want = charged(ledger, [(0, tx), (1, rx)], 5)
+    proto._send(5, [(5, 0)])
+    assert calls == [(payer, (tx, rx)[payer], 5)]
+    assert not ledger.alive[payer] and ledger.death_time_us[payer] == 5
+    if payer == 0:
+        # the frame was paid for: it goes on, and the relay, alive, sends it
+        want.consume(1, world.radio.tx_energy(BITS, 100.0), 5)
+        assert world.log.delivered == 1
+    else:
+        assert world.log.dropped_dead == 1
+    assert_ledgers_equal(ledger, want)
+
+
+def test_a_payer_with_more_than_the_price_pays_inline(world_factory, monkeypatch):
+    world, proto = routed_relay_pair(world_factory)
+    calls = consume_calls(monkeypatch, world.ledger)
+    proto._send(5, [(6, 0), (5, 0)])
+    assert calls == [] and world.log.delivered == 2

@@ -26,9 +26,13 @@ for cell, each node's ``known`` bits are the sensors it holds an
 advertisable entry for, and each dump is as long as the oracle's
 advertised table. The oracle asserts the
 invariant that makes this reduction exact: an advertisable entry to a
-sensor never stops being advertisable.
+sensor never stops being advertisable. A second set of draws makes dumps
+costly and traffic dense, so that relays die in dumps while their
+neighbours still route through them: a sender that finds such a relay
+dead must invalidate its route, as it would after any other death.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -59,6 +63,12 @@ class Oracle:
         self.adopted = {"newer": 0, "shorter": 0}
         self.invalidated = 0
         self.died_on_path = 0
+        # per sender, its sink entry and the mobility step of its last paid hop;
+        # the sensors that died in a dump; and sends that found their next
+        # hop dead in a dump since they last sent through it, in one step
+        self.last_hop = {}
+        self.dump_deaths = set()
+        self.dead_since_last_hop = 0
         # runs of frames that sent more than one, that left some queued, and
         # that stopped at an event of a lower kind at their next frame's microsecond
         self.runs_of_many = 0
@@ -107,11 +117,11 @@ class Oracle:
         if survivors:
             self.merge(i, self.advertised(i), survivors)
 
-    def send(self, i, ledger, pos, radio, radio_range, bits, t_us):
+    def send(self, i, ledger, pos, radio, radio_range, bits, t_us, step):
         """Walk i's route to the sink, charging each hop to ledger.
 
-        pos holds every node's (x, y), the sink last, as the send saw them.
-        Returns which log counter the send moves.
+        pos holds every node's (x, y), the sink last, as the send saw them
+        at mobility step ``step``. Returns which log counter the send moves.
         """
         if not ledger.alive[i]:
             return "dropped_dead"
@@ -126,12 +136,15 @@ class Oracle:
             dx, dy = pos[cur][0] - pos[nh][0], pos[cur][1] - pos[nh][1]
             d = math.sqrt(dx * dx + dy * dy)
             if d > radio_range or (nh != self.bs and not ledger.alive[nh]):
+                unchanged = self.last_hop.get(cur) == (seq, metric, nh, step)
+                self.dead_since_last_hop += unchanged and nh in self.dump_deaths
                 self.table[cur][self.bs] = (seq + 1, int(NO_ROUTE), nh)
                 self.invalidated += 1
                 return "dropped_unreachable"
             if not (ledger.alive[cur] and ledger.consume(cur, radio.tx_energy(bits, d), t_us)):
                 self.died_on_path += 1
                 return "dropped_dead"
+            self.last_hop[cur] = (seq, metric, nh, step)
             if nh == self.bs:
                 return "reached"
             if not (ledger.alive[nh] and ledger.consume(nh, radio.rx_energy(bits), t_us)):
@@ -208,6 +221,10 @@ def replay(cfg, on_grid=False):
             counters = send_counters(world.log)
             heard.clear()
             real_handler(t_us, payload)
+            if kind != EventKind.DATA_SEND:
+                oracle.dump_deaths.update(
+                    i for i, was in enumerate(alive) if was and not world.ledger.alive[i]
+                )
             if kind == EventKind.BS_ROUTE_DUMP:
                 oracle.bs_dump(heard[0][0])
             elif kind == EventKind.ROUTE_DUMP:
@@ -221,7 +238,7 @@ def replay(cfg, on_grid=False):
                 ended = [
                     oracle.send(
                         i, shadow, pos, world.radio, cfg.radio_range_rr_m,
-                        cfg.packet_size_bits, t,
+                        cfg.packet_size_bits, t, world.mobility_step,
                     )
                     for t, i in sent
                 ]
@@ -312,3 +329,21 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     # dumps skip the merge, and draws in which that never happened
     assert saturated > 20
     assert 100 - saturated > 20
+
+
+def test_tables_match_the_scalar_oracle_when_dumps_kill_relays():
+    # long dump entries, dense traffic and short intervals: relays die in
+    # dumps while their neighbours still send through them in the same step
+    rng = np.random.default_rng(2024)
+    dead_since_last_hop = 0
+    for _ in range(100):
+        cfg = dataclasses.replace(
+            draw_config(rng),
+            dsdv_entry_bits=2000,
+            traffic_rate_pps=40.0,
+            dsdv_update_interval_s=0.1,
+        )
+        dead_since_last_hop += replay(cfg).dead_since_last_hop
+    # sends that found their next hop dead in a dump since their last hop
+    # through it, in one mobility step, with the route unchanged
+    assert dead_since_last_hop > 5

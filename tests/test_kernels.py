@@ -91,7 +91,8 @@ def test_pairwise_matches_scalar_formula():
 
 def test_pairwise_bit_identical_to_scalar_loop():
     rng = np.random.default_rng(23)
-    for n in (1, 2, 7, 64, 200):
+    # sizes on both sides of the block boundaries, too
+    for n in (1, 2, 7, 63, 64, 65, 200, 513):
         pos = rng.uniform(0.0, 7500.0, size=(n, 2))
         d = pairwise_distances(pos)
         assert d.shape == (n, n)
@@ -102,8 +103,7 @@ def test_in_place_fill_matches_a_fresh_matrix():
     rng = np.random.default_rng(29)
     pos = rng.uniform(0.0, 7500.0, size=(65, 2))
     out = np.full((65, 65), np.nan)
-    tmp = np.empty((65, 65))
-    assert pairwise_distances(pos, out, tmp) is out
+    assert pairwise_distances(pos, out) is out
     assert np.array_equal(out, scalar_pairwise(pos))
 
 

@@ -16,7 +16,14 @@ from mleachsim.mleach import (
 )
 from mleachsim.simulation import InvariantViolation
 
-from conftest import assert_ledgers_equal, charged, copy_ledger, queue_readings
+from conftest import (
+    assert_ledgers_equal,
+    charged,
+    consume_calls,
+    copy_ledger,
+    queue_readings,
+    unicast,
+)
 
 
 class ConstStream:
@@ -755,3 +762,30 @@ def test_walk_matches_a_per_frame_replay(world_factory, case):
     assert world.ledger.consumed.any()
     if "dies" in case.__name__ or "kills" in case.__name__ or "exactly" in case.__name__:
         assert not world.ledger.alive.all()
+
+
+# -- the walk's charging rule: a payer left alive pays inline, any other
+# charge goes through consume
+
+
+@pytest.mark.parametrize("payer", [0, 1])
+def test_an_exact_payment_goes_through_consume_and_kills_at_the_frame_time(
+    world_factory, monkeypatch, payer
+):
+    world = world_factory([(500.0, 600.0), (300.0, 600.0)])
+    ledger = world.ledger
+    rx, tx = prices(world, 0, 1)
+    # the sender pays exactly its tx, or the receiver exactly its rx
+    price = (tx, rx)[payer]
+    ledger.energy[payer] = price
+    want = charged(ledger, [(0, tx), (1, rx)], 1_000)
+    calls = consume_calls(monkeypatch, ledger)
+    assert unicast(world, 0, 1, 200.0, 4096, 1_000)
+    assert calls == [(payer, price, 1_000)]
+    assert not ledger.alive[payer] and ledger.death_time_us[payer] == 1_000
+    assert_ledgers_equal(ledger, want)
+    # the survivor has more than a 1-bit frame's tx, so it pays inline, and
+    # the dead node is not charged at all
+    calls.clear()
+    unicast(world, 1 - payer, payer, 200.0, 1, 2_000)
+    assert calls == []

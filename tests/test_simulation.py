@@ -434,6 +434,27 @@ def test_strict_final_checks_ledger_drift():
         world._check_final()
 
 
+@pytest.mark.parametrize(
+    "total, ulps, raises",
+    [
+        (2.0**22, 1, False),  # 0.93e-9 J, inside 1e-9 J
+        (2.0**22, 2, True),  # 1.86e-9 J
+        (2.0**40, 1, False),  # 2.4e-4 J, one ulp
+        (2.0**40, 2, True),
+    ],
+)
+def test_strict_drift_bound_is_1e_9_j_up_to_2_23_j_then_one_ulp(total, ulps, raises):
+    world = make_world([(0.0, 0.0)])
+    ledger = world.ledger
+    ledger.consumed[0] = total
+    ledger._total = total + ulps * math.ulp(total)
+    if raises:
+        with pytest.raises(InvariantViolation, match="drift"):
+            world._check_final()
+    else:
+        world._check_final()
+
+
 def test_default_config_round_trip_runs():
     # the stock scenario, cut down to a quick horizon, runs clean end to end
     cfg = SimConfig(node_count=48, sim_duration_s=6, bs_position=(3750.0, 3750.0))

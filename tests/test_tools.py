@@ -145,3 +145,49 @@ def test_digest_sweep_draws_every_config_field():
     draws = [tool.draw_config(np.random.default_rng([0, k])) for k in range(50)]
     for field in fields(SimConfig):
         assert len({getattr(cfg, field.name) for cfg in draws}) > 1, field.name
+
+
+def bench_stdout(run_s, setup_s, rss, failed=0):
+    """What perfbench/bench.py prints for an untraced run: lines, then the result."""
+    metrics = {"run_s": (run_s, "s"), "setup_s": (setup_s, "s"), "peak_rss_mb": (rss, "MB")}
+    result = {
+        "correct": failed == 0,
+        "attempted": 9,
+        "failed": failed,
+        "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()},
+    }
+    return f"workload flood-dsdv  seed 1  horizon 10 s\nrun_s 0.5 s\n{json.dumps(result)}\n"
+
+
+def test_bench_pairs_summarizes_canned_pairs():
+    tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
+    spec = json.loads((TOOLS.parent / "BENCHMARK.json").read_text())
+    base = [(0.56, 0.160, 40.6), (0.57, 0.161, 40.5), (0.55, 0.159, 40.6), (0.58, 0.162, 40.7)]
+    change = [(0.50, 0.161, 38.8), (0.49, 0.160, 38.9), (0.56, 0.162, 38.8), (0.48, 0.160, 38.7)]
+    runs = [
+        (tool.read_result(bench_stdout(*b)), tool.read_result(bench_stdout(*c, failed=k == 3)))
+        for k, (b, c) in enumerate(zip(base, change))
+    ]
+    summary = tool.summarize_workload(runs, spec)
+    assert summary["failed"] == {"pa": 0, "ch": 1}
+    assert summary["attempted"] == {"pa": 36, "ch": 36}
+    run_s = summary["metrics"]["run_s"]
+    assert run_s["pairs"] == [[b[0], c[0]] for b, c in zip(base, change)]
+    # inclusive quartiles of 0.55, 0.56, 0.57, 0.58 and of 0.48, 0.49, 0.50, 0.56
+    assert run_s["base"] == pytest.approx({"q1": 0.5575, "median": 0.565, "q3": 0.5725})
+    assert run_s["change"] == pytest.approx({"q1": 0.4875, "median": 0.495, "q3": 0.515})
+    assert run_s["wins"] == 3  # the third pair went the other way
+    assert run_s["rel_change"] == pytest.approx(0.495 / 0.565 - 1.0)
+    # a lower value wins for every end-to-end metric; a tie is no win
+    setup_s = summary["metrics"]["setup_s"]
+    assert setup_s["wins"] == 2
+    assert summary["metrics"]["peak_rss_mb"]["wins"] == 4
+    assert tool.summarize([(2.0, 3.0), (2.0, 1.0)], "higher")["wins"] == 1
+    assert tool.summarize([(1.0, 1.0)], "lower")["wins"] == 0
+    assert tool.summarize([(0.5, 0.4)], "lower")["base"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
+
+
+def test_bench_pairs_reads_the_sweep_comparison():
+    tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
+    text = "changed 3:dsdv:plain\n1 of 3000 digests changed, 2 unmatched\n"
+    assert tool.parse_sweep(text) == {"changed": 1, "compared": 3000, "unmatched": 2}

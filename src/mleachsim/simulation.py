@@ -44,10 +44,11 @@ from .traffic import OnOffTraffic
 # protocol name -> class, in the order the CLI runs "both"
 PROTOCOLS = {"mleach": MleachProtocol, "dsdv": DsdvProtocol}
 
-# strict mode's ledger drift bound: 1e-9 J up to 2**23 J of total, where one
-# ulp of the total is below 1e-9 J, and DRIFT_ULPS ulps of the total above,
-# so the bound scales with the energy unit. No run measured drifted more
-# than one ulp, and a total scaled by 2**30 drifts exactly 2**30 times as far
+# strict mode's ledger drift bound: the larger of 1e-9 J and DRIFT_ULPS ulps
+# of the total, so 1e-9 J below 2**23 J of total, where one ulp is below
+# 1e-9 J, and DRIFT_ULPS ulps from there on; the bound scales with the energy
+# unit. No run measured drifted more than one ulp, and a total scaled by
+# 2**30 drifts exactly 2**30 times as far
 DRIFT_ULPS = 1
 
 
@@ -342,7 +343,7 @@ class World:
             raise InvariantViolation("alive flags disagree with residual energy")
         drift = ledger.conservation_drift()
         total = ledger.total_consumed()
-        bound = 1e-9 if total <= 2.0**23 else DRIFT_ULPS * math.ulp(total)
+        bound = max(1e-9, DRIFT_ULPS * math.ulp(total))
         if drift > bound:
             raise InvariantViolation(f"energy ledger drift {drift} J exceeds {bound} J")
 

@@ -439,6 +439,8 @@ def test_strict_final_checks_ledger_drift():
     [
         (2.0**22, 1, False),  # 0.93e-9 J, inside 1e-9 J
         (2.0**22, 2, True),  # 1.86e-9 J
+        (2.0**23, 1, False),  # 1.86e-9 J, one ulp past 1e-9 J
+        (2.0**23, 2, True),
         (2.0**40, 1, False),  # 2.4e-4 J, one ulp
         (2.0**40, 2, True),
     ],

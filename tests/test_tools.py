@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import fields
@@ -191,3 +192,31 @@ def test_bench_pairs_reads_the_sweep_comparison():
     tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
     text = "changed 3:dsdv:plain\n1 of 3000 digests changed, 2 unmatched\n"
     assert tool.parse_sweep(text) == {"changed": 1, "compared": 3000, "unmatched": 2}
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_bench_pairs_names_the_measured_tree(tmp_path, monkeypatch):
+    tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    monkeypatch.setattr(tool, "ROOT", repo)
+    ident = ["-c", "user.name=t", "-c", "user.email=t@t"]
+    (repo / ".gitignore").write_text("*.out\n")
+    (repo / "a.py").write_text("a = 1\n")
+    tool.git("init", "-q")
+    tool.git("add", "--all")
+    tool.git(*ident, "commit", "-q", "-m", "a")
+    head_tree = tool.git("rev-parse", "HEAD^{tree}").strip()
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    # a clean tree is HEAD's tree; an ignored file changes nothing
+    (repo / "run.out").write_text("x\n")
+    assert tool.work_tree_id(scratch) == head_tree
+    # an edit and a new, unignored file are measured, and the real index is untouched
+    (repo / "a.py").write_text("a = 2\n")
+    (repo / "b.py").write_text("b = 1\n")
+    changed = tool.work_tree_id(scratch)
+    assert changed != head_tree
+    assert tool.git("ls-tree", "--name-only", changed).split() == [".gitignore", "a.py", "b.py"]
+    assert tool.git("show", f"{changed}:a.py") == "a = 2\n"
+    assert tool.git("diff", "--cached", "--name-only") == ""

@@ -3,29 +3,27 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --base <rev> --out BENCH_<label>.json
-        [--pairs 10] [--seconds 30] [--workload W ...] [--sweep 600]
-        [--scratch DIR]
+    python3 tools/bench_pairs.py --base <rev> --out BENCH_<label>.json [--pairs 10]
 
-Two checkouts are built side by side in the scratch directory (default: a
-temporary one): ``pa``, a ``git archive`` of the base, and ``ch``, a copy
-of the work tree's files that git tracks or would track. Their names have
-the same length, because ``setup_s`` moves with the length of the
-checkout's path. Per workload (default: every one in ``BENCHMARK.json``)
-the tool runs ``--pairs`` pairs of untraced ``perfbench/bench.py`` runs of
-``--seconds`` each, the base first in odd pairs and second in even ones,
-then one ``--trace 1`` run per side. Last, ``tools/digest_sweep.py --n
-<sweep>`` runs on both sides, with this tree's copy of the tool and only
-``PYTHONPATH`` differing, and the two digest files are compared
-(``--sweep 0`` skips it).
+Two checkouts are built side by side in a temporary directory, both by
+``git archive``: ``pa`` of the base, and ``ch`` of the work tree's files
+that git tracks or would track, written as a tree object through a
+temporary index. Their names have the same length, because ``setup_s``
+moves with the length of the checkout's path. Per workload of
+``BENCHMARK.json`` the tool runs ``--pairs`` pairs of untraced
+``perfbench/bench.py`` runs of its default length (``run_seconds``), the
+base first in odd pairs and second in even ones, then one ``--trace 1``
+run per side. Last, ``tools/digest_sweep.py --n 600`` runs on both sides,
+with this tree's copy of the tool and only ``PYTHONPATH`` differing, and
+the two digest files are compared.
 
 The record holds, per workload and end-to-end metric: every pair, each
 side's median and quartiles, how many pairs the change won, and the
 relative change of the medians. It also holds each side's per-layer
 split, its failed and attempted simulation counts, the sweep's changed
-and unmatched digest counts, the base revision, the work tree's ``HEAD``
-and whether it had uncommitted changes, and the host (CPU count, Python,
-numpy).
+and unmatched digest counts, ``run_seconds``, the base revision, the work
+tree's ``HEAD``, the id of the tree measured as ``ch`` and whether it
+differs from ``HEAD``'s tree, and the host (CPU count, Python, numpy).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import json
 import os
 import platform
 import re
-import shutil
 import statistics
 import subprocess
 import sys
@@ -44,32 +41,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("pa", "ch")  # base, change: names of one length
+SWEEP_DRAWS = 600
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=True
     ).stdout
 
 
-def build_checkouts(base: str, scratch: Path) -> dict[str, Path]:
-    """The base from ``git archive`` and a copy of the work tree, side by side."""
-    trees = {side: scratch / side for side in SIDES}
-    for tree in trees.values():
-        if tree.exists():
-            shutil.rmtree(tree)
-        tree.mkdir(parents=True)
-    archive = subprocess.run(
-        ["git", "archive", "--format=tar", base], cwd=ROOT, check=True, capture_output=True
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(trees["pa"])], input=archive, check=True)
-    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
-    for name in filter(None, listed.split("\0")):
-        src = ROOT / name
-        if src.is_file():
-            dst = trees["ch"] / name
-            dst.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copy2(src, dst)
+def work_tree_id(scratch: Path) -> str:
+    """The tree object of the work tree's tracked and unignored files, as they are now."""
+    env = dict(os.environ, GIT_INDEX_FILE=str(scratch / "index"))
+    git("add", "--all", env=env)
+    return git("write-tree", env=env).strip()
+
+
+def build_checkouts(base: str, change: str, scratch: Path) -> dict[str, Path]:
+    """``git archive`` of the base and of the change, side by side."""
+    trees = {}
+    for side, rev in zip(SIDES, (base, change)):
+        trees[side] = scratch / side
+        trees[side].mkdir()
+        archive = subprocess.run(
+            ["git", "archive", "--format=tar", rev], cwd=ROOT, check=True, capture_output=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(trees[side])], input=archive, check=True)
     return trees
 
 
@@ -83,10 +80,9 @@ def read_result(stdout: str) -> dict:
     }
 
 
-def bench(tree: Path, workload: str, seconds: float, trace: bool) -> dict:
+def bench(tree: Path, workload: str, trace: bool) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/bench.py", "--workload", workload,
-         "--seconds", str(seconds), "--trace", str(int(trace))],
+        [sys.executable, "perfbench/bench.py", "--workload", workload, "--trace", str(int(trace))],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -138,20 +134,21 @@ def parse_sweep(text: str) -> dict:
     return {"changed": changed, "compared": compared, "unmatched": unmatched}
 
 
-def sweep(trees: dict[str, Path], n: int, scratch: Path) -> dict:
+def sweep(trees: dict[str, Path], scratch: Path) -> dict:
     tool = str(trees["ch"] / "tools" / "digest_sweep.py")
     files = {}
     for side, tree in trees.items():
         files[side] = str(scratch / f"sweep-{side}.json")
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         subprocess.run(
-            [sys.executable, tool, "--n", str(n), "--out", files[side]], env=env, check=True
+            [sys.executable, tool, "--n", str(SWEEP_DRAWS), "--out", files[side]],
+            env=env, check=True,
         )
     proc = subprocess.run(
         [sys.executable, tool, "--compare", files["pa"], files["ch"]],
         capture_output=True, text=True,
     )
-    return dict(parse_sweep(proc.stdout), n=n)
+    return dict(parse_sweep(proc.stdout), n=SWEEP_DRAWS)
 
 
 def host() -> dict:
@@ -169,40 +166,36 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--out", required=True, help="record file to write")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0, help="per bench.py run")
-    parser.add_argument("--workload", action="append", help="default: every workload")
-    parser.add_argument("--sweep", type=int, default=600, help="draws of the digest sweep")
-    parser.add_argument("--scratch", help="directory for the checkouts (default: temporary)")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
     with tempfile.TemporaryDirectory() as tmp:
-        scratch = Path(args.scratch or tmp)
-        trees = build_checkouts(args.base, scratch)
+        scratch = Path(tmp)
+        tree = work_tree_id(scratch)
+        trees = build_checkouts(args.base, tree, scratch)
         record = {
             "base": git("rev-parse", args.base).strip(),
             "head": git("rev-parse", "HEAD").strip(),
-            "uncommitted": bool(git("status", "--porcelain")),
+            "tree": tree,
+            "uncommitted": tree != git("rev-parse", "HEAD^{tree}").strip(),
             "host": host(),
-            "seconds": args.seconds,
+            "run_seconds": spec["run_seconds"],
             "workloads": {},
         }
-        for name in workloads:
+        for name in (w["name"] for w in spec["workloads"]):
             runs = []
             for k in range(args.pairs):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                got = {side: bench(trees[side], name, args.seconds, False) for side in order}
+                got = {side: bench(trees[side], name, False) for side in order}
                 runs.append((got["pa"], got["ch"]))
                 print(f"{name} pair {k + 1}: run_s {got['pa']['metrics']['run_s']:.4f} "
                       f"-> {got['ch']['metrics']['run_s']:.4f}", flush=True)
             summary = summarize_workload(runs, spec)
             summary["per_layer"] = {
-                side: bench(trees[side], name, args.seconds, True)["metrics"] for side in SIDES
+                side: bench(trees[side], name, True)["metrics"] for side in SIDES
             }
             record["workloads"][name] = summary
-        if args.sweep:
-            record["sweep"] = sweep(trees, args.sweep, scratch)
+        record["sweep"] = sweep(trees, scratch)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     return 0
 

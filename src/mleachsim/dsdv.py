@@ -166,7 +166,7 @@ class DsdvProtocol:
         - frames at the same microsecond keep id order, which was their
           ``seq`` order as one event each;
         - everything bound once per run (``World.distances()``, as a walk
-          may read any pair, and the ledger's views) changes only in a
+          may read any pair, and the ledger's lists) changes only in a
           queued event, and a run ends before any: positions change only
           in ``World._move``, and the ledger's totals are held here and
           written back. Distances are bit-identical however they are
@@ -214,14 +214,14 @@ class DsdvProtocol:
         run that goes through ``consume``, the only charges that can kill.
 
         Charges follow ``radio``'s rule: a payer whose residual exceeds the
-        price pays inline, ``consume``'s Neumaier and Kahan steps on views
-        and totals bound once per run, and stays alive; any other charge
-        goes through ``consume``, with the totals written back around it. A
-        frame makes about four charges, and the per-call overhead of
-        ``consume`` was most of its cost. A path walk shared with mleach's
-        data plane cost flood-dsdv 10-12% in each of three designs
-        measured. A run of frames per event, in place of one event per
-        frame, saves each frame a heap push and pop, a handler call and
+        price pays inline, ``consume``'s Neumaier and Kahan steps on the
+        ledger's lists and totals bound once per run, and stays alive; any
+        other charge goes through ``consume``, with the totals written back
+        around it. A frame makes about four charges, and the per-call
+        overhead of ``consume`` was most of its cost. A path walk shared
+        with mleach's data plane cost flood-dsdv 10-12% in each of three
+        designs measured. A run of frames per event, in place of one event
+        per frame, saves each frame a heap push and pop, a handler call and
         those bindings; on ``table1.cfg`` about 7 frames fall between two
         route dumps. ``tests/test_dsdv_oracle.py`` replays every frame as
         fully checked per-hop ``consume`` calls on a copy of the ledger and
@@ -231,9 +231,9 @@ class DsdvProtocol:
         log = world.log
         ledger = world.ledger
         alive = ledger.alive_mv
-        energy = ledger._energy_mv
-        consumed = ledger._consumed_mv
-        comp = ledger._comp_mv
+        energy = ledger.energy
+        consumed = ledger.consumed
+        comp = ledger.consumed_comp
         total = ledger._total
         total_comp = ledger._total_comp
         link_key = self._link_key

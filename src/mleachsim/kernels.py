@@ -1,9 +1,11 @@
-"""The numpy hot kernels: distance rows and matrices, batched charging, route merges.
+"""The hot kernels: distance rows and matrices, batched charging, route merges.
 
-Vectorization does not change outcomes: every floating-point operation maps
-to the same IEEE-754 operation per element as a scalar loop would (multiply,
-add, subtract, correctly-rounded sqrt), so results match the scalar formulas
-bit for bit. The route merge works on DSDV's routes to the sink, the only
+Distances and route merges are vectorized numpy; batched charging is one
+Python loop over the ledger's lists (see ``charge_uniform``). Neither
+changes outcomes: every floating-point operation maps to the same IEEE-754
+operation per element as a scalar loop would (multiply, add, subtract,
+correctly-rounded sqrt), so results match the scalar formulas bit for
+bit. The route merge works on DSDV's routes to the sink, the only
 destination whose (sequence, metric, next hop) a run reads: one packed key
 and one next hop per node.
 """
@@ -69,12 +71,12 @@ def pairwise_distances(pos: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def charge_uniform(
-    energy: np.ndarray,
-    consumed: np.ndarray,
-    comp: np.ndarray,
+    energy: list[float],
+    consumed: list[float],
+    comp: list[float],
     ids: np.ndarray,
     amount: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, list[int], list[float]]:
     """Charge the same amount to every listed node, clamping at zero.
 
     ids must be sorted and refer to nodes that are still alive. Returns
@@ -87,35 +89,40 @@ def charge_uniform(
     Per-node consumed totals use Neumaier compensation (comp holds the
     low-order bits) so subtotal drift stays at ulp scale over millions of
     charges; a node's true subtotal is consumed[i] + comp[i].
+
+    One loop over the listeners runs ``EnergyLedger.consume``'s clamp and
+    Neumaier step for each, on the ledger's lists, so every node gets the
+    same IEEE operations as a charge of its own. It costs about 0.12 us a
+    listener (1.7 us at 10, 7.0 us at 57, 36.9 us at 300); a vectorized
+    charge cost about 6.5 us a call flat (9.1 us at 300), so the two break
+    even near 50 listeners. ``table1.cfg``'s DSDV dumps average 57, so
+    each pays a little more, and the lists save more than that in the
+    data planes' inline charges. Denser fields pay more per dump.
     """
-    e = energy[ids]
-    all_pay = len(e) and np.minimum.reduce(e) > amount
-    if all_pay:
-        # the common case: everyone pays in full and, as e - amount > 0 for
-        # e > amount, nobody reaches zero; no partial payers, no death scan
-        x = amount
-        e -= amount
-        paid, died, burned = ids, ids[:0], e[:0]
-    else:
-        ok = e >= amount
-        # a partial payer gives up its residual: e - e is 0.0
-        x = np.where(ok, amount, e)
-        paid, burned = ids[ok], e[~ok]
-        e = e - x
-        died = ids[e == 0.0]
-    energy[ids] = e
-    s = consumed[ids]
-    t = s + x
-    # (s - t) + x where s >= x, else (x - t) + s; x <= amount, so with
-    # every s >= amount (the common case) the second form is never taken
-    a = s - t
-    a += x
-    if not all_pay or np.minimum.reduce(s) < amount:
-        b = x - t
-        b += s
-        np.copyto(a, b, where=s < x)
-    comp[ids] += a
-    consumed[ids] = t
+    short = []
+    burned = []
+    died = []
+    for i in ids.tolist():
+        e = energy[i]
+        if e > amount:
+            # as e - amount > 0 for e > amount, nobody here reaches zero
+            energy[i] = e - amount
+            x = amount
+        else:
+            if e >= amount:
+                x = amount
+            else:
+                # a partial payer gives up its residual
+                x = e
+                short.append(i)
+                burned.append(e)
+            energy[i] = 0.0
+            died.append(i)
+        s = consumed[i]
+        t = s + x
+        comp[i] += (s - t) + x if s >= x else (x - t) + s
+        consumed[i] = t
+    paid = ids[np.isin(ids, short, invert=True)] if short else ids
     return paid, died, burned
 
 

@@ -404,8 +404,8 @@ class MleachProtocol:
 
         Charges follow ``radio``'s rule, as in ``DsdvProtocol._send``: a
         payer whose residual exceeds the charge pays inline, ``consume``'s
-        Neumaier and Kahan steps on views and totals bound once per
-        backlog, and stays alive; any other charge goes through
+        Neumaier and Kahan steps on the ledger's lists and totals bound
+        once per backlog, and stays alive; any other charge goes through
         ``consume``, with the totals written back around it. A ``consume``
         call per charge was the largest cost of mleach's data plane.
         ``tests/test_mleach.py`` replays backlogs as per-frame ``consume``
@@ -414,9 +414,9 @@ class MleachProtocol:
         world = self.world
         ledger = world.ledger
         alive = ledger.alive_mv
-        energy = ledger._energy_mv
-        consumed = ledger._consumed_mv
-        comp = ledger._comp_mv
+        energy = ledger.energy
+        consumed = ledger.consumed
+        comp = ledger.consumed_comp
         total = ledger._total
         total_comp = ledger._total_comp
         strict = world.strict

@@ -5,14 +5,15 @@ name) validates the config, once, and builds the run's log; World.run
 runs PROTOCOLS[name](world).
 
 A run owns: node positions (base station as the final row), the energy
-ledger, random-waypoint mobility, On-Off traffic, distances between nodes,
-and the event queue. Distances live in one held (n+1) x (n+1) buffer whose
-rows are filled on demand, each stamped with World.mobility_step, the
-count of position changes, as of its fill: World.dist_row reads one,
-World.distances all. Protocol objects plug into the loop through
-start/on_readings/finish and a ``handlers`` table by event kind, and keep
-their own per-node state. Every broadcast, control or hello, is paid
-through World.broadcast. Each protocol's data plane pays its own frames
+ledger (per-node joules in Python lists, alive flags and death times in
+numpy; see ``radio``), random-waypoint mobility, On-Off traffic,
+distances between nodes, and the event queue. Distances live in one held
+(n+1) x (n+1) buffer whose rows are filled on demand, each stamped with
+World.mobility_step, the count of position changes, as of its fill:
+World.dist_row reads one, World.distances all. Protocol objects plug into
+the loop through start/on_readings/finish and a ``handlers`` table by
+event kind, and keep their own per-node state. Every broadcast, control
+or hello, is paid through World.broadcast. Each protocol's data plane pays its own frames
 hop by hop under one charging rule (see ``radio``): a payer that stays
 alive pays inline, and any other charge goes through
 EnergyLedger.consume. DsdvProtocol._send does so for one run of DSDV
@@ -335,11 +336,12 @@ class World:
         if residual != 0:
             raise InvariantViolation(f"packet conservation broken: residual {residual}")
         ledger = self.ledger
-        if not np.all(ledger.energy >= 0.0):
+        energy = np.asarray(ledger.energy)
+        if not np.all(energy >= 0.0):
             raise InvariantViolation("negative residual energy")
-        if not np.all(ledger.consumed >= 0.0):
+        if not np.all(np.asarray(ledger.consumed) >= 0.0):
             raise InvariantViolation("negative consumed energy")
-        if not np.array_equal(ledger.alive, ledger.energy > 0.0):
+        if not np.array_equal(ledger.alive, energy > 0.0):
             raise InvariantViolation("alive flags disagree with residual energy")
         drift = ledger.conservation_drift()
         total = ledger.total_consumed()

@@ -73,7 +73,8 @@ def copy_ledger(ledger: EnergyLedger) -> EnergyLedger:
 def assert_ledgers_equal(a: EnergyLedger, b: EnergyLedger, when: str = "") -> None:
     """Every array and both running totals equal, bit for bit."""
     for name in LEDGER_ARRAYS:
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), f"{name} {when}"
+        got, want = np.asarray(getattr(a, name)), np.asarray(getattr(b, name))
+        assert got.tobytes() == want.tobytes(), f"{name} {when}"
     for name in ("_total", "_total_comp"):
         assert getattr(a, name).hex() == getattr(b, name).hex(), f"{name} {when}"
 

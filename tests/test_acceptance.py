@@ -220,8 +220,9 @@ def test_criterion_7_structural_invariants(table1):
         assert log.generated == log.delivered + drops
         ledger = world.ledger
         assert ledger.conservation_drift() <= MAX_LEDGER_DRIFT_J
-        assert (ledger.energy >= 0.0).all()
-        assert np.array_equal(ledger.alive, ledger.energy > 0.0)
+        energy = np.asarray(ledger.energy)
+        assert (energy >= 0.0).all()
+        assert np.array_equal(ledger.alive, energy > 0.0)
 
 
 def test_criterion_8_byte_identical_reruns(table1, tmp_path):

@@ -384,7 +384,7 @@ def test_frames_of_one_microsecond_go_in_id_order(world_factory):
     assert frames == []
     # the lowest id went first: node 0's first frame used the relay up, its
     # second and node 2's found the relay dead and invalidated their routes
-    paid = (ledger.consumed - before).tolist()
+    paid = (np.asarray(ledger.consumed) - before).tolist()
     assert paid[:3] == [tx[0], tx[1], 0.0]
     assert not ledger.alive[3] and ledger.death_time_us[3] == 3_500_000
     assert [proto.key[i] & ROUTE_BITS == LIVE for i in range(4)] == [False, True, False, True]

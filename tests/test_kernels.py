@@ -138,15 +138,15 @@ def test_charge_uniform_bit_identical_to_scalar_loop():
         energy, consumed, comp = charge_state(rng, n)
         ids = np.nonzero(rng.random(n) < 0.8)[0]
         amount = float(rng.uniform(0.0, 0.01))
-        state_a = (energy.copy(), consumed.copy(), comp.copy())
+        state_a = (energy.tolist(), consumed.tolist(), comp.tolist())
         state_b = (energy.copy(), consumed.copy(), comp.copy())
         paid_a, died_a, burned_a = charge_uniform(*state_a, ids, amount)
         paid_b, died_b, burned_b = scalar_charge(*state_b, ids, amount)
         assert np.array_equal(paid_a, paid_b)
         assert np.array_equal(np.asarray(died_a), died_b)
-        assert np.array_equal(burned_a, burned_b)
+        assert np.asarray(burned_a, dtype=float).tobytes() == burned_b.tobytes()
         for x, y in zip(state_a, state_b):
-            assert np.array_equal(x, y)
+            assert np.asarray(x).tobytes() == y.tobytes()
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["all-pay", "some-short"])
@@ -168,34 +168,33 @@ def test_charge_uniform_matches_scalar_consume_on_each_branch(short, fresh):
     ids = np.union1d(ids, [1, 3, 5, 17])
     ledger = EnergyLedger(n, 1.0)
     for name, values in (("energy", energy), ("consumed", consumed), ("consumed_comp", comp)):
-        getattr(ledger, name)[:] = values
+        getattr(ledger, name)[:] = values.tolist()
     ok = [ledger.consume(i, amount, 0) for i in ids.tolist()]
-    paid, died, burned = charge_uniform(energy, consumed, comp, ids, amount)
+    state = (energy.tolist(), consumed.tolist(), comp.tolist())
+    paid, died, burned = charge_uniform(*state, ids, amount)
     assert paid.tolist() == ids[ok].tolist()
     assert np.asarray(died).tolist() == np.flatnonzero(~ledger.alive).tolist()
     assert len(died) == 2 * short and len(burned) == short
     want = (ledger.energy, ledger.consumed, ledger.consumed_comp)
-    for got, ref in zip((energy, consumed, comp), want):
-        assert got.tobytes() == ref.tobytes()
+    for got, ref in zip(state, want):
+        assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
 
 
 def test_charge_uniform_exact_residual_and_partial():
-    energy = np.array([1.0, 0.5, 0.5, 0.2])
-    consumed = np.zeros(4)
-    comp = np.zeros(4)
+    energy = [1.0, 0.5, 0.5, 0.2]
+    consumed = [0.0] * 4
+    comp = [0.0] * 4
     paid, died, burned = charge_uniform(energy, consumed, comp, np.arange(4), 0.5)
     assert paid.tolist() == [0, 1, 2]
     assert np.asarray(died).tolist() == [1, 2, 3]
-    assert burned.tolist() == [0.2]
-    assert energy.tolist() == [0.5, 0.0, 0.0, 0.0]
-    assert consumed.tolist() == [0.5, 0.5, 0.5, 0.2]
+    assert burned == [0.2]
+    assert energy == [0.5, 0.0, 0.0, 0.0]
+    assert consumed == [0.5, 0.5, 0.5, 0.2]
 
 
 def test_charge_uniform_empty_ids():
-    energy = np.array([1.0])
-    paid, died, burned = charge_uniform(
-        energy, np.zeros(1), np.zeros(1), np.zeros(0, dtype=np.int64), 0.3
-    )
+    energy = [1.0]
+    paid, died, burned = charge_uniform(energy, [0.0], [0.0], np.zeros(0, dtype=np.int64), 0.3)
     assert len(paid) == 0 and len(died) == 0 and len(burned) == 0
     assert energy[0] == 1.0
 

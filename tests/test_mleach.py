@@ -759,7 +759,7 @@ def test_walk_matches_a_per_frame_replay(world_factory, case):
     assert proto.last_forwarded == ref.last
     assert proto.queued[nodes[0]] == 0
     # every case sends something, and the ones named for a death see one
-    assert world.ledger.consumed.any()
+    assert any(world.ledger.consumed)
     if "dies" in case.__name__ or "kills" in case.__name__ or "exactly" in case.__name__:
         assert not world.ledger.alive.all()
 

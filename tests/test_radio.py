@@ -1,11 +1,15 @@
+import dataclasses
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mleachsim.config import load_config
 from mleachsim.radio import EnergyLedger, RadioModel
+from mleachsim.simulation import PROTOCOLS, World
 
 from conftest import make_world, unicast
 
@@ -134,11 +138,11 @@ def test_dead_nodes_keep_zero_energy_under_more_charges():
     led = EnergyLedger(2, 0.5)
     led.charge_many(np.array([0, 1]), 0.4, now_us=0)
     assert len(led.charge_many(np.array([0, 1]), 0.4, now_us=1)) == 0
-    assert (led.energy == 0.0).all()
+    assert led.energy == [0.0, 0.0]
     assert math.isclose(led.total_consumed(), 1.0)
 
 
-# -- scalar views and the batched path share one state -----------------------
+# -- the scalar and the batched path share one state -------------------------
 
 BITS = 4096
 
@@ -169,7 +173,7 @@ def test_node_killed_by_charge_drops_out_of_the_next_broadcast():
     assert world.alive_in_range(0, 250.0).tolist() == [1]
     assert world.broadcast(0, BITS, 250.0, 5).tolist() == [1]
     assert ledger.consumed[2] == world.cfg.initial_energy_j
-    assert np.array_equal(ledger.alive, ledger.energy > 0.0)
+    assert np.array_equal(ledger.alive, np.asarray(ledger.energy) > 0.0)
 
 
 def primed_twins(rng, n):
@@ -197,7 +201,7 @@ def test_charge_many_matches_consume_loop_bit_for_bit(batch):
     for _ in range(20):
         a, b = primed_twins(rng, int(rng.integers(2, 30)))
         ids = np.flatnonzero(a.alive)
-        amount = BATCHES[batch](a.energy[ids])
+        amount = BATCHES[batch](np.asarray(a.energy)[ids])
         paid = a.charge_many(ids, amount, now_us=11)
         ok = np.array([b.consume(int(i), amount, now_us=11) for i in ids], dtype=bool)
         assert np.array_equal(paid, ids[ok])
@@ -210,3 +214,49 @@ def test_charge_many_matches_consume_loop_bit_for_bit(batch):
             assert ok.all() and not a.alive[ids].all()
         if batch == "mixed":
             assert ok.any() and not ok.all()
+
+
+# -- the ledger's lists hold Python floats ------------------------------------
+
+
+def assert_python_floats(ledger):
+    """Every entry of the three per-node lists is a Python float.
+
+    A numpy scalar stored there equals the float it stands for, bit for
+    bit, so no byte comparison sees it; it only makes every later charge of
+    its node about three times as slow.
+    """
+    for name in ("energy", "consumed", "consumed_comp"):
+        values = getattr(ledger, name)
+        assert type(values) is list, name
+        assert [type(x) for x in values if type(x) is not float] == [], name
+
+
+@pytest.mark.parametrize(
+    "protocol, strict, overrides",
+    [
+        ("mleach", False, {"sim_duration_s": 4}),
+        ("dsdv", False, {"sim_duration_s": 4}),
+        ("dsdv", True, {"sim_duration_s": 6, "initial_energy_j": 150.0}),
+    ],
+    ids=["mleach", "dsdv", "dsdv-drained-strict"],
+)
+def test_ledger_lists_hold_python_floats_after_a_table1_run(protocol, strict, overrides):
+    path = resources.files("mleachsim").joinpath("data/table1.cfg")
+    cfg = dataclasses.replace(load_config(str(path)), **overrides)
+    world = World(cfg, protocol, strict)
+    world.run(PROTOCOLS[protocol](world))
+    ledger = world.ledger
+    assert ledger.total_consumed() > 0.0
+    if strict:
+        assert ledger.deaths > 0
+    assert_python_floats(ledger)
+
+
+def test_ledger_lists_hold_python_floats_after_partial_and_exact_payers():
+    ledger = EnergyLedger(4, 1)
+    ledger.energy[1] = 0.25  # pays exactly, then dies
+    ledger.energy[2] = 0.125  # pays its residual and fails
+    assert ledger.charge_many(np.arange(4), 0.25, now_us=1).tolist() == [0, 1, 3]
+    assert ledger.death_time_us.tolist() == [-1, 1, 1, -1]
+    assert_python_floats(ledger)

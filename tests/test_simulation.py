@@ -190,7 +190,7 @@ def test_sink_sends_and_receives_for_free():
     rx = world.radio.rx_energy(BITS)
     heard = world.broadcast(world.bs_id, BITS, 150.0, 0)
     assert heard.tolist() == [0, 2, 3]
-    assert world.ledger.consumed.tolist() == [rx, 0.0, rx, rx]
+    assert world.ledger.consumed == [rx, 0.0, rx, rx]
     assert world.ledger.total_consumed() == 3 * rx
     before = world.ledger.total_consumed()
     d = world.dist_row(world.bs_id).item(1)

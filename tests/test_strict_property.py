@@ -96,7 +96,7 @@ def assert_scaled_run(base, scaled, joules, meters):
     """scaled is base with every joule times ``joules`` and every position times ``meters``."""
     a, b = base.ledger, scaled.ledger
     for name in ("energy", "consumed", "consumed_comp"):
-        assert np.array_equal(getattr(a, name) * joules, getattr(b, name)), name
+        assert np.array_equal(np.asarray(getattr(a, name)) * joules, getattr(b, name)), name
     assert np.array_equal(a.death_time_us, b.death_time_us)
     assert a.total_consumed() * joules == b.total_consumed()
     assert a.conservation_drift() * joules == b.conservation_drift()

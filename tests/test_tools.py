@@ -188,6 +188,21 @@ def test_bench_pairs_summarizes_canned_pairs():
     assert tool.summarize([(0.5, 0.4)], "lower")["base"] == {"median": 0.5, "q1": 0.5, "q3": 0.5}
 
 
+def test_bench_pairs_takes_each_layer_metric_as_the_median_of_the_traced_runs():
+    tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
+    runs = [
+        {"dsdv.data_send.self_s": 0.160, "dsdv.data_send.calls": 9, "trace_overhead": 1.02},
+        {"dsdv.data_send.self_s": 0.122, "dsdv.data_send.calls": 9, "trace_overhead": 1.05},
+        {"dsdv.data_send.self_s": 0.125, "dsdv.data_send.calls": 9, "trace_overhead": 1.01},
+    ]
+    # each metric on its own: the medians come from different runs
+    assert tool.median_split(runs) == {
+        "dsdv.data_send.self_s": 0.125, "dsdv.data_send.calls": 9, "trace_overhead": 1.02,
+    }
+    assert tool.TRACED_PAIRS == 3
+    assert tool.median_split(runs[:1]) == runs[0]
+
+
 def test_bench_pairs_reads_the_sweep_comparison():
     tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
     text = "changed 3:dsdv:plain\n1 of 3000 digests changed, 2 unmatched\n"

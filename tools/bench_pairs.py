@@ -12,18 +12,21 @@ temporary index. Their names have the same length, because ``setup_s``
 moves with the length of the checkout's path. Per workload of
 ``BENCHMARK.json`` the tool runs ``--pairs`` pairs of untraced
 ``perfbench/bench.py`` runs of its default length (``run_seconds``), the
-base first in odd pairs and second in even ones, then one ``--trace 1``
-run per side. Last, ``tools/digest_sweep.py --n 600`` runs on both sides,
-with this tree's copy of the tool and only ``PYTHONPATH`` differing, and
-the two digest files are compared.
+base first in odd pairs and second in even ones, then ``TRACED_PAIRS``
+alternating pairs of ``--trace 1`` runs: one traced run does not resolve
+a layer's change, as one span of one tree read 0.160, 0.122 and 0.125 s
+in three runs. Last, ``tools/digest_sweep.py --n 600`` runs on both
+sides, with this tree's copy of the tool and only ``PYTHONPATH``
+differing, and the two digest files are compared.
 
 The record holds, per workload and end-to-end metric: every pair, each
 side's median and quartiles, how many pairs the change won, and the
 relative change of the medians. It also holds each side's per-layer
-split, its failed and attempted simulation counts, the sweep's changed
-and unmatched digest counts, ``run_seconds``, the base revision, the work
-tree's ``HEAD``, the id of the tree measured as ``ch`` and whether it
-differs from ``HEAD``'s tree, and the host (CPU count, Python, numpy).
+split, each metric's median over its traced runs, its failed and
+attempted simulation counts, the sweep's changed and unmatched digest
+counts, ``run_seconds``, the base revision, the work tree's ``HEAD``,
+the id of the tree measured as ``ch`` and whether it differs from
+``HEAD``'s tree, and the host (CPU count, Python, numpy).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("pa", "ch")  # base, change: names of one length
 SWEEP_DRAWS = 600
+TRACED_PAIRS = 3
 
 
 def git(*args: str, env: dict | None = None) -> str:
@@ -127,6 +131,11 @@ def summarize_workload(runs: list[tuple[dict, dict]], spec: dict) -> dict:
     }
 
 
+def median_split(runs: list[dict]) -> dict:
+    """Per-layer metrics of one side's traced runs: each metric's median over the runs."""
+    return {name: statistics.median(r[name] for r in runs) for name in runs[0]}
+
+
 def parse_sweep(text: str) -> dict:
     """The changed, compared and unmatched counts of ``digest_sweep.py --compare``."""
     found = re.search(r"(\d+) of (\d+) digests changed, (\d+) unmatched", text)
@@ -191,9 +200,11 @@ def main(argv=None) -> int:
                 print(f"{name} pair {k + 1}: run_s {got['pa']['metrics']['run_s']:.4f} "
                       f"-> {got['ch']['metrics']['run_s']:.4f}", flush=True)
             summary = summarize_workload(runs, spec)
-            summary["per_layer"] = {
-                side: bench(trees[side], name, True)["metrics"] for side in SIDES
-            }
+            traced = {side: [] for side in SIDES}
+            for k in range(TRACED_PAIRS):
+                for side in SIDES if k % 2 == 0 else SIDES[::-1]:
+                    traced[side].append(bench(trees[side], name, True)["metrics"])
+            summary["per_layer"] = {side: median_split(traced[side]) for side in SIDES}
             record["workloads"][name] = summary
         record["sweep"] = sweep(trees, scratch)
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

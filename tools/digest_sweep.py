@@ -14,13 +14,14 @@ function. The budgets reach past what a run can spend, so many runs keep
 every sensor alive to the end: elections across epochs, waypoint arrivals
 and long-lived routes show only there. Runs whose larger frames drain the
 sensors at once still come up, so start-up deaths stay covered. Per
-run it writes one sha256 over the three CSVs and the ledger's
-``consumed``, ``consumed_comp``, ``energy`` and ``death_time_us`` arrays
-and its total; a run that raises is digested by its exception. Each
-draw also digests the ``comparison.csv`` that ``mleach-sim`` writes for
-its two plain runs, under ``k:comparison:plain``, unless either run
-raised. Compare mode diffs two digest files, so that a change meant to
-keep output bytes can be checked against its parent on every draw. Both
+run it writes one sha256 over the three CSVs, the ledger's ``consumed``,
+``consumed_comp``, ``energy`` and ``death_time_us`` as the bytes of
+float64 and int64 arrays (lists or arrays give the same bytes), and its
+total; a run that raises is digested by its exception. Each draw also
+digests the ``comparison.csv`` that ``mleach-sim`` writes for its two
+plain runs, under ``k:comparison:plain``, unless either run raised.
+Compare mode diffs two digest files, so that a change meant to keep
+output bytes can be checked against its parent on every draw. Both
 sides run this one copy of the tool, so that they draw the same configs;
 only the simulator under ``PYTHONPATH`` differs:
 
@@ -144,7 +145,7 @@ def run_digest(cfg, protocol: str, strict: bool, scratch: str):
             h.update(fh.read())
     ledger = world.ledger
     for arr in (ledger.consumed, ledger.consumed_comp, ledger.energy, ledger.death_time_us):
-        h.update(arr.tobytes())
+        h.update(np.asarray(arr).tobytes())
     h.update(repr(ledger.total_consumed()).encode())
     return h.hexdigest(), world.log
 

@@ -42,7 +42,7 @@ def breakdown(cfg, cls):
     world = World(cfg, cls.__name__)
     log = world.log
     proto = cls(world)
-    energy = world.ledger.energy
+    ledger = world.ledger
     spent = {"control": np.zeros(n), "data": np.zeros(n)}
     rejected = np.zeros(n)
     unreachable = dict.fromkeys((NO_PATH[k] for k in sorted(proto.handlers) if k in NO_PATH), 0)
@@ -52,10 +52,10 @@ def breakdown(cfg, cls):
         cause = NO_PATH.get(kind)
 
         def wrapped(t_us, payload):
-            before = energy.copy()
+            before = np.array(ledger.energy)
             dropped, congested = log.dropped_unreachable, log.dropped_congested
             handler(t_us, payload)
-            drop = before - energy
+            drop = before - ledger.energy
             spent[activity] += drop
             # each DSDV send is queued as one frame, so all it cost paid for the rejection
             if kind is EventKind.DATA_SEND and log.dropped_congested > congested:

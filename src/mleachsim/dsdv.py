@@ -255,9 +255,9 @@ class DsdvProtocol:
         max_hops = self.cfg.node_count + 1
         run_t = t_us
         sunk = 0
-        heap = world.queue._heap
+        head = world.queue.head()
         # frames at or before last_t sort before the queue's head
-        last_t = heap[0][0] - (heap[0][1] < EventKind.DATA_SEND) if heap else frames[0][0]
+        last_t = head[0] - (head[1] < EventKind.DATA_SEND) if head else frames[0][0]
         while frames:
             t_us, i = frames[-1]
             if t_us > last_t:

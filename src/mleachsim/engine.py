@@ -63,6 +63,14 @@ class EventQueue:
         heapq.heappush(self._heap, (fire_at_us, kind, self._seq, payload))
         self._seq += 1
 
+    def head(self) -> tuple[int, EventKind] | None:
+        """The (time, kind) of the event pop() returns next, or None if nothing is queued.
+
+        A handler that sends a run of its own items reads it to stop before
+        any queued event that sorts first.
+        """
+        return self._heap[0][:2] if self._heap else None
+
     def pop(self) -> tuple[int, EventKind, Any]:
         fire_at_us, kind, _, payload = heapq.heappop(self._heap)
         self.now_us = fire_at_us

@@ -23,6 +23,20 @@ A backlog (a member's slot, an orphan's flush, a head's own queue when the
 round closes) is sent at one instant, frame by frame, by ``_walk``, which
 also sends heartbeats and is the only place mleach pays for a unicast
 frame.
+
+A round's slots and orphan flushes are one list, its plan:
+``_build_tdma`` appends a ``(t_us, SLOT_START, index, (member, head))``
+item per slot and ``_round_start`` an ``(t_us, ORPHAN_FLUSH, index,
+node)`` item per flush, ``index`` counting insertions, so the sorted plan
+is the order the heap gave them as one event each. The plan is queued as
+one event at its first item, and ``_send_plan`` sends a run of items up
+to the next queued event that sorts first and queues the rest again, as
+``DsdvProtocol._send`` sends DSDV's frames. That is exact: no item
+schedules anything; what an item reads changes only in a queued event
+(positions in MOBILITY_STEP, queued counts in TRAFFIC_GEN, the round's
+context in ROUND_START) or in earlier items; ties in (time, kind) arise
+only inside the plan; and every item sorts before the round's
+ROUND_FINISH, 1 µs rounds included (``_send_plan`` gives the details).
 """
 
 from __future__ import annotations
@@ -164,8 +178,8 @@ class MleachProtocol:
         self.ctx: RoundContext | None = None
         self.handlers = {
             EventKind.ROUND_START: self._round_start,
-            EventKind.SLOT_START: self._slot,
-            EventKind.ORPHAN_FLUSH: self._orphan_flush,
+            EventKind.SLOT_START: self._send_plan,
+            EventKind.ORPHAN_FLUSH: self._send_plan,
             EventKind.ROUND_FINISH: self._round_finish,
         }
 
@@ -216,14 +230,22 @@ class MleachProtocol:
         ctx.cluster_heads = chs = self._hello(elected.tolist(), cfg.cluster_radius_rc_m, t_us)
 
         orphans = self._assign_members(ctx, chs)
-        stranded = self._build_tdma(ctx, t_us)
+        plan: list[tuple[int, EventKind, int, object]] = []
+        stranded = self._build_tdma(ctx, t_us, plan)
         self._build_graph_and_routes(ctx, t_us)
 
         flush = sorted(set(orphans) | set(stranded))
+        # bound once: a property and an enum member cost a lookup per read
+        round_us = cfg.round_us
+        flush_kind = EventKind.ORPHAN_FLUSH
         for rank, i in enumerate(flush):
-            offset = (rank + 1) * cfg.round_us // (len(flush) + 1)
-            world.queue.schedule(t_us + offset, EventKind.ORPHAN_FLUSH, i)
-        world.queue.schedule(t_us + cfg.round_us - 1, EventKind.ROUND_FINISH, r)
+            offset = (rank + 1) * round_us // (len(flush) + 1)
+            plan.append((t_us + offset, flush_kind, len(plan), i))
+        if plan:
+            # the next item last, so a run takes its items from the end
+            plan.sort(reverse=True)
+            world.queue.schedule(plan[-1][0], plan[-1][1], plan)
+        world.queue.schedule(t_us + round_us - 1, EventKind.ROUND_FINISH, r)
 
         world.log.alive_series.append((r, int(np.count_nonzero(ledger.alive))))
         world.log.ch_count_series.append((r, len(ctx.cluster_heads)))
@@ -264,11 +286,13 @@ class MleachProtocol:
                 orphans.append(i)
         return orphans
 
-    def _build_tdma(self, ctx: RoundContext, t_us: int) -> list[int]:
-        """Assign id-ordered slots and broadcast each cluster's schedule.
+    def _build_tdma(self, ctx: RoundContext, t_us: int, plan: list) -> list[int]:
+        """Assign id-ordered slots, broadcast each cluster's schedule, append the slots to plan.
 
-        Returns members stranded by a head that died announcing its
-        schedule; they fall back to direct-to-sink for this round.
+        Each slot is a ``(t_us, SLOT_START, index, (member, head))`` item of
+        the round's plan. Returns members stranded by a head that died
+        announcing its schedule; they fall back to direct-to-sink for this
+        round.
         """
         world = self.world
         cfg = self.cfg
@@ -287,7 +311,7 @@ class MleachProtocol:
             slot_us = cfg.round_us // m
             for slot, i in enumerate(members):
                 ctx.tdma[i] = slot
-                world.queue.schedule(t_us + slot * slot_us, EventKind.SLOT_START, (i, ch))
+                plan.append((t_us + slot * slot_us, EventKind.SLOT_START, len(plan), (i, ch)))
         return stranded
 
     def _build_graph_and_routes(self, ctx: RoundContext, t_us: int) -> None:
@@ -299,6 +323,63 @@ class MleachProtocol:
             ctx.routes[ch] = shortest_route(ctx.ch_graph, ch, world.bs_id)
 
     # -- data plane ----------------------------------------------------------
+
+    def _send_plan(self, t_us: int, plan: list[tuple[int, EventKind, int, object]]) -> None:
+        """Send a run of the round's plan: each item's slot or orphan flush, in order.
+
+        ``plan`` holds ``(t_us, kind, index, payload)`` items, the next item
+        last, as ``_round_start`` builds it; the event fires at the next
+        item's time and kind. Each item goes to ``_slot`` (SLOT_START) or
+        ``_orphan_flush`` (ORPHAN_FLUSH) at its own time until the next one
+        sorts after the queue's head by (time, kind): then the rest of the
+        list is queued again at that item's time and kind and the run ends,
+        as in ``DsdvProtocol._send``. So each item runs just where it ran as
+        one event of its own, and that is exact:
+
+        - no item schedules anything: a slot or a flush charges, counts and
+          hands frames to the sink, so the head is read once per run;
+        - what an item reads changes only in a queued event or in earlier
+          items: positions change in MOBILITY_STEP, queued counts in
+          TRAFFIC_GEN (and in the items' own sends), and ``ctx`` in
+          ROUND_START, and a run ends before any queued event that sorts
+          first. Lives change only by charges, in items or in queued events;
+        - ties in (time, kind) arise only inside the list: only
+          ``_round_start`` makes these two kinds, and one round's items all
+          go before the next round starts. ``index`` is their insertion
+          order, which was their ``seq`` as one event each, so the sorted
+          list keeps it: at one microsecond slots go before flushes, and
+          each kind in the order it was appended;
+        - every item of round r sorts before its ROUND_FINISH at
+          ``t + round_us - 1``: a slot's offset ``slot * (round_us // m)``
+          with ``slot < m`` and a flush's ``(rank + 1) * round_us // (k + 1)``
+          with ``rank < k`` are both below ``round_us``, and ROUND_FINISH is
+          the later kind. With 1 µs rounds the round's start, every item and
+          its ROUND_FINISH fall on one microsecond, in kind order.
+
+        The first item always goes, as its event was the least queued; an
+        item tied with the head also goes, as the head can then only be a
+        later item of the same plan queued as an event of its own. With
+        nothing queued (a direct call), every item goes. ``_slot`` and
+        ``_orphan_flush`` keep their own checks of a dead or empty sender.
+        A plan per round in place of an event per item saves each item a
+        heap push and pop and a handler call, and keeps the heap small. A
+        ``table1.cfg`` round plans about 490 items, 70% of them orphan
+        flushes, and 4% of those flushes send a frame.
+        """
+        queue = self.world.queue
+        slot_kind = EventKind.SLOT_START
+        # items sorting at or before stop go before the queue's head
+        stop = queue.head() or plan[0][:2]
+        while plan:
+            t_us, kind, _, payload = plan[-1]
+            if (t_us, kind) > stop:
+                queue.schedule(t_us, kind, plan)
+                break
+            del plan[-1]
+            if kind is slot_kind:
+                self._slot(t_us, payload)
+            else:
+                self._orphan_flush(t_us, payload)
 
     def _slot(self, t_us: int, member_head: tuple[int, int]) -> None:
         cm, ch = member_head

@@ -17,7 +17,11 @@ or hello, is paid through World.broadcast. Each protocol's data plane pays its o
 hop by hop under one charging rule (see ``radio``): a payer that stays
 alive pays inline, and any other charge goes through
 EnergyLedger.consume. DsdvProtocol._send does so for one run of DSDV
-frames, MleachProtocol._walk for one mleach backlog (and its heartbeats). A frame
+frames, MleachProtocol._walk for one mleach backlog (and its heartbeats). Both
+protocols send in runs: a DSDV second's frames and an mleach round's slots
+and orphan flushes are each one time-ordered list queued as one event, and
+the handler (DsdvProtocol._send, MleachProtocol._send_plan) sends items
+until the next one sorts after EventQueue.head(), then queues the rest. A frame
 needs a live sender that pays tx; a sensor receiver must be alive and pay
 rx, and the sink receives free. The frames of one run or one backlog that
 reach the sink's radio are handed to World.deliver_data in one call, and

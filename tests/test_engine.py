@@ -13,6 +13,21 @@ def test_pop_orders_by_time_then_kind_then_insertion():
     assert got == ["earliest-time", "early-kind", "second-insert", "late-kind"]
 
 
+def test_head_reads_the_next_event_without_popping_it():
+    q = EventQueue()
+    assert q.head() is None
+    q.schedule(5, EventKind.DATA_SEND, "late-kind")
+    q.schedule(7, EventKind.METRIC_SAMPLE, "later")
+    q.schedule(5, EventKind.MOBILITY_STEP, "early-kind")
+    assert q.head() == (5, EventKind.MOBILITY_STEP)
+    assert len(q) == 3
+    assert q.pop() == (5, EventKind.MOBILITY_STEP, "early-kind")
+    assert q.head() == (5, EventKind.DATA_SEND)
+    q.pop()
+    q.pop()
+    assert q.head() is None
+
+
 def test_same_instant_priority_matches_phase_order():
     order = [
         EventKind.METRIC_SAMPLE,

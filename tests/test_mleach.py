@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mleachsim.engine import EventKind, RandomStreams
+from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.mleach import (
     MleachProtocol,
     RoundContext,
@@ -14,7 +14,7 @@ from mleachsim.mleach import (
     run_election,
     shortest_route,
 )
-from mleachsim.simulation import InvariantViolation
+from mleachsim.simulation import InvariantViolation, World
 
 from conftest import (
     assert_ledgers_equal,
@@ -22,6 +22,7 @@ from conftest import (
     consume_calls,
     copy_ledger,
     queue_readings,
+    small_config,
     unicast,
 )
 
@@ -258,15 +259,17 @@ def test_tdma_slots_are_id_ordered(world_factory):
     ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: [7, 3, 9]}
-    assert proto._build_tdma(ctx, 0) == []
+    plan = []
+    assert proto._build_tdma(ctx, 0, plan) == []
     assert ctx.tdma == {3: 0, 7: 1, 9: 2}
     slot_us = world.cfg.round_us // 3
-    fired = [world.queue.pop() for _ in range(3)]
-    assert fired == [
-        (0, EventKind.SLOT_START, (3, 0)),
-        (slot_us, EventKind.SLOT_START, (7, 0)),
-        (2 * slot_us, EventKind.SLOT_START, (9, 0)),
+    # appended to the round's plan in slot order, each with its insertion index
+    assert plan == [
+        (0, EventKind.SLOT_START, 0, (3, 0)),
+        (slot_us, EventKind.SLOT_START, 1, (7, 0)),
+        (2 * slot_us, EventKind.SLOT_START, 2, (9, 0)),
     ]
+    assert len(world.queue) == 0
     # head paid one schedule broadcast sized by member count
     bits = world.cfg.schedule_bits_per_cm * 3
     assert world.ledger.consumed[0] == world.radio.tx_energy(bits, 300.0)
@@ -278,9 +281,10 @@ def test_empty_cluster_skips_schedule_broadcast(world_factory):
     ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: []}
-    proto._build_tdma(ctx, 0)
+    plan = []
+    proto._build_tdma(ctx, 0, plan)
     assert world.ledger.consumed[0] == 0.0
-    assert len(world.queue) == 0
+    assert plan == []
 
 
 def test_schedule_death_strands_members(world_factory):
@@ -291,12 +295,13 @@ def test_schedule_death_strands_members(world_factory):
     ctx = RoundContext()
     ctx.cluster_heads = [0]
     ctx.clusters = {0: [1, 2]}
-    stranded = proto._build_tdma(ctx, 0)
+    plan = []
+    stranded = proto._build_tdma(ctx, 0, plan)
     assert stranded == [1, 2]
     assert not world.ledger.alive[0]
     assert ctx.clusters[0] == []
     assert ctx.tdma == {}
-    assert len(world.queue) == 0
+    assert plan == []
 
 
 # -- data plane -------------------------------------------------------------
@@ -532,6 +537,110 @@ def test_round_starts_are_queued_one_at_a_time(world_factory):
     world.run(proto)  # starts the protocol again
     # every round still ran, in order, and none was queued past the horizon
     assert [r for r, _ in world.log.alive_series] == list(range(1000))
+
+
+# -- the round's plan, sent in runs ----------------------------------------------
+
+
+def start_round(world, proto, heads, t_us, r=1):
+    """``_round_start(t_us, r)`` with exactly ``heads`` elected; returns the items it sends.
+
+    Every other node is excluded, every eligible one draws 0.0, and the
+    slots and flushes are recorded in place of being sent.
+    """
+    proto.exclusion[:] = 1
+    proto.exclusion[heads] = 0
+    world.streams._streams["election"] = ConstStream(0.0)
+    sent = []
+    proto._slot = lambda t, payload: sent.append((t, EventKind.SLOT_START, payload))
+    proto._orphan_flush = lambda t, i: sent.append((t, EventKind.ORPHAN_FLUSH, i))
+    proto._round_start(t_us, r)
+    assert proto.ctx.cluster_heads == heads
+    return sent
+
+
+def test_round_plan_yields_to_a_lower_kind_queued_at_its_next_item(world_factory):
+    # one head, two members: 2 s rounds give slots at 0 and at 1 s, the
+    # instant of the second's TRAFFIC_GEN, which must go first
+    world = world_factory([(100.0, 100.0), (150.0, 100.0), (100.0, 150.0)])
+    proto = MleachProtocol(world)
+    world.queue.schedule(US, EventKind.TRAFFIC_GEN, 1)
+    sent = start_round(world, proto, [0], 0)
+    t_us, kind, plan = world.queue.pop()
+    assert (t_us, kind) == (0, EventKind.SLOT_START)
+    proto.handlers[kind](t_us, plan)
+    assert sent == [(0, EventKind.SLOT_START, (1, 0))]
+    # the rest is queued again at its next item, after the lower kind
+    assert world.queue.head() == (US, EventKind.TRAFFIC_GEN)
+    assert world.queue.pop()[1] == EventKind.TRAFFIC_GEN
+    t_us, kind, rest = world.queue.pop()
+    assert (t_us, kind) == (US, EventKind.SLOT_START) and rest is plan
+    proto.handlers[kind](t_us, rest)
+    assert sent[1:] == [(US, EventKind.SLOT_START, (2, 0))]
+    assert rest == []
+    assert world.queue.pop()[1] == EventKind.ROUND_FINISH
+
+
+def test_round_plans_go_in_time_and_kind_order_in_a_whole_run():
+    cfg = small_config()
+    world = World(cfg, "MleachProtocol")
+    proto = MleachProtocol(world)
+    calls = []
+
+    def traced(kind, handler):
+        def wrapped(t_us, payload):
+            calls.append((t_us, kind))
+            handler(t_us, payload)
+
+        return wrapped
+
+    for name, kind in (
+        ("_sample", EventKind.METRIC_SAMPLE),
+        ("_move", EventKind.MOBILITY_STEP),
+        ("_generate", EventKind.TRAFFIC_GEN),
+    ):
+        setattr(world, name, traced(kind, getattr(world, name)))
+    for name, kind in (("_slot", EventKind.SLOT_START), ("_orphan_flush", EventKind.ORPHAN_FLUSH)):
+        setattr(proto, name, traced(kind, getattr(proto, name)))
+    for kind in (EventKind.ROUND_START, EventKind.ROUND_FINISH):
+        proto.handlers[kind] = traced(kind, proto.handlers[kind])
+    world.run(proto)
+    # every slot and flush ran where it would as an event of its own
+    assert calls == sorted(calls)
+    items = [(t, k) for t, k in calls if k in (EventKind.SLOT_START, EventKind.ORPHAN_FLUSH)]
+    # some fell on a whole second inside a round, where the world's own
+    # events at that second had to go first
+    assert any(t % US == 0 and t % cfg.round_us for t, _ in items)
+
+
+def test_one_microsecond_rounds_send_slots_then_flushes_each_in_insertion_order(world_factory):
+    # heads 0 and 1; head 0's members (4, 5) get their slots first, though
+    # head 1's (2, 3) have lower ids; 6 and 7 are orphans
+    pos = [
+        (100.0, 100.0), (1000.0, 1000.0),
+        (1050.0, 1000.0), (1000.0, 1050.0),
+        (150.0, 100.0), (100.0, 150.0),
+        (100.0, 1000.0), (1000.0, 100.0),
+    ]
+    world = world_factory(pos, round_duration_s=1e-6)
+    proto = MleachProtocol(world)
+    t = 7
+    sent = start_round(world, proto, [0, 1], t)
+    # the round's start, every item and its finish share one microsecond
+    assert world.queue.head() == (t, EventKind.SLOT_START)
+    t_us, kind, plan = world.queue.pop()
+    proto.handlers[kind](t_us, plan)
+    assert plan == []
+    assert sent == [
+        (t, EventKind.SLOT_START, (4, 0)),
+        (t, EventKind.SLOT_START, (5, 0)),
+        (t, EventKind.SLOT_START, (2, 1)),
+        (t, EventKind.SLOT_START, (3, 1)),
+        (t, EventKind.ORPHAN_FLUSH, 6),
+        (t, EventKind.ORPHAN_FLUSH, 7),
+    ]
+    assert world.queue.pop()[:2] == (t, EventKind.ROUND_FINISH)
+    assert world.queue.pop()[:2] == (t + 1, EventKind.ROUND_START)
 
 
 # -- the walk against a per-frame replay -------------------------------------------

@@ -38,34 +38,36 @@ def test_energy_breakdown_accounts_for_every_joule(cls):
 
 
 def test_energy_breakdown_runs_dsdv_one_frame_per_event_to_the_same_end(monkeypatch):
+    # and mleach one round-plan item per event: both send lists in runs
     tool = load_module(TOOLS / "energy_breakdown.py", "energy_breakdown")
     cfg = small_config(bs_mac_capacity_bps=5000.0, sim_duration_s=6)
-    sent = []  # frames sent per DATA_SEND event
-    send = DsdvProtocol._send
+    sent = []  # frames or plan items sent per event
+    for cls, name in ((DsdvProtocol, "_send"), (MleachProtocol, "_send_plan")):
 
-    def counted(proto, t_us, frames):
-        before = len(frames)
-        send(proto, t_us, frames)
-        sent.append(before - len(frames))
+        def counted(proto, t_us, items, send=getattr(cls, name)):
+            before = len(items)
+            send(proto, t_us, items)
+            sent.append(before - len(items))
 
-    monkeypatch.setattr(DsdvProtocol, "_send", counted)
-    log, world, *_ = tool.breakdown(cfg, DsdvProtocol)
-    assert set(sent) == {1}
-    frames = len(sent)
-    sent.clear()
-    plain = simulation.World(cfg, "DsdvProtocol")
-    plain.run(DsdvProtocol(plain))
-    # the plain run sends the same frames in runs of several per event
-    assert sum(sent) == frames and max(sent) > 1
-    assert log.dropped_congested > 0
-    assert_ledgers_equal(world.ledger, plain.ledger)
-    for name in (
-        "generated", "delivered", "dropped_filtered", "dropped_unreachable",
-        "dropped_dead", "dropped_congested", "first_death_s",
-    ):
-        assert getattr(log, name) == getattr(plain.log, name), name
-    assert log.bs_buckets.tolist() == plain.log.bs_buckets.tolist()
-    assert log.energy_series == plain.log.energy_series
+        monkeypatch.setattr(cls, name, counted)
+        sent.clear()
+        log, world, *_ = tool.breakdown(cfg, cls)
+        assert set(sent) == {1}
+        items = len(sent)
+        sent.clear()
+        plain = simulation.World(cfg, cls.__name__)
+        plain.run(cls(plain))
+        # the plain run sends the same items in runs of several per event
+        assert sum(sent) == items and max(sent) > 1
+        assert log.dropped_congested > 0
+        assert_ledgers_equal(world.ledger, plain.ledger, cls.__name__)
+        for name in (
+            "generated", "delivered", "dropped_filtered", "dropped_unreachable",
+            "dropped_dead", "dropped_congested", "first_death_s",
+        ):
+            assert getattr(log, name) == getattr(plain.log, name), (cls.__name__, name)
+        assert log.bs_buckets.tolist() == plain.log.bs_buckets.tolist()
+        assert log.energy_series == plain.log.energy_series
 
 
 def test_energy_breakdown_splits_every_unreachable_drop(capsys):
@@ -86,7 +88,8 @@ def test_energy_breakdown_splits_every_unreachable_drop(capsys):
         "orphans out of sink range",
         "still queued at the end",
     ]
-    assert all(v > 0 for v in unreachable.values())
+    # the split a run of one event per slot and per flush gives
+    assert list(unreachable.values()) == [34, 190, 16]
     assert sum(unreachable.values()) == log.dropped_unreachable
     tool.report("mleach", *result)
     lines = capsys.readouterr().out.splitlines()

@@ -7,10 +7,12 @@ control (hellos, schedules, route dumps) or data (member uplink,
 relaying, sends to the sink). For DSDV it also sums the energy paid for
 frames that the sink channel then rejects; for mleach it splits the
 unreachable drops by where they happen. The split is taken by wrapping the
-entries of the protocol's handler table, and DSDV's runs of frames are
-queued one frame per event, each at its own time and in the order the run
-sends them, so the run itself is unchanged: the printed ratio is the one
-acceptance criterion 2 checks.
+entries of the protocol's handler table. DSDV's runs of frames and
+mleach's round plans (its slots and orphan flushes) are queued one frame
+or one item per event, each at its own time and kind and in the order the
+run sends them, so every event is credited to its own kind and the run
+itself is unchanged: the printed ratio is the one acceptance criterion 2
+checks.
 
 Usage: PYTHONPATH=src python3 tools/energy_breakdown.py
 
@@ -27,6 +29,8 @@ from mleachsim.engine import EventKind
 from mleachsim.simulation import PROTOCOLS, World
 
 CONTROL = {EventKind.ROUND_START, EventKind.BS_ROUTE_DUMP, EventKind.ROUTE_DUMP}
+# the kinds of mleach's round-plan items, queued as one list per round
+PLAN = {EventKind.SLOT_START, EventKind.ORPHAN_FLUSH}
 # mleach's unreachable drops by the event that makes them, printed in the
 # kinds' order; what is left was still queued when the run ended
 NO_PATH = {
@@ -67,11 +71,15 @@ def breakdown(cfg, cls):
     schedule = world.queue.schedule
 
     def one_frame_each(t_us, kind, payload=None):
-        # DSDV queues a run of frames as one event: queue them one per event,
-        # each at its own time and in pop order, as the run would send them
+        # DSDV queues a run of frames, and mleach a round's plan, as one event:
+        # queue them one per event, each at its own time and kind and in pop
+        # order, as the run would send them
         if kind is EventKind.DATA_SEND:
             for frame in reversed(payload):
                 schedule(frame[0], kind, [frame])
+        elif kind in PLAN:
+            for item in reversed(payload):
+                schedule(item[0], item[1], [item])
         else:
             schedule(t_us, kind, payload)
 

@@ -368,18 +368,20 @@ class MleachProtocol:
         """
         queue = self.world.queue
         slot_kind = EventKind.SLOT_START
+        slot = self._slot
+        flush = self._orphan_flush
         # items sorting at or before stop go before the queue's head
         stop = queue.head() or plan[0][:2]
         while plan:
-            t_us, kind, _, payload = plan[-1]
+            t_us, kind, _, payload = item = plan.pop()
             if (t_us, kind) > stop:
+                plan.append(item)
                 queue.schedule(t_us, kind, plan)
                 break
-            del plan[-1]
             if kind is slot_kind:
-                self._slot(t_us, payload)
+                slot(t_us, payload)
             else:
-                self._orphan_flush(t_us, payload)
+                flush(t_us, payload)
 
     def _slot(self, t_us: int, member_head: tuple[int, int]) -> None:
         cm, ch = member_head

@@ -30,8 +30,8 @@ item per slot and ``_round_start`` an ``(t_us, ORPHAN_FLUSH, index,
 node)`` item per flush, ``index`` counting insertions, so the sorted plan
 is the order the heap gave them as one event each. The plan is queued as
 one event at its first item, and ``_send_plan`` sends a run of items up
-to the next queued event that sorts first and queues the rest again, as
-``DsdvProtocol._send`` sends DSDV's frames. That is exact: no item
+to the next queued event that sorts first and queues the rest again, by
+the (time, kind) rule ``DsdvProtocol._send`` stops at. That is exact: no item
 schedules anything; what an item reads changes only in a queued event
 (positions in MOBILITY_STEP, queued counts in TRAFFIC_GEN, the round's
 context in ROUND_START) or in earlier items; ties in (time, kind) arise
@@ -332,9 +332,9 @@ class MleachProtocol:
         item's time and kind. Each item goes to ``_slot`` (SLOT_START) or
         ``_orphan_flush`` (ORPHAN_FLUSH) at its own time until the next one
         sorts after the queue's head by (time, kind): then the rest of the
-        list is queued again at that item's time and kind and the run ends,
-        as in ``DsdvProtocol._send``. So each item runs just where it ran as
-        one event of its own, and that is exact:
+        list is queued again at that item's time and kind and the run ends;
+        ``DsdvProtocol._send`` stops by the same rule. So each item runs just
+        where it ran as one event of its own, and that is exact:
 
         - no item schedules anything: a slot or a flush charges, counts and
           hands frames to the sink, so the head is read once per run;

@@ -5,7 +5,7 @@ costs E_elec*k. Both protocols pay for frames through World.broadcast,
 DsdvProtocol._send and MleachProtocol._walk, which price them with
 RadioModel's formulas and charge EnergyLedger, so totals, clamping, and
 death bookkeeping live in one place. Broadcasts call ``consume`` and
-``charge_many``. _send, per run of DSDV frames, and _walk, per mleach
+``charge_many``. _send, per second of DSDV frames, and _walk, per mleach
 backlog, share one charging rule: a payer whose residual exceeds the
 charge pays inline, ``consume``'s Neumaier and Kahan steps operation for
 operation, and stays alive, as e - j > 0 whenever e > j; every other

@@ -16,16 +16,19 @@ event kind, and keep their own per-node state. Every broadcast, control
 or hello, is paid through World.broadcast. Each protocol's data plane pays its own frames
 hop by hop under one charging rule (see ``radio``): a payer that stays
 alive pays inline, and any other charge goes through
-EnergyLedger.consume. DsdvProtocol._send does so for one run of DSDV
-frames, MleachProtocol._walk for one mleach backlog (and its heartbeats). Both
-protocols send in runs: a DSDV second's frames and an mleach round's slots
-and orphan flushes are each one time-ordered list queued as one event, and
-the handler (DsdvProtocol._send, MleachProtocol._send_plan) sends items
-until the next one sorts after EventQueue.head(), then queues the rest. A frame
-needs a live sender that pays tx; a sensor receiver must be alive and pay
-rx, and the sink receives free. The frames of one run or one backlog that
-reach the sink's radio are handed to World.deliver_data in one call, and
-the sink channel decides them there. Deaths are read from the ledger; the
+EnergyLedger.consume. DsdvProtocol._send does so for one second's DSDV
+frames, MleachProtocol._walk for one mleach backlog (and its heartbeats).
+Both protocols send in runs. A DSDV second's route dumps and frames are one
+run, queued as one DATA_SEND event at the second's TRAFFIC_GEN instant;
+DsdvProtocol._send sends them merged in time order up to
+EventQueue.head(), the next second's first event. An mleach round's slots
+and orphan flushes are one time-ordered list queued as one event;
+MleachProtocol._send_plan sends items until the next one sorts after
+EventQueue.head(), then queues the rest. A frame needs a live sender that
+pays tx; a sensor receiver must be alive and pay rx, and the sink receives
+free. The frames of one DSDV second or one backlog that reach the sink's
+radio are handed to World.deliver_data in one call, and the sink channel
+decides them there. Deaths are read from the ledger; the
 world learns of none as they happen. Strict mode layers invariant checks
 over a run and raises InvariantViolation on the first breach.
 """
@@ -244,8 +247,8 @@ class World:
 
         The channel has final say: each frame is counted delivered in that
         second's bucket or dropped as congested. A protocol hands over all
-        the frames of one instant, or one run of DSDV frames, in one call.
-        That is exact because nothing reads ``delivered``,
+        the frames of one instant, or one second of DSDV frames, in one
+        call. That is exact because nothing reads ``delivered``,
         ``dropped_congested`` or ``bs_buckets`` before the run ends, and
         ``BsChannel.admit`` decides k frames as k single ones.
         """

@@ -6,7 +6,7 @@ import pytest
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import US, EventKind, RandomStreams
 from mleachsim.kernels import LIVE, NO_ROUTE, ROUTE_BITS, route_key
-from mleachsim.simulation import run_simulation
+from mleachsim.simulation import World, run_simulation
 
 from conftest import assert_ledgers_equal, charged, consume_calls, small_config
 
@@ -104,9 +104,10 @@ def test_dumps_nobody_hears_change_no_route(world_factory):
     assert world.ledger.consumed[0] == want
     assert proto.key[0] == route_key(2, 1)
     assert proto.known == [1]
-    # both dumps queued their successors
-    kinds = sorted(world.queue.pop()[1] for _ in range(2))
-    assert kinds == [EventKind.BS_ROUTE_DUMP, EventKind.ROUTE_DUMP]
+    # the sink's dump queued its successor; the sensor's went to the next interval's list
+    assert world.queue.pop()[:2] == (US, EventKind.BS_ROUTE_DUMP)
+    assert len(world.queue) == 0
+    assert [i for _, _, i in proto._next_dumps] == [0]
 
 
 def test_node_dump_counts_every_known_sensor(world_factory):
@@ -303,10 +304,11 @@ def test_readings_become_jittered_send_events(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
     proto.on_readings(np.array([0]), np.array([2]), 3_000_000)
-    # one event carries the second's frames, queued at the first one's time
+    # one event carries the second's frames, queued at the second's own instant
     t_us, kind, frames = world.queue.pop()
     assert kind == EventKind.DATA_SEND
-    assert t_us == frames[-1][0]
+    assert t_us == 3_000_000
+    assert frames[-1][0] <= frames[0][0]
     for t, _ in frames:
         assert 3_000_000 <= t < 4_000_000
     # one send per reading, each carrying only the origin's id
@@ -329,17 +331,20 @@ def test_send_offsets_are_the_draws_of_a_per_reading_loop(world_factory):
                 frames.append((t_us + int(twin.random() * US), i))
         # in send order, ties in draw order, the next frame last
         frames = sorted(frames, key=lambda f: f[0])[::-1]
-        want.append((frames[-1][0], EventKind.DATA_SEND, frames))
+        want.append((t_us, EventKind.DATA_SEND, frames))
     assert sent == want
     assert world.streams.get("dsdv").bit_generator.state == twin.bit_generator.state
 
 
-def test_on_readings_with_no_reading_queues_nothing(world_factory):
+def test_on_readings_with_no_reading_queues_an_empty_run(world_factory):
     world = world_factory([(500.0, 600.0), (700.0, 600.0)])
     proto = DsdvProtocol(world)
     state = proto.stream.bit_generator.state
     proto.on_readings(np.array([0, 1]), np.array([0, 0]), 3_000_000)
     proto.on_readings(np.array([], dtype=np.int64), np.array([], dtype=np.int64), 4_000_000)
+    # each second still gets its run, which sends that second's dumps
+    runs = [world.queue.pop() for _ in range(2)]
+    assert runs == [(3_000_000, EventKind.DATA_SEND, []), (4_000_000, EventKind.DATA_SEND, [])]
     assert len(world.queue) == 0
     assert proto.stream.bit_generator.state == state
 
@@ -366,7 +371,8 @@ def test_frames_of_one_microsecond_go_in_id_order(world_factory):
     proto._node_dump(0, 3)
     queue = world.queue
     while len(queue):
-        queue.pop()  # the next dumps
+        queue.pop()  # the sink's next dump
+    proto._next_dumps.clear()  # and the relay's
     bs, ledger = world.bs_id, world.ledger
     assert proto.next_hop.tolist() == [3, bs, 3, bs]
     # the relay can pay for exactly one frame, and dies paying it
@@ -379,7 +385,8 @@ def test_frames_of_one_microsecond_go_in_id_order(world_factory):
     proto.stream = FixedOffsets([0.5, 0.5, 0.25, 0.5])
     proto.on_readings(np.array([0, 1, 2]), np.array([2, 1, 1]), 3 * US)
     t_us, kind, frames = queue.pop()
-    assert (t_us, kind) == (3_250_000, EventKind.DATA_SEND)
+    assert (t_us, kind) == (3 * US, EventKind.DATA_SEND)
+    assert frames[-1][0] == 3_250_000
     proto.handlers[kind](t_us, frames)
     assert frames == []
     # the lowest id went first: node 0's first frame used the relay up, its
@@ -397,46 +404,82 @@ def test_run_yields_to_a_dump_queued_at_its_next_frame(world_factory):
     bs = world.bs_id
     proto._bs_dump(0, None)  # node 1 hears the sink; node 0 has no route yet
     queue = world.queue
+    # node 1's dump at 6 us; a sink dump, of a lower kind, is queued at 7 us
+    proto._next_dumps.append((6, 0, 1))
+    queue.schedule(7, EventKind.BS_ROUTE_DUMP, None)
     frames = [(7, 0), (5, 1)]
-    queue.schedule(5, EventKind.DATA_SEND, frames)
-    queue.schedule(7, EventKind.ROUTE_DUMP, 1)
-    fired = []
-    for _ in range(3):
-        t_us, kind, payload = queue.pop()
-        fired.append((t_us, kind))
-        proto.handlers[kind](t_us, payload)
-        if kind == EventKind.DATA_SEND:
-            assert payload is frames
-    # node 1's frame goes at 5 us; node 0's waits for the dump at 7 us
-    assert fired == [
-        (5, EventKind.DATA_SEND),
-        (7, EventKind.ROUTE_DUMP),
-        (7, EventKind.DATA_SEND),
+    proto._send(5, frames)
+    # node 1's frame went at 5 us and its dump at 6 us; node 0's frame waits
+    # in the list for the sink's dump, and nothing more is queued
+    assert frames == [(7, 0)]
+    assert proto.key[0] == route_key(2, 2) and proto.next_hop[0] == 1
+    assert world.log.delivered == 1
+    assert sorted(e[:2] for e in queue._heap) == [
+        (7, EventKind.BS_ROUTE_DUMP),
+        (US, EventKind.BS_ROUTE_DUMP),
     ]
-    # the dump gave node 0 its route via node 1, which its frame then took
+    assert [i for _, _, i in proto._dumps + proto._next_dumps] == [1]
+    t_us, kind, payload = queue.pop()
+    assert t_us == 7
+    proto.handlers[kind](t_us, payload)
+    proto._send(7, frames)
+    # the sink's fresh sequence reached node 1 first; node 0's frame then took its route
+    assert proto.key[1] == route_key(4, 1) and proto.next_hop[1] == bs
+    assert world.log.delivered == 2 and world.log.dropped_unreachable == 0
+    assert frames == []
+
+
+def test_a_dump_goes_before_a_frame_at_its_microsecond(world_factory):
+    world = relay_pair(world_factory)
+    proto = DsdvProtocol(world)
+    bs = world.bs_id
+    proto._bs_dump(0, None)  # node 1 hears the sink; node 0 has no route yet
+    proto._next_dumps.append((7, 0, 1))
+    frames = [(7, 0), (5, 1)]
+    proto._send(5, frames)
+    # node 1's dump at 7 us gave node 0 its route via node 1, which node 0's
+    # frame at 7 us then took
+    assert frames == []
     assert proto.key[0] == route_key(2, 2) and proto.next_hop[0] == 1
     assert proto.next_hop[1] == bs
     assert world.log.delivered == 2 and world.log.dropped_unreachable == 0
+    # what is left is the sink's next dump, queued, and node 1's, listed
+    assert [e[:2] for e in world.queue._heap] == [(US, EventKind.BS_ROUTE_DUMP)]
+    assert [i for _, _, i in proto._dumps + proto._next_dumps] == [1]
+
+
+def test_dumps_of_one_microsecond_go_in_draw_order(world_factory):
+    # three nodes in a line, each hearing only its neighbours
+    world = world_factory([(0.0, 0.0), (300.0, 0.0), (600.0, 0.0)], radio_range_rr_m=400.0)
+    proto = DsdvProtocol(world)
+    # drawn in the order 2, 1, 0: node 2's dump reaches node 1 before node 1
+    # dumps to node 0, and node 0's own dump comes too late for node 2
+    proto._next_dumps[:] = [(9, 0, 2), (9, 1, 1), (9, 2, 0)]
+    proto._send(0, [])
+    assert proto.known == [0b111, 0b111, 0b110]
+    assert proto._next_dumps == []
+
+
+def test_a_frame_tied_with_a_queued_data_send_goes(world_factory):
+    world, proto = routed_relay_pair(world_factory)
+    world.queue.schedule(7, EventKind.DATA_SEND, [(7, 1)])
+    frames = [(7, 0), (5, 0)]
+    proto._send(5, frames)
+    # (7, DATA_SEND) sorts at the head's (time, kind), so node 0's second frame goes
     assert frames == []
-    # what is left is the sink's next dump and node 1's
-    assert sorted(kind for _, kind, _, _ in queue._heap) == [
-        EventKind.BS_ROUTE_DUMP,
-        EventKind.ROUTE_DUMP,
-    ]
+    assert world.log.delivered == 2
 
 
 def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):
     world = world_factory([(500.0, 600.0), (700.0, 600.0)])
     proto = DsdvProtocol(world)
     proto.start()
-    kinds = {}
-    while len(world.queue):
-        t_us, kind, payload = world.queue.pop()
-        kinds.setdefault(kind, []).append((t_us, payload))
-    # one sink dump is queued at start, and each queues the next
-    assert kinds[EventKind.BS_ROUTE_DUMP] == [(0, None)]
-    assert sorted(i for _, i in kinds[EventKind.ROUTE_DUMP]) == [0, 1]
-    assert all(0 <= t < proto.interval_us for t, _ in kinds[EventKind.ROUTE_DUMP])
+    # one sink dump is queued at start, and each queues the next; the first
+    # node dumps go to the first interval's list, in draw order
+    assert world.queue.pop() == (0, EventKind.BS_ROUTE_DUMP, None)
+    assert len(world.queue) == 0
+    assert [(k, i) for _, k, i in proto._next_dumps] == [(0, 0), (1, 1)]
+    assert all(0 <= t < proto.interval_us for t, _, _ in proto._next_dumps)
     # a run still makes one sink dump per second
     world = world_factory([(500.0, 600.0), (700.0, 600.0)])
     proto = DsdvProtocol(world)
@@ -463,20 +506,100 @@ def test_small_run_is_loop_free_and_conserves_packets():
 def test_node_dump_reschedules_until_horizon(world_factory):
     world = world_factory([(500.0, 600.0)])
     proto = DsdvProtocol(world)
+    dumps = proto._next_dumps
     proto._node_dump(0, 0)
-    assert len(world.queue) == 1
-    t_us, kind, payload = world.queue.pop()
-    assert kind == EventKind.ROUTE_DUMP
-    assert payload == 0
+    assert len(world.queue) == 0
+    ((t_us, index, i),) = dumps
+    assert (index, i) == (0, 0)
     assert proto.interval_us <= t_us < 2 * proto.interval_us
     # a jittered dump is rescheduled into the interval after its own
     proto._node_dump(t_us, 0)
-    t_us, kind, payload = world.queue.pop()
+    t_us, index, i = dumps[-1]
+    assert (index, i) == (1, 0)
     assert 2 * proto.interval_us <= t_us < 3 * proto.interval_us
     # an interval whose successor would land past the end is not rescheduled
     last = world.cfg.sim_duration_s - 1
     proto._node_dump(last * proto.interval_us, 0)
-    assert len(world.queue) == 0
+    assert len(dumps) == 2 and len(world.queue) == 0
+
+
+def run_logging_dumps(cfg):
+    """Run DSDV over cfg; return the run's world and, per run, its time and its dumps."""
+    world = World(cfg, "dsdv")
+    proto = DsdvProtocol(world)
+    runs = []
+    send, dump = proto._send, proto._node_dump
+
+    def logged_send(t_us, frames):
+        runs.append((t_us, []))
+        send(t_us, frames)
+
+    def logged_dump(t_us, i):
+        runs[-1][1].append((t_us, i))
+        dump(t_us, i)
+
+    proto.handlers[EventKind.DATA_SEND] = logged_send
+    proto._node_dump = logged_dump
+    world.run(proto)
+    return world, runs
+
+
+def test_a_short_interval_sends_several_dumps_of_a_node_in_one_run():
+    cfg = small_config(dsdv_update_interval_s=0.3, sim_duration_s=4)
+    world, runs = run_logging_dumps(cfg)
+    # one run a second, each sending its own second's dumps in time order
+    assert [t for t, _ in runs] == [s * US for s in range(4)]
+    for t, dumps in runs:
+        times = [d for d, _ in dumps]
+        assert times == sorted(times) and t <= times[0] and times[-1] < t + US
+    # every node dumps once in each 0.3 s interval of the horizon
+    iv = cfg.dsdv_interval_us
+    for i in range(cfg.node_count):
+        mine = [d for _, dumps in runs for d, j in dumps if j == i]
+        assert [d // iv for d in mine] == list(range(len(mine)))
+        # every interval that ends by the horizon, and perhaps the one it cuts
+        assert cfg.sim_us // iv <= len(mine) <= -(-cfg.sim_us // iv)
+    # a second meets two full intervals and two partial ones: a node dumps
+    # two to four times in one run, and some node three times or more
+    for _, dumps in runs:
+        per_node = [sum(j == i for _, j in dumps) for i in range(cfg.node_count)]
+        assert min(per_node) >= 2 and max(per_node) >= 3
+    assert world.ledger.alive.all()
+
+
+def test_a_second_with_no_readings_still_sends_its_dumps():
+    cfg = small_config(traffic_on_s=0.0, sim_duration_s=4)
+    world, runs = run_logging_dumps(cfg)
+    assert world.log.generated == 0
+    # an empty run each second, each sending every node's dump of that second
+    assert [t for t, _ in runs] == [s * US for s in range(4)]
+    for t, dumps in runs:
+        assert sorted(i for _, i in dumps) == list(range(cfg.node_count))
+        assert all(t <= d < t + US for d, _ in dumps)
+
+
+def test_a_relay_killed_by_its_own_dump_breaks_the_link_for_a_later_frame_of_the_run(
+    world_factory,
+):
+    world, proto = routed_relay_pair(world_factory)
+    ledger = world.ledger
+    proto._next_dumps.clear()
+    tx, rx = world.radio.tx_energy(BITS, 400.0), world.radio.rx_energy(BITS)
+    tx1 = world.radio.tx_energy(BITS, 100.0)
+    dump = dump_energy(world, proto, 1)
+    # the relay can pay for one frame, then half of its dump at 6 us
+    ledger.energy[1] = rx + tx1 + dump / 2
+    proto._next_dumps.append((6, 0, 1))
+    want = charged(ledger, [(0, tx), (1, rx), (1, tx1)], 5)
+    want.consume(1, dump, 6)
+    proto._send(5, [(7, 0), (5, 0)])
+    assert not ledger.alive[1] and ledger.death_time_us[1] == 6
+    # node 0's link was verified by the first frame; the second, in the same
+    # run, finds the relay dead, so it breaks the link and pays nothing
+    assert proto.key[0] == route_key(3, NO_ROUTE)
+    assert world.log.delivered == 1
+    assert world.log.dropped_unreachable == 1 and world.log.dropped_dead == 0
+    assert_ledgers_equal(ledger, want)
 
 
 def test_update_interval_past_horizon_leaves_no_events():

@@ -8,21 +8,24 @@ sender, iff its sequence is strictly newer, or equal with a strictly
 shorter metric, and never for itself; a sender that finds its next hop to
 the sink broken marks that entry with the next odd sequence and no metric.
 
-It is driven by a real run: every route dump that DsdvProtocol handles is
-replayed on the oracle with the same listeners, and every run of data
-sends is walked again, frame by frame at each frame's own time, on a copy
-of the ledger taken just before the run, charging each hop through
-EnergyLedger.consume. That copy must then equal the run's ledger bit for
-bit, arrays and totals, and the frames must end the same way, so
-DsdvProtocol._send's inline charges are held to a per-hop consume walk,
-clamped charges and deaths on the path included. No frame of a run may
-sort after the event at the queue's head, and what is left of the run
-must be queued again at its next frame's time; a quarter of the draws put
-frames and dumps on one 10 ms grid, so that frames share microseconds
-with queued dumps. DsdvProtocol keeps
-only what a run can observe, and after every event that must match the
-oracle: the packed sink routes decode to the oracle's sink entries cell
-for cell, each node's ``known`` bits are the sensors it holds an
+It is driven by a real run. The sink's dumps are replayed on the oracle
+with the same listeners; so is every node dump, through a wrapper on
+``DsdvProtocol._node_dump``, as a second's run calls it between its
+frames. Each stretch of frames between two items of a run that are not
+frames (its start, a dump, its end) is walked again, frame by frame at
+each frame's own time, on a copy of the ledger taken at the stretch's
+start, charging each hop through EnergyLedger.consume. That copy must then
+equal the run's ledger bit for bit, arrays and totals, and the frames
+must end the same way, so DsdvProtocol._send's inline charges, and the
+totals it writes back around each dump, are held to a per-hop consume
+walk, clamped charges and deaths on the path included. A run must send
+its second's dumps and frames in (time, kind) order, a dump before a
+frame at one microsecond, and all of them, as the next queued event is
+the next second's; a quarter of the draws put frames and dumps on one
+10 ms grid, so that frames share microseconds with dumps. DsdvProtocol
+keeps only what a run can observe, and after every dump it must match
+the oracle: the packed sink routes decode to the oracle's sink entries
+cell for cell, each node's ``known`` bits are the sensors it holds an
 advertisable entry for, and each dump is as long as the oracle's
 advertised table. The oracle asserts the
 invariant that makes this reduction exact: an advertisable entry to a
@@ -39,7 +42,7 @@ import numpy as np
 
 from mleachsim.config import SimConfig
 from mleachsim.dsdv import DsdvProtocol
-from mleachsim.engine import EventKind
+from mleachsim.engine import US, EventKind
 from mleachsim.kernels import NO_ROUTE
 from mleachsim.simulation import World
 
@@ -69,11 +72,13 @@ class Oracle:
         self.last_hop = {}
         self.dump_deaths = set()
         self.dead_since_last_hop = 0
-        # runs of frames that sent more than one, that left some queued, and
-        # that stopped at an event of a lower kind at their next frame's microsecond
-        self.runs_of_many = 0
-        self.runs_yielded = 0
-        self.runs_yielded_at_a_tie = 0
+        # stretches of more than one frame between two items of a run that
+        # are not frames (its start, a dump, its end); dumps sent between
+        # two frames of one run, and dumps at the microsecond of a frame of
+        # their run
+        self.stretches_of_many = 0
+        self.dumps_between_frames = 0
+        self.dumps_at_a_frame_time = 0
         # whether DsdvProtocol found every live node's known full
         self.saturated = False
 
@@ -199,7 +204,7 @@ class GridStream:
 
 
 def replay(cfg, on_grid=False):
-    """Run DSDV over cfg, checking every table after each dump and run of sends."""
+    """Run DSDV over cfg, checking every table after each dump and each stretch of sends."""
     n = cfg.node_count
     world = World(cfg, "dsdv")
     proto = DsdvProtocol(world)
@@ -207,62 +212,101 @@ def replay(cfg, on_grid=False):
         proto.stream = GridStream(proto.stream)
     oracle = Oracle(n)
     heard = []
+    # the run being sent: its frames, the (time, kind) of each item sent,
+    # what reached the sink, and the stretch of frames since its last dump
+    run = {}
 
     def broadcast(src, bits, *args):
         survivors = real_broadcast(src, bits, *args)
         heard.append((None if survivors is None else survivors.tolist(), bits))
         return survivors
 
+    def note_dump_deaths(alive):
+        oracle.dump_deaths.update(
+            i for i, was in enumerate(alive) if was and not world.ledger.alive[i]
+        )
+
+    def start_stretch(frames):
+        run["shadow"] = copy_ledger(world.ledger)
+        run["left"] = len(frames)
+        run["counters"] = send_counters(world.log)
+
+    def end_stretch(frames, when):
+        """Walk the frames sent since the stretch began on its shadow ledger."""
+        # the frames sent are those gone from the list since, in pop order
+        sent = run["frames"][len(frames):run["left"]][::-1]
+        pos = world.positions.tolist()
+        ended = [
+            oracle.send(
+                i, run["shadow"], pos, world.radio, cfg.radio_range_rr_m,
+                cfg.packet_size_bits, t, world.mobility_step,
+            )
+            for t, i in sent
+        ]
+        moved = [b - a for a, b in zip(run["counters"], send_counters(world.log))]
+        # what reached the sink's radio is handed over at the end of the run
+        assert moved[:2] == [ended.count(o) for o in SEND_OUTCOMES[:2]], when
+        run["reached"] += ended.count("reached")
+        oracle.stretches_of_many += len(sent) > 1
+        run["items"] += [(t, EventKind.DATA_SEND) for t, _ in sent]
+        assert_ledgers_equal(world.ledger, run["shadow"], when)
+
+    def replayed_dump(t_us, i):
+        frames = run["payload"]
+        end_stretch(frames, f"the frames before the dump of {i} at {t_us} us")
+        alive = world.ledger.alive.tolist()
+        heard.clear()
+        real_dump(t_us, i)
+        note_dump_deaths(alive)
+        survivors, bits = heard[0] if heard else (None, None)
+        oracle.node_dump(i, alive, survivors, bits, cfg.dsdv_entry_bits)
+        assert_tables_match(proto, oracle, f"the dump of {i} at {t_us} us")
+        # the dump's time, and how many of the run's frames went before it
+        run["dumps"].append((t_us, len(run["items"]) - len(run["dumps"])))
+        run["items"].append((t_us, EventKind.ROUTE_DUMP))
+        start_stretch(frames)
+
     def replayed(kind, real_handler):
         def handler(t_us, payload):
-            alive = world.ledger.alive.tolist()
-            shadow = copy_ledger(world.ledger) if kind == EventKind.DATA_SEND else None
-            frames = list(payload) if kind == EventKind.DATA_SEND else None
-            counters = send_counters(world.log)
-            heard.clear()
-            real_handler(t_us, payload)
-            if kind != EventKind.DATA_SEND:
-                oracle.dump_deaths.update(
-                    i for i, was in enumerate(alive) if was and not world.ledger.alive[i]
-                )
             if kind == EventKind.BS_ROUTE_DUMP:
+                alive = world.ledger.alive.tolist()
+                heard.clear()
+                real_handler(t_us, payload)
+                note_dump_deaths(alive)
                 oracle.bs_dump(heard[0][0])
-            elif kind == EventKind.ROUTE_DUMP:
-                survivors, bits = heard[0] if heard else (None, None)
-                oracle.node_dump(payload, alive, survivors, bits, cfg.dsdv_entry_bits)
-            else:
-                # the frames sent are those gone from the list, in pop order
-                sent = frames[len(payload):][::-1]
-                assert sent and sent[0][0] == t_us, f"run at {t_us} us"
-                pos = world.positions.tolist()
-                ended = [
-                    oracle.send(
-                        i, shadow, pos, world.radio, cfg.radio_range_rr_m,
-                        cfg.packet_size_bits, t, world.mobility_step,
-                    )
-                    for t, i in sent
-                ]
-                moved = [b - a for a, b in zip(counters, send_counters(world.log))]
-                assert moved == [ended.count(o) for o in SEND_OUTCOMES], f"run at {t_us} us"
-                assert_ledgers_equal(world.ledger, shadow, f"after the run at {t_us} us")
-                # no frame went after an event that sorts before it, and what
-                # is left waits, queued at its next frame's time
-                head = world.queue._heap[0]
-                assert (sent[-1][0], EventKind.DATA_SEND) <= (head[0], head[1])
-                if payload:
-                    assert (head[0], head[1]) < (payload[-1][0], EventKind.DATA_SEND)
-                    assert [e[0] for e in world.queue._heap if e[3] is payload] == [
-                        payload[-1][0]
-                    ]
-                    oracle.runs_yielded += 1
-                    oracle.runs_yielded_at_a_tie += head[0] == payload[-1][0]
-                oracle.runs_of_many += len(sent) > 1
-            assert_tables_match(proto, oracle, f"{kind.name} at {t_us} us")
+                assert_tables_match(proto, oracle, f"the sink's dump at {t_us} us")
+                return
+            run.update(frames=list(payload), payload=payload, items=[], dumps=[], reached=0)
+            before = send_counters(world.log)[2]
+            start_stretch(payload)
+            real_handler(t_us, payload)
+            end_stretch(payload, f"the run at {t_us} us")
+            assert_tables_match(proto, oracle, f"the run at {t_us} us")
+            assert send_counters(world.log)[2] - before == run["reached"], f"run at {t_us} us"
+            # the run sent its second's items in (time, kind) order, all of
+            # them, as the next whole second's events sort after them
+            items = run["items"]
+            assert items == sorted(items), f"run at {t_us} us"
+            assert all(t_us <= t < t_us + US for t, _ in items), f"run at {t_us} us"
+            assert payload == [], f"run at {t_us} us"
+            head = world.queue._heap[0]
+            assert head[:2] == (t_us + US, EventKind.METRIC_SAMPLE)
+            pending = proto._dumps[-1:] or sorted(proto._next_dumps)[:1]
+            assert all((d[0], EventKind.ROUTE_DUMP) > head[:2] for d in pending)
+            assert not any(e[3] is payload for e in world.queue._heap)
+            frames = sum(k == EventKind.DATA_SEND for _, k in items)
+            # dumps sent between two frames of the run, and dumps at the
+            # microsecond of one of its frames
+            oracle.dumps_between_frames += sum(0 < k < frames for _, k in run["dumps"])
+            times = {t for t, _ in run["frames"]}
+            oracle.dumps_at_a_frame_time += sum(t in times for t, _ in run["dumps"])
 
         return handler
 
     real_broadcast = world.broadcast
     world.broadcast = broadcast
+    real_dump = proto._node_dump
+    proto._node_dump = replayed_dump
     for kind, real_handler in proto.handlers.items():
         proto.handlers[kind] = replayed(kind, real_handler)
     world.run(proto)
@@ -298,9 +342,9 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     adopted = {"newer": 0, "shorter": 0}
     invalidated = 0
     died_on_path = 0
-    runs_of_many = 0
-    runs_yielded = 0
-    runs_yielded_at_a_tie = 0
+    stretches_of_many = 0
+    dumps_between_frames = 0
+    dumps_at_a_frame_time = 0
     saturated = 0
     for k in range(100):
         # every fourth draw puts frames and dumps on one grid
@@ -310,9 +354,9 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
             adopted[rule] += count
         invalidated += oracle.invalidated
         died_on_path += oracle.died_on_path
-        runs_of_many += oracle.runs_of_many
-        runs_yielded += oracle.runs_yielded
-        runs_yielded_at_a_tie += oracle.runs_yielded_at_a_tie
+        stretches_of_many += oracle.stretches_of_many
+        dumps_between_frames += oracle.dumps_between_frames
+        dumps_at_a_frame_time += oracle.dumps_at_a_frame_time
         saturated += oracle.saturated
     # the draws reach both adoption rules, the local invalidation, and sends
     # whose sender or receiver could not pay (the 0.05 J budgets)
@@ -320,11 +364,11 @@ def test_tables_match_the_scalar_oracle_on_drawn_configs():
     assert adopted["shorter"] > 100
     assert invalidated > 20
     assert died_on_path > 20
-    # runs of several frames, and runs cut short by a dump (intervals down to 0.05 s)
-    assert runs_of_many > 400
-    assert runs_yielded > 800
-    # runs that waited for a dump at their next frame's own microsecond
-    assert runs_yielded_at_a_tie > 10
+    # stretches of several frames, and dumps sent between two frames of one run
+    assert stretches_of_many > 400
+    assert dumps_between_frames > 2000
+    # dumps at a frame's own microsecond, which go before it (the grid draws)
+    assert dumps_at_a_frame_time > 30
     # draws in which every live node came to know every sensor, so that
     # dumps skip the merge, and draws in which that never happened
     assert saturated > 20

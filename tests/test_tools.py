@@ -34,7 +34,11 @@ def test_energy_breakdown_accounts_for_every_joule(cls):
     assert abs(math.fsum(math.fsum(v) for v in spent.values()) - total) <= 1e-9
     if cls is DsdvProtocol:
         assert log.dropped_congested > 0
-        assert 0.0 < rejected.sum() < spent["data"].sum()
+        # the split of a run of one event per dump and one per frame: a dump
+        # credited as data, or a frame dropped at a tie, moves it
+        assert spent["control"].sum() == pytest.approx(20.88615040005857, rel=1e-12)
+        assert spent["data"].sum() == pytest.approx(11.408218240979409, rel=1e-12)
+        assert rejected.sum() == pytest.approx(8.50183778561825, rel=1e-12)
 
 
 def test_energy_breakdown_runs_dsdv_one_frame_per_event_to_the_same_end(monkeypatch):
@@ -52,8 +56,10 @@ def test_energy_breakdown_runs_dsdv_one_frame_per_event_to_the_same_end(monkeypa
         monkeypatch.setattr(cls, name, counted)
         sent.clear()
         log, world, *_ = tool.breakdown(cfg, cls)
-        assert set(sent) == {1}
-        items = len(sent)
+        # one item per event; DSDV's runs of the seconds themselves send none
+        assert set(sent) - {0} == {1}
+        assert sent.count(0) == (cfg.sim_duration_s if cls is DsdvProtocol else 0)
+        items = sum(sent)
         sent.clear()
         plain = simulation.World(cfg, cls.__name__)
         plain.run(cls(plain))
@@ -204,6 +210,43 @@ def test_bench_pairs_takes_each_layer_metric_as_the_median_of_the_traced_runs():
     }
     assert tool.TRACED_PAIRS == 3
     assert tool.median_split(runs[:1]) == runs[0]
+
+
+def test_bench_pairs_passes_its_seed_to_every_run_and_records_it(tmp_path, monkeypatch):
+    tool = load_module(TOOLS / "bench_pairs.py", "bench_pairs")
+    workloads = [w["name"] for w in json.loads((TOOLS.parent / "BENCHMARK.json").read_text())[
+        "workloads"
+    ]]
+    runs = []
+
+    def run(argv, **kwargs):
+        runs.append((argv, kwargs["cwd"].name))
+        return subprocess.CompletedProcess(argv, 0, stdout=bench_stdout(0.5, 0.16, 40.0), stderr="")
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    monkeypatch.setattr(tool, "work_tree_id", lambda scratch: "t" * 40)
+    monkeypatch.setattr(
+        tool, "build_checkouts", lambda base, tree, scratch: {s: scratch / s for s in tool.SIDES}
+    )
+    monkeypatch.setattr(tool, "git", lambda *args, **kwargs: "r" * 40 + "\n")
+    monkeypatch.setattr(tool, "sweep", lambda trees, scratch: {"changed": 0})
+    per_workload = 2 * (2 + tool.TRACED_PAIRS)  # two pairs, then the traced ones
+    for seed, args in ((11, ["--seed", "11"]), (1, [])):
+        runs.clear()
+        out = tmp_path / f"seed{seed}.json"
+        assert tool.main(["--base", "HEAD~1", "--out", str(out), "--pairs", "2", *args]) == 0
+        # both sides, untraced and traced, every workload: each run at the seed
+        assert len(runs) == len(workloads) * per_workload
+        for k, (argv, side) in enumerate(runs):
+            trace = int(k % per_workload >= 4)
+            assert argv[1:] == [
+                "perfbench/bench.py", "--workload", workloads[k // per_workload],
+                "--trace", str(trace), "--seed", str(seed),
+            ]
+        assert sorted(side for _, side in runs[:per_workload]) == sorted(tool.SIDES * 5)
+        record = json.loads(out.read_text())
+        assert record["seed"] == seed
+        assert sorted(record["workloads"]) == sorted(workloads)
 
 
 def test_bench_pairs_reads_the_sweep_comparison():

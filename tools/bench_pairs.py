@@ -3,7 +3,7 @@
 
 Usage (from the repository root):
 
-    python3 tools/bench_pairs.py --base <rev> --out BENCH_<label>.json [--pairs 10]
+    python3 tools/bench_pairs.py --base <rev> --out BENCH_<label>.json [--pairs 10] [--seed 1]
 
 Two checkouts are built side by side in a temporary directory, both by
 ``git archive``: ``pa`` of the base, and ``ch`` of the work tree's files
@@ -17,14 +17,17 @@ alternating pairs of ``--trace 1`` runs: one traced run does not resolve
 a layer's change, as one span of one tree read 0.160, 0.122 and 0.125 s
 in three runs. Last, ``tools/digest_sweep.py --n 600`` runs on both
 sides, with this tree's copy of the tool and only ``PYTHONPATH``
-differing, and the two digest files are compared.
+differing, and the two digest files are compared. Every ``bench.py`` run,
+on both sides, traced or not, gets ``--seed``: the scenario's
+``rng_seed``, by default 1, table1's own and the one perfbench's pins
+hold.
 
 The record holds, per workload and end-to-end metric: every pair, each
 side's median and quartiles, how many pairs the change won, and the
 relative change of the medians. It also holds each side's per-layer
 split, each metric's median over its traced runs, its failed and
 attempted simulation counts, the sweep's changed and unmatched digest
-counts, ``run_seconds``, the base revision, the work tree's ``HEAD``,
+counts, ``run_seconds``, the seed, the base revision, the work tree's ``HEAD``,
 the id of the tree measured as ``ch`` and whether it differs from
 ``HEAD``'s tree, and the host (CPU count, Python, numpy).
 """
@@ -84,9 +87,12 @@ def read_result(stdout: str) -> dict:
     }
 
 
-def bench(tree: Path, workload: str, trace: bool) -> dict:
+def bench(tree: Path, workload: str, trace: bool, seed: int) -> dict:
     proc = subprocess.run(
-        [sys.executable, "perfbench/bench.py", "--workload", workload, "--trace", str(int(trace))],
+        [
+            sys.executable, "perfbench/bench.py", "--workload", workload,
+            "--trace", str(int(trace)), "--seed", str(seed),
+        ],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -175,6 +181,7 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="revision to compare against")
     parser.add_argument("--out", required=True, help="record file to write")
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=1, help="rng_seed of every run")
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -189,13 +196,14 @@ def main(argv=None) -> int:
             "uncommitted": tree != git("rev-parse", "HEAD^{tree}").strip(),
             "host": host(),
             "run_seconds": spec["run_seconds"],
+            "seed": args.seed,
             "workloads": {},
         }
         for name in (w["name"] for w in spec["workloads"]):
             runs = []
             for k in range(args.pairs):
                 order = SIDES if k % 2 == 0 else SIDES[::-1]
-                got = {side: bench(trees[side], name, False) for side in order}
+                got = {side: bench(trees[side], name, False, args.seed) for side in order}
                 runs.append((got["pa"], got["ch"]))
                 print(f"{name} pair {k + 1}: run_s {got['pa']['metrics']['run_s']:.4f} "
                       f"-> {got['ch']['metrics']['run_s']:.4f}", flush=True)
@@ -203,7 +211,7 @@ def main(argv=None) -> int:
             traced = {side: [] for side in SIDES}
             for k in range(TRACED_PAIRS):
                 for side in SIDES if k % 2 == 0 else SIDES[::-1]:
-                    traced[side].append(bench(trees[side], name, True)["metrics"])
+                    traced[side].append(bench(trees[side], name, True, args.seed)["metrics"])
             summary["per_layer"] = {side: median_split(traced[side]) for side in SIDES}
             record["workloads"][name] = summary
         record["sweep"] = sweep(trees, scratch)

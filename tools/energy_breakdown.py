@@ -7,12 +7,16 @@ control (hellos, schedules, route dumps) or data (member uplink,
 relaying, sends to the sink). For DSDV it also sums the energy paid for
 frames that the sink channel then rejects; for mleach it splits the
 unreachable drops by where they happen. The split is taken by wrapping the
-entries of the protocol's handler table. DSDV's runs of frames and
-mleach's round plans (its slots and orphan flushes) are queued one frame
-or one item per event, each at its own time and kind and in the order the
-run sends them, so every event is credited to its own kind and the run
-itself is unchanged: the printed ratio is the one acceptance criterion 2
-checks.
+entries of the protocol's handler table, and DSDV's ``_node_dump``, which
+a second's run calls between its frames: each dump is credited to control
+and taken out of the data event that sent it. DSDV's frames and mleach's
+round plans (its slots and orphan flushes) are queued one frame or one
+item per event, each at its own time and kind and in the order the run
+sends them; each DSDV second's run is queued too, with no frame, so that
+it sends the second's dumps up to its first frame, and a second with no
+frame still sends its dumps. So every event is credited to its own kind,
+and the run itself is unchanged: the printed ratio is the one acceptance
+criterion 2 checks.
 
 Usage: PYTHONPATH=src python3 tools/energy_breakdown.py
 
@@ -28,7 +32,7 @@ from mleachsim.config import load_config
 from mleachsim.engine import EventKind
 from mleachsim.simulation import PROTOCOLS, World
 
-CONTROL = {EventKind.ROUND_START, EventKind.BS_ROUTE_DUMP, EventKind.ROUTE_DUMP}
+CONTROL = {EventKind.ROUND_START, EventKind.BS_ROUTE_DUMP}
 # the kinds of mleach's round-plan items, queued as one list per round
 PLAN = {EventKind.SLOT_START, EventKind.ORPHAN_FLUSH}
 # mleach's unreachable drops by the event that makes them, printed in the
@@ -51,15 +55,27 @@ def breakdown(cfg, cls):
     rejected = np.zeros(n)
     unreachable = dict.fromkeys((NO_PATH[k] for k in sorted(proto.handlers) if k in NO_PATH), 0)
 
+    # what DSDV's dumps spent inside the event being credited
+    dumped = np.zeros(n)
+
+    def credited_dump(node_dump):
+        def wrapped(t_us, i):
+            before = np.array(ledger.energy)
+            node_dump(t_us, i)
+            dumped[:] += before - ledger.energy
+        return wrapped
+
     def credited(kind, handler):
         activity = "control" if kind in CONTROL else "data"
         cause = NO_PATH.get(kind)
 
         def wrapped(t_us, payload):
             before = np.array(ledger.energy)
+            dumped[:] = 0.0
             dropped, congested = log.dropped_unreachable, log.dropped_congested
             handler(t_us, payload)
-            drop = before - ledger.energy
+            drop = before - ledger.energy - dumped
+            spent["control"] += dumped
             spent[activity] += drop
             # each DSDV send is queued as one frame, so all it cost paid for the rejection
             if kind is EventKind.DATA_SEND and log.dropped_congested > congested:
@@ -71,10 +87,11 @@ def breakdown(cfg, cls):
     schedule = world.queue.schedule
 
     def one_frame_each(t_us, kind, payload=None):
-        # DSDV queues a run of frames, and mleach a round's plan, as one event:
-        # queue them one per event, each at its own time and kind and in pop
-        # order, as the run would send them
+        # DSDV queues a second's frames, and mleach a round's plan, as one
+        # event: queue them one per event, each at its own time and kind and
+        # in pop order, as the run would send them, after DSDV's run itself
         if kind is EventKind.DATA_SEND:
+            schedule(t_us, kind, [])
             for frame in reversed(payload):
                 schedule(frame[0], kind, [frame])
         elif kind in PLAN:
@@ -84,6 +101,8 @@ def breakdown(cfg, cls):
             schedule(t_us, kind, payload)
 
     world.queue.schedule = one_frame_each
+    if hasattr(proto, "_node_dump"):
+        proto._node_dump = credited_dump(proto._node_dump)
     for kind, handler in proto.handlers.items():
         proto.handlers[kind] = credited(kind, handler)
     world.run(proto)

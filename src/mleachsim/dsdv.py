@@ -129,8 +129,7 @@ class DsdvProtocol:
             known = self.known
             alive = np.flatnonzero(world.ledger.alive).tolist()
             self.saturated = all(known[i] == full for i in alive)
-        if world.strict:
-            world.check_routes(self)
+        world.check_routes(self)
 
     def _node_dump(self, t_us: int, i: int) -> None:
         """Node i advertises its table, sized by its known sensors and a live sink route.

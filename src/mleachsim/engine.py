@@ -1,5 +1,5 @@
 """Deterministic discrete-event core: queue, clock, named random streams,
-and the error a strict-mode run raises.
+and the error a run raises when one of its invariant checks fails.
 
 Time is a 64-bit count of microseconds. Events at equal timestamps are
 ordered by kind (the enum value doubles as the same-instant priority), then
@@ -20,7 +20,7 @@ US = 1_000_000  # microseconds per second
 
 
 class InvariantViolation(RuntimeError):
-    """A structural invariant failed during a strict-mode run."""
+    """A structural invariant failed during a run; every run checks its own."""
 
 
 class EventKind(IntEnum):

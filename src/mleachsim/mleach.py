@@ -431,8 +431,7 @@ class MleachProtocol:
             queued[ch] = 0
             steps = [(FILTER, 0.0), *self._route(ch)]
             world.log.dropped_dead += self._walk(t_us, ch, world.traffic.values(ch, n), steps)
-        if world.strict:
-            check_round(ctx, self.cfg.radio_range_rr_m)
+        check_round(ctx, self.cfg.radio_range_rr_m)
 
     def _charges(self, hops: list[tuple[int, int, float]], bits: int) -> list[tuple[int, float]]:
         """One frame of bits over hops, each (sender, receiver, meters): its charges.
@@ -476,7 +475,7 @@ class MleachProtocol:
         the payer is dead or cannot pay in full, and loses the frame;
         FILTER runs the change filter on origin's readings (a filtered
         reading is counted); NO_ROUTE counts the reading unreachable; SINK
-        counts the frame as reached, and in strict mode raises if its
+        counts the frame as reached, and raises InvariantViolation if its
         change is one the filter should have stopped. An orphan pays every
         charge itself, so once one fails the rest of its backlog is lost
         with it; any other failure loses one frame. The caller counts the
@@ -502,7 +501,6 @@ class MleachProtocol:
         comp = ledger.consumed_comp
         total = ledger._total
         total_comp = ledger._total_comp
-        strict = world.strict
         threshold = self.cfg.filter_threshold
         last = self.last_forwarded[origin]
         lost = filtered = unreachable = sunk = 0
@@ -539,7 +537,7 @@ class MleachProtocol:
                     filtered += 1
                     break
                 if payer == SINK:
-                    if strict and delta <= threshold:
+                    if delta <= threshold:
                         raise InvariantViolation(
                             f"filtered-size change from node {origin} reached the sink"
                         )

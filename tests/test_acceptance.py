@@ -2,18 +2,20 @@
 
 Each test is one criterion, pass or fail, with its tolerance pinned as a
 module constant. The shared fixture runs both protocols once over the
-packaged scenario (512 nodes, 7500 x 7500 m, 120 s) with every structural
-invariant check enabled.
+packaged scenario (512 nodes, 7500 x 7500 m, 120 s); each run checks its
+own structural invariants, as every run does.
 """
 
 import filecmp
 import math
 import time
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mleachsim.cli import comparison_fields, print_summary
 from mleachsim.config import load_config, validate_config
 from mleachsim.dsdv import DsdvProtocol
 from mleachsim.engine import RandomStreams
@@ -51,11 +53,11 @@ def load_reference_config():
 
 @pytest.fixture(scope="module")
 def table1():
-    """Both protocols over the packaged scenario, strict checks on."""
+    """Both protocols over the packaged scenario, each run checking its invariants."""
     cfg = load_reference_config()
     runs = {}
     for name, cls in (("mleach", MleachProtocol), ("dsdv", DsdvProtocol)):
-        world = World(cfg, name, strict=True)
+        world = World(cfg, name)
         log = world.log
         started = time.perf_counter()
         world.run(cls(world))
@@ -236,3 +238,25 @@ def test_criterion_8_byte_identical_reruns(table1, tmp_path):
             assert filecmp.cmp(first / artifact, second / artifact, shallow=False), (
                 f"{name}/{artifact} differs between identical runs"
             )
+
+
+# -- the README's figures for this scenario, from the fixture's two logs -----
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_sample_output_and_seed_1_row_match_the_runs(table1, capsys):
+    _, runs = table1
+    logs = {name: runs[name]["log"] for name in ("mleach", "dsdv")}
+    print_summary(logs)
+    printed = capsys.readouterr().out
+    text = README.read_text()
+    start = text.index("```\nprotocol ")
+    assert printed == text[start + 4 : text.index("```", start + 4)]
+    fields = dict(comparison_fields(logs))
+    row = (
+        f"| 1 | {fields['mleach_steady_pps']:.2f} | {fields['dsdv_steady_pps']:.2f} "
+        f"| {fields['throughput_ratio']:.3f} | {fields['max_energy_ratio']:.4f} |"
+    )
+    assert row == "| 1 | 407.73 | 223.89 | 1.821 | 0.0881 |"
+    assert row in text.splitlines()

@@ -59,7 +59,7 @@ def test_hook_run_sees_the_first_event_and_the_end(monkeypatch):
     monkeypatch.setattr(World, "run", World.run)  # restored after the test
     seen = {}
     child.hook_run(World, seen)
-    log = run_simulation(small_config(sim_duration_s=2), "dsdv", strict=True)
+    log = run_simulation(small_config(sim_duration_s=2), "dsdv")
     assert log.generated > 0
     assert isinstance(seen["world"], World)
     (t1, c1), (t2, c2) = seen["first_event"], seen["run_end"]

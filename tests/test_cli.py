@@ -12,7 +12,8 @@ import pytest
 import mleachsim
 from mleachsim.cli import main
 from mleachsim.config import load_config, serialize_config
-from mleachsim.simulation import run_simulation
+from mleachsim.engine import InvariantViolation
+from mleachsim.simulation import World, run_simulation
 
 from conftest import small_config
 
@@ -181,6 +182,15 @@ def test_a_late_seed_that_fails_validation_exits_2(config_file, tmp_path, capsys
     assert "rng_seed" in capsys.readouterr().err
     # refused before the first run: nothing is written, not even the first seed
     assert not out.exists()
+
+
+def test_a_cli_run_checks_its_invariants(config_file, tmp_path, monkeypatch):
+    def breach(_world):
+        raise InvariantViolation("planted breach")
+
+    monkeypatch.setattr(World, "_check_final", breach)
+    with pytest.raises(InvariantViolation, match="planted breach"):
+        main(["--config", config_file, "--out", str(tmp_path / "out")])
 
 
 def test_out_default_comes_from_environment(config_file, tmp_path, monkeypatch):

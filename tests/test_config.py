@@ -117,7 +117,7 @@ def test_validate_rejects_nonpositive_node_count():
         ("mobility_speed_max_mps", 0.25, "mobility_speed_max_mps must be >= mobility_speed_min_mps"),
         ("round_duration_s", 1e-7, "round_duration_s too small to represent in microseconds"),
         ("bs_position", "corner", "bs_position must be 'random' or a concrete point"),
-        # non-finite floats would crash a run, break strict invariants, or deliver nothing
+        # non-finite floats would crash a run, break its invariant checks, or deliver nothing
         ("traffic_rate_pps", math.nan, "traffic_rate_pps must be finite"),
         ("traffic_rate_pps", math.inf, "traffic_rate_pps must be finite"),
         ("round_duration_s", math.nan, "round_duration_s must be finite"),

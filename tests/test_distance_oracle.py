@@ -34,7 +34,7 @@ def scalar_distance(pos, u, v):
 
 def checked_run(cfg, protocol, monkeypatch):
     """Run with every distance read checked; what the reads and fills covered."""
-    world = World(cfg, protocol, strict=True)
+    world = World(cfg, protocol)
     seen = {"rows": 0, "matrices": 0, "sink": 0, "dead": 0, "paused": 0, "full_fills": 0}
     real_row, real_matrix = world.dist_row, world.distances
     real_invalidate = world.invalidate_distances

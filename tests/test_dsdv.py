@@ -86,7 +86,6 @@ def test_node_dump_advertises_only_valid_entries(world_factory):
 def test_dumps_nobody_hears_change_no_route(world_factory):
     # the lone sensor is out of the sink's range, and no other sensor hears it
     world = world_factory([(0.0, 0.0)], radio_range_rr_m=500.0)
-    world.strict = True
     checked = []
     world.check_routes = checked.append
     proto = DsdvProtocol(world)
@@ -95,7 +94,7 @@ def test_dumps_nobody_hears_change_no_route(world_factory):
     assert proto.key[0] == route_key(-1, NO_ROUTE)
     assert proto.next_hop[0] == -1
     assert world.ledger.consumed[0] == 0.0
-    assert checked == [proto]  # strict mode checks the routes after every sink dump
+    assert checked == [proto]  # every sink dump checks the routes
     # with a live sink route to advertise, the sensor pays for a dump nobody hears
     proto.key[0] = route_key(2, 1)
     proto.next_hop[0] = world.bs_id
@@ -497,7 +496,7 @@ def test_start_schedules_bs_dumps_and_first_node_dumps(world_factory):
 
 
 def test_small_run_is_loop_free_and_conserves_packets():
-    log = run_simulation(small_config(), "dsdv", strict=True)
+    log = run_simulation(small_config(), "dsdv")
     assert log.generated > 0
     assert log.delivered > 0
     assert log.conservation_residual() == 0
@@ -605,7 +604,7 @@ def test_a_relay_killed_by_its_own_dump_breaks_the_link_for_a_later_frame_of_the
 def test_update_interval_past_horizon_leaves_no_events():
     # a first dump drawn past the end of the run is never scheduled
     cfg = small_config(sim_duration_s=2, dsdv_update_interval_s=2.5)
-    log = run_simulation(cfg, "dsdv", strict=True)
+    log = run_simulation(cfg, "dsdv")
     assert log.conservation_residual() == 0
 
 

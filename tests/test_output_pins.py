@@ -70,31 +70,28 @@ COMPARISON_PINS = {
 BATCH_PIN = "11dffffd378d4626e4147408c136d74f943526388622cf4d7717507240d356fb"
 
 
-def assert_pinned(cfg, protocol, strict, pins, out):
-    run_simulation(cfg, protocol, strict=strict).export_csv(str(out))
+def assert_pinned(cfg, protocol, pins, out):
+    run_simulation(cfg, protocol).export_csv(str(out))
     for name in ("energy.csv", "throughput.csv"):
         digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
         assert digest == pins[name], name
     assert (out / "summary.csv").read_text().splitlines()[1] == pins["summary"]
 
 
-@pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
-def test_small_config_output_is_pinned(protocol, strict, tmp_path):
-    assert_pinned(small_config(), protocol, strict, PINS[protocol], tmp_path)
+def test_small_config_output_is_pinned(protocol, tmp_path):
+    assert_pinned(small_config(), protocol, PINS[protocol], tmp_path)
 
 
-@pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
-def test_drained_config_with_sink_channel_is_pinned(protocol, strict, tmp_path):
+def test_drained_config_with_sink_channel_is_pinned(protocol, tmp_path):
     cfg = small_config(initial_energy_j=0.5, bs_mac_capacity_bps=8000.0)
-    assert_pinned(cfg, protocol, strict, DRAINED_PINS[protocol], tmp_path)
+    assert_pinned(cfg, protocol, DRAINED_PINS[protocol], tmp_path)
 
 
-@pytest.mark.parametrize("strict", [False, True])
-def test_stranded_members_output_is_pinned(strict, tmp_path):
+def test_stranded_members_output_is_pinned(tmp_path):
     cfg = small_config(node_count=32, initial_energy_j=0.2, rng_seed=23)
-    assert_pinned(cfg, "mleach", strict, STRANDING_PINS, tmp_path)
+    assert_pinned(cfg, "mleach", STRANDING_PINS, tmp_path)
 
 
 def cli_digest(cfg, name, tmp_path, *argv):

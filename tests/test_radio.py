@@ -233,22 +233,22 @@ def assert_python_floats(ledger):
 
 
 @pytest.mark.parametrize(
-    "protocol, strict, overrides",
+    "protocol, overrides",
     [
-        ("mleach", False, {"sim_duration_s": 4}),
-        ("dsdv", False, {"sim_duration_s": 4}),
-        ("dsdv", True, {"sim_duration_s": 6, "initial_energy_j": 150.0}),
+        ("mleach", {"sim_duration_s": 4}),
+        ("dsdv", {"sim_duration_s": 4}),
+        ("dsdv", {"sim_duration_s": 6, "initial_energy_j": 150.0}),
     ],
     ids=["mleach", "dsdv", "dsdv-drained-strict"],
 )
-def test_ledger_lists_hold_python_floats_after_a_table1_run(protocol, strict, overrides):
+def test_ledger_lists_hold_python_floats_after_a_table1_run(protocol, overrides):
     path = resources.files("mleachsim").joinpath("data/table1.cfg")
     cfg = dataclasses.replace(load_config(str(path)), **overrides)
-    world = World(cfg, protocol, strict)
+    world = World(cfg, protocol)
     world.run(PROTOCOLS[protocol](world))
     ledger = world.ledger
     assert ledger.total_consumed() > 0.0
-    if strict:
+    if "initial_energy_j" in overrides:
         assert ledger.deaths > 0
     assert_python_floats(ledger)
 

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ def test_offered_load_is_protocol_independent():
 @pytest.mark.parametrize("seed", [1, 2, 5])
 @pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
 def test_packet_conservation_across_seeds(protocol, seed):
-    log = run_simulation(small_config(rng_seed=seed), protocol, strict=True)
+    log = run_simulation(small_config(rng_seed=seed), protocol)
     assert log.conservation_residual() == 0
     drops = (
         log.dropped_filtered
@@ -48,7 +49,7 @@ def test_energy_series_monotone_and_samples_before_work():
 def test_starved_network_still_balances_the_books():
     cfg = small_config(initial_energy_j=1e-3)
     for protocol in ("mleach", "dsdv"):
-        log = run_simulation(cfg, protocol, strict=True)
+        log = run_simulation(cfg, protocol)
         assert 0.0 <= log.first_death_s < 1.0
         assert log.conservation_residual() == 0
         assert log.delivered == 0
@@ -56,7 +57,7 @@ def test_starved_network_still_balances_the_books():
 
 def test_choked_sink_counts_congestion_drops():
     cfg = small_config(bs_mac_capacity_bps=500.0)
-    log = run_simulation(cfg, "mleach", strict=True)
+    log = run_simulation(cfg, "mleach")
     assert log.dropped_congested > 0
     assert log.conservation_residual() == 0
 
@@ -160,6 +161,16 @@ def test_before_a_whole_fill_dist_row_fills_only_its_row(fills):
     filled = [c.args[1] for c in fills["distance_row"].call_args_list]
     assert filled == [3, world.bs_id]
     assert fills["pairwise_distances"].call_count == 0
+
+
+def test_a_run_holds_one_distance_buffer_as_the_readme_states():
+    n = 24
+    world = World(small_config(node_count=n), "x")
+    assert world._dist.nbytes == 8 * (n + 1) ** 2
+    readme = " ".join((Path(__file__).resolve().parent.parent / "README.md").read_text().split())
+    assert "holds one (n+1) x (n+1) float64 distance buffer, 8·(n+1)² bytes." in readme
+    assert f"{8 * 513**2 / 1e6:.1f} MB at 512 nodes" in readme
+    assert f"{8 * 20001**2 / 1e9:.1f} GB at 20,000" in readme
 
 
 # -- alive_in_range -----------------------------------------------------------
@@ -287,7 +298,7 @@ def test_channel_admits_nothing_once_the_load_power_overflows():
 @pytest.mark.parametrize("protocol", ["mleach", "dsdv"])
 def test_overflowing_channel_power_runs_strict_to_the_end(protocol):
     cfg = small_config(bs_mac_capacity_bps=100.0, bs_mac_collapse_k=200.0, sim_duration_s=4)
-    log = run_simulation(cfg, protocol, strict=True)
+    log = run_simulation(cfg, protocol)
     assert log.dropped_congested > 0
     assert log.conservation_residual() == 0
 
@@ -370,7 +381,7 @@ def test_a_hand_off_sums_its_bits_frame_by_frame():
     assert batched.load_ema == single.load_ema
 
 
-# -- strict-mode guards ---------------------------------------------------------
+# -- invariant checks -------------------------------------------------------
 
 
 def test_finish_counts_queued_readings_by_liveness():
@@ -406,7 +417,6 @@ class LeakingChange:
 def test_strict_trace_catches_filter_leaks():
     # node 0 is an orphan within radio range of the sink
     world = make_world([(0.0, 0.0)])
-    world.strict = True
     proto = MleachProtocol(world)
     queue_readings(world, proto, 0, [LeakingChange()])
     with pytest.raises(InvariantViolation, match="filter"):
@@ -418,9 +428,76 @@ def test_strict_trace_catches_filter_leaks():
     assert world.log.delivered == 2
 
 
+def per_node_route_walk(world, proto):
+    """``World.check_routes`` as a walk of every live node's whole chain: the reference."""
+    bs = world.bs_id
+    for i in np.flatnonzero(world.ledger.alive).tolist():
+        cur = i
+        visited = {cur}
+        while True:
+            if proto.sink_key[cur] & kernels.ROUTE_BITS != kernels.LIVE:
+                break
+            nh = proto.sink_hop[cur]
+            if nh < 0 or nh == bs:
+                break
+            if nh in visited:
+                raise InvariantViolation(f"routing loop at node {cur} via {nh}")
+            visited.add(nh)
+            cur = nh
+
+
+def route_check_outcome(check, proto):
+    """The message of the InvariantViolation ``check(proto)`` raises, or None."""
+    try:
+        check(proto)
+    except InvariantViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_check_routes_raises_as_a_whole_chain_walk_per_node_would():
+    # planted 40-node tables: a loop-free forest towards the sink, then a
+    # few next hops redrawn anywhere, which may close loops; some keys are
+    # not live (odd sequence, no metric) and some relays are dead
+    n = 40
+    world = make_world([(0.0, 0.0)] * n)
+    proto = DsdvProtocol(world)
+    rng = np.random.default_rng(31)
+    not_live = [kernels.route_key(3, 2), kernels.route_key(4, kernels.NO_ROUTE), kernels.route_key(-1, 1)]
+    outcomes = []
+    for _ in range(3000):
+        order = rng.permutation(n)
+        hops = np.full(n, world.bs_id)
+        for rank in range(1, n):
+            if rng.random() < 0.8:
+                hops[order[rank]] = order[rng.integers(0, rank)]
+        redrawn = rng.choice(n, int(rng.integers(0, 10)), replace=False)
+        hops[redrawn] = rng.integers(-1, n + 1, len(redrawn))
+        proto.next_hop[:] = hops
+        proto.key[:] = kernels.route_key(2, 1)
+        for i in rng.choice(n, int(rng.integers(0, 5)), replace=False):
+            proto.key[i] = not_live[rng.integers(0, 3)]
+        world.ledger.alive[:] = rng.random(n) < 0.85
+        want = route_check_outcome(lambda p: per_node_route_walk(world, p), proto)
+        assert route_check_outcome(world.check_routes, proto) == want
+        outcomes.append(want)
+    loops = sum(o is not None for o in outcomes)
+    assert 500 < loops < 2500  # both outcomes are common
+    assert len(set(outcomes)) > 100  # the messages name many nodes
+
+
+def test_run_simulation_checks_even_when_told_strict_false(monkeypatch):
+    # strict is kept for perfbench's callers only, and turns no check off
+    def breach(_world):
+        raise InvariantViolation("planted breach")
+
+    monkeypatch.setattr(World, "_check_final", breach)
+    with pytest.raises(InvariantViolation, match="planted breach"):
+        run_simulation(small_config(sim_duration_s=2), "dsdv", strict=False)
+
+
 def test_strict_final_checks_packet_books():
     world = make_world([(0.0, 0.0)])
-    world.strict = True
     world.log.generated = 7
     with pytest.raises(InvariantViolation, match="conservation"):
         world._check_final()
@@ -428,7 +505,6 @@ def test_strict_final_checks_packet_books():
 
 def test_strict_final_checks_ledger_drift():
     world = make_world([(0.0, 0.0)])
-    world.strict = True
     world.ledger._total += 1e-6
     with pytest.raises(InvariantViolation, match="drift"):
         world._check_final()
@@ -461,7 +537,7 @@ def test_default_config_round_trip_runs():
     # the stock scenario, cut down to a quick horizon, runs clean end to end
     cfg = SimConfig(node_count=48, sim_duration_s=6, bs_position=(3750.0, 3750.0))
     for protocol in ("mleach", "dsdv"):
-        log = run_simulation(cfg, protocol, strict=True)
+        log = run_simulation(cfg, protocol)
         assert log.conservation_residual() == 0
 
 

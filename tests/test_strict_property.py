@@ -1,4 +1,4 @@
-"""Strict mode holds, and changes no byte, on drawn valid configs.
+"""Every run's invariant checks hold on drawn valid configs.
 
 Configs come from ``tools/digest_sweep.py::draw_config``, the digest
 sweep's sampler, with hypothesis drawing each value so that its boundary
@@ -6,16 +6,15 @@ values and shrinking apply. Every ``SimConfig`` field is drawn: tiny
 budgets (about a fifth of the small runs have deaths), frame sizes and
 radio constants over many decades, a sink out of range, the sink channel
 with collapse exponents high enough that its power overflows, high
-mobility and long update intervals. Strict mode raises InvariantViolation
-on the first breach. Draws of 1-16 nodes over 2-6 s cover the corners; on
-them a plain and a strict run of each protocol must give one digest of
-CSVs and ledger.
+mobility and long update intervals. A run raises InvariantViolation on the
+first breach of its checks; each draw runs each protocol once, and its log
+must also balance its packet books and keep every node within its budget.
+Draws of 1-16 nodes over 2-6 s cover the corners.
 Draws of 17-64 nodes over 2-12 s reach multi-hop routes, several elections
 per run and deaths late in a run, which the small draws rarely do.
 """
 
 import dataclasses
-import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -43,9 +42,9 @@ def small_configs(draw, nodes=(1, 16), horizons=(2, 6)):
     return SWEEP.draw_config(rng, nodes, horizons)
 
 
-def assert_strict_runs_hold(cfg):
+def assert_runs_hold(cfg):
     for protocol in ("mleach", "dsdv"):
-        log = run_simulation(cfg, protocol, strict=True)
+        log = run_simulation(cfg, protocol)
         assert log.conservation_residual() == 0
         assert log.max_consumed() <= cfg.initial_energy_j * (1.0 + 1e-9)
 
@@ -53,17 +52,13 @@ def assert_strict_runs_hold(cfg):
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(cfg=small_configs())
 def test_strict_runs_hold_for_small_valid_configs(cfg):
-    assert_strict_runs_hold(cfg)
-    with tempfile.TemporaryDirectory() as scratch:
-        for protocol in ("mleach", "dsdv"):
-            plain = SWEEP.run_digest(cfg, protocol, False, scratch)[0]
-            assert plain == SWEEP.run_digest(cfg, protocol, True, scratch)[0], protocol
+    assert_runs_hold(cfg)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=400)
 @given(cfg=small_configs(nodes=(17, 64), horizons=(2, 12)))
 def test_strict_runs_hold_for_larger_valid_configs(cfg):
-    assert_strict_runs_hold(cfg)
+    assert_runs_hold(cfg)
 
 
 # -- runs agree with themselves across a change of units ------------------------
@@ -78,8 +73,8 @@ ENERGY_SCALE = 2.0**30
 LENGTH_SCALE = 2.0**7
 
 
-def strict_run(cfg, protocol):
-    world = World(cfg, protocol, strict=True)
+def run_world(cfg, protocol):
+    world = World(cfg, protocol)
     world.run(PROTOCOLS[protocol](world))
     return world
 
@@ -119,8 +114,8 @@ def test_energy_times_2_30_scales_every_joule_exactly(protocol):
             eps_amp_j_per_bit_m2=cfg.eps_amp_j_per_bit_m2 * ENERGY_SCALE,
             initial_energy_j=cfg.initial_energy_j * ENERGY_SCALE,
         )
-        scaled = strict_run(big, protocol)
-        assert_scaled_run(strict_run(cfg, protocol), scaled, ENERGY_SCALE, 1.0)
+        scaled = run_world(big, protocol)
+        assert_scaled_run(run_world(cfg, protocol), scaled, ENERGY_SCALE, 1.0)
         past_2_23 += scaled.ledger.total_consumed() > 2.0**23
     assert past_2_23 > 20
 
@@ -142,4 +137,4 @@ def test_geometry_times_2_7_changes_nothing_but_positions(protocol):
             bs_position=bs if isinstance(bs, str) else tuple(v * LENGTH_SCALE for v in bs),
             eps_amp_j_per_bit_m2=cfg.eps_amp_j_per_bit_m2 / LENGTH_SCALE**2,
         )
-        assert_scaled_run(strict_run(cfg, protocol), strict_run(wide, protocol), 1.0, LENGTH_SCALE)
+        assert_scaled_run(run_world(cfg, protocol), run_world(wide, protocol), 1.0, LENGTH_SCALE)

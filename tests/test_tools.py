@@ -107,26 +107,24 @@ def test_digest_sweep_smoke(tmp_path, capsys):
     out = tmp_path / "digests.json"
     assert tool.main(["--n", "2", "--out", str(out)]) == 0
     digests = json.loads(out.read_text())
-    runs = [f"{k}:{p}:{m}" for k in range(2) for p in ("dsdv", "mleach") for m in ("plain", "strict")]
-    assert sorted(digests) == sorted(runs + [f"{k}:comparison:plain" for k in range(2)])
+    runs = [f"{k}:{p}" for k in range(2) for p in ("dsdv", "mleach", "comparison")]
+    assert sorted(digests) == sorted(runs)
     # the tool keeps its own copy of the names, as compare mode imports no
     # simulator; a protocol added to the registry must still be swept
     assert tool.PROTOCOLS == tuple(simulation.PROTOCOLS)
-    # strict mode checks a run without changing it
-    assert digests["0:dsdv:plain"] == digests["0:dsdv:strict"]
     assert tool.main(["--compare", str(out), str(out)]) == 0
     other = tmp_path / "changed.json"
-    other.write_text(json.dumps(dict(digests, **{"1:mleach:plain": "0" * 64})))
+    other.write_text(json.dumps(dict(digests, **{"1:mleach": "0" * 64})))
     capsys.readouterr()
     assert tool.main(["--compare", str(out), str(other)]) == 1
     report = capsys.readouterr().out
-    assert "changed 1:mleach:plain" in report
-    assert "1 of 10 digests changed, 0 unmatched" in report
+    assert "changed 1:mleach" in report
+    assert "1 of 6 digests changed, 0 unmatched" in report
 
 
 def test_digest_sweep_compares_without_the_simulator(tmp_path):
     # compare mode only reads JSON, so it must run with no src/ on the path
-    digests = {f"0:{p}:{m}": p + m for p in ("dsdv", "mleach") for m in ("plain", "strict")}
+    digests = {f"0:{p}": p for p in ("dsdv", "mleach", "comparison")}
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     a.write_text(json.dumps(digests))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -138,15 +136,15 @@ def test_digest_sweep_compares_without_the_simulator(tmp_path):
 
     same = compare(digests)
     assert same.returncode == 0, same.stderr
-    changed = compare(dict(digests, **{"0:dsdv:strict": "x"}))
+    changed = compare(dict(digests, **{"0:dsdv": "x"}))
     assert changed.returncode == 1, changed.stderr
-    assert "changed 0:dsdv:strict" in changed.stdout
+    assert "changed 0:dsdv" in changed.stdout
 
 
 def test_digest_sweep_writes_the_same_bytes_for_any_jobs():
     tool = load_module(TOOLS / "digest_sweep.py", "digest_sweep")
     one = json.dumps(tool.sweep(3, 0, 1), sort_keys=True)
-    assert len(json.loads(one)) == 15
+    assert len(json.loads(one)) == 9
     assert json.dumps(tool.sweep(3, 0, 2), sort_keys=True) == one
 
 

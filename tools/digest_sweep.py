@@ -2,13 +2,14 @@
 """Digest both protocols' output over many seeded random valid configs.
 
 Run mode draws N configs from a seed and runs each with both protocols,
-plain and strict. ``draw_config`` draws every ``SimConfig`` field: 8-64
-nodes over 2-20 s, budgets of 1e-4 to 1e3 J, frame sizes of 1 to 1e6
-bits, radio constants from 1e-20 up to the price at which one 1e4-bit
-frame sent across the radio range costs the whole budget (at most 1e-3),
-the sink channel off or on with its collapse exponent, the sink at random
-or placed, speeds up to 80 m/s, and short and long DSDV update intervals.
-Every 50th draw is a network of 65-512 nodes over 2-4 s.
+once each; every run checks its own invariants. ``draw_config`` draws
+every ``SimConfig`` field: 8-64 nodes over 2-20 s, budgets of 1e-4 to
+1e3 J, frame sizes of 1 to 1e6 bits, radio constants from 1e-20 up to
+the price at which one 1e4-bit frame sent across the radio range costs
+the whole budget (at most 1e-3), the sink channel off or on with its
+collapse exponent, the sink at random or placed, speeds up to 80 m/s, and
+short and long DSDV update intervals. Every 50th draw is a network of
+65-512 nodes over 2-4 s.
 ``tests/test_strict_property.py`` draws its configs from the same
 function. The budgets reach past what a run can spend, so many runs keep
 every sensor alive to the end: elections across epochs, waypoint arrivals
@@ -17,9 +18,10 @@ sensors at once still come up, so start-up deaths stay covered. Per
 run it writes one sha256 over the three CSVs, the ledger's ``consumed``,
 ``consumed_comp``, ``energy`` and ``death_time_us`` as the bytes of
 float64 and int64 arrays (lists or arrays give the same bytes), and its
-total; a run that raises is digested by its exception. Each draw also
-digests the ``comparison.csv`` that ``mleach-sim`` writes for its two
-plain runs, under ``k:comparison:plain``, unless either run raised.
+total, under ``k:protocol``; a run that raises is digested by its
+exception. Each draw also digests the ``comparison.csv`` that
+``mleach-sim`` writes for its two runs, under ``k:comparison``, unless
+either run raised.
 Compare mode diffs two digest files, so that a change meant to keep
 output bytes can be checked against its parent on every draw. Both
 sides run this one copy of the tool, so that they draw the same configs;
@@ -69,8 +71,8 @@ PROTOCOLS = ("mleach", "dsdv")
 def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
     """One valid config, every ``SimConfig`` field drawn; ``nodes`` and
     ``horizons`` are inclusive ranges. ``rng`` needs only a ``Generator``'s
-    scalar ``integers``, ``uniform`` and ``choice``: the strict tests pass
-    hypothesis draws."""
+    scalar ``integers``, ``uniform`` and ``choice``: the property tests
+    pass hypothesis draws."""
     from mleachsim.config import SimConfig, validate_config
 
     horizon = int(rng.integers(horizons[0], horizons[1] + 1))
@@ -127,14 +129,14 @@ def draw_config(rng, nodes=(8, 64), horizons=(2, 20)):
     return validate_config(cfg)
 
 
-def run_digest(cfg, protocol: str, strict: bool, scratch: str):
+def run_digest(cfg, protocol: str, scratch: str):
     """sha256 of one run's CSVs and ledger state, and the run's log (None
     when the run raised)."""
     from mleachsim import simulation
 
     h = hashlib.sha256()
     try:
-        world = simulation.World(cfg, protocol, strict)
+        world = simulation.World(cfg, protocol)
         world.run(simulation.PROTOCOLS[protocol](world))
     except Exception as exc:  # a run that now raises must show as a change
         h.update(f"{type(exc).__name__}: {exc}".encode())
@@ -151,8 +153,8 @@ def run_digest(cfg, protocol: str, strict: bool, scratch: str):
 
 
 def digest_draw(k_cfg) -> dict[str, str]:
-    """The digests of draw k's config, every protocol plain and strict, and
-    of the comparison.csv of its plain runs."""
+    """The digests of draw k's config, one run of every protocol, and of
+    the comparison.csv of those runs."""
     from mleachsim.cli import write_comparison
 
     k, cfg = k_cfg
@@ -160,16 +162,12 @@ def digest_draw(k_cfg) -> dict[str, str]:
     logs = {}
     with tempfile.TemporaryDirectory() as scratch:
         for protocol in PROTOCOLS:
-            for strict in (False, True):
-                mode = "strict" if strict else "plain"
-                digests[f"{k}:{protocol}:{mode}"], log = run_digest(cfg, protocol, strict, scratch)
-                if not strict:
-                    logs[protocol] = log
+            digests[f"{k}:{protocol}"], logs[protocol] = run_digest(cfg, protocol, scratch)
         if None not in logs.values():
             path = os.path.join(scratch, "comparison.csv")
             write_comparison(path, logs)
             with open(path, "rb") as fh:
-                digests[f"{k}:comparison:plain"] = hashlib.sha256(fh.read()).hexdigest()
+                digests[f"{k}:comparison"] = hashlib.sha256(fh.read()).hexdigest()
     return digests
 
 
@@ -208,8 +206,8 @@ def compare(a_path: str, b_path: str) -> int:
 
 
 def _order(key: str):
-    k, protocol, mode = key.split(":")
-    return int(k), protocol, mode
+    k, name = key.split(":", 1)
+    return int(k), name
 
 
 def main(argv=None) -> int:
